@@ -14,26 +14,18 @@ Exit code 0 when every section is clean, 1 otherwise.
 """
 
 import argparse
-import random
 import sys
 import time
 
 from cliquebounds import (
+    closure_and_peel_lemmas,
     compute_weights,
     enumerate_graphs,
     exhaustive_verify,
     identity_grid,
-    is_connected,
     labeled_crosscheck,
-    longest_path_from,
     luo_dominance,
     path_proof_claims,
-    peel,
-    random_graph,
-    transform_closure,
-    verify_closure_lemmas,
-    verify_peel_decomposition,
-    write_graph6,
 )
 
 
@@ -78,37 +70,11 @@ def main():
 
     banner("3. Rotation-closure lemmas and peeling decomposition")
     t0 = time.time()
-    fails = []
-    checked = 0
-
-    def check(g):
-        w = compute_weights(g)
-        u = min(v for v in range(g.n) if w.c[v] == w.circumference)
-        tc = transform_closure(g, longest_path_from(g, u), weights=w)
-        if not verify_closure_lemmas(g, tc, w)["ok"]:
-            return False
-        trace = peel(g, u)
-        return all(verify_peel_decomposition(g, trace, s)["ok"] for s in (2, 3, 4))
-
-    for n in range(1, args.n_max + 1):
-        for g in enumerate_graphs(n):
-            checked += 1
-            if not check(g):
-                fails.append(write_graph6(g))
-    rng = random.Random(args.seed)
-    rand_done = 0
-    while rand_done < args.random_graphs:
-        g = random_graph(rng.randint(4, 10), rng.uniform(0.2, 0.55), rng.randrange(1 << 30))
-        if not is_connected(g):
-            continue
-        rand_done += 1
-        checked += 1
-        if not check(g):
-            fails.append(write_graph6(g))
-    all_ok &= not fails
-    print(f"  graphs checked: {checked} ({rand_done} random)  failures: {len(fails)}"
-          f"  [{time.time()-t0:.1f}s]")
-    for w6 in fails[:5]:
+    cp = closure_and_peel_lemmas(args.n_max, args.random_graphs, args.seed)
+    all_ok &= cp["ok"]
+    print(f"  graphs checked: {cp['graphs_checked']} ({args.random_graphs} random)"
+          f"  failures: {len(cp['failures'])}  [{time.time()-t0:.1f}s]")
+    for w6 in cp["failures"][:5]:
         print("  FAILURE:", w6)
 
     banner("4. Identity grids")

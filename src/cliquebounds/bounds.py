@@ -91,17 +91,9 @@ class BoundReport:
         return json.dumps(self.to_json_dict())
 
 
-def check_theorem(
-    g: Graph,
-    s: int,
-    theorem: int,
-    w: VertexWeights | None = None,
-    dp_limit: int = DEFAULT_DP_LIMIT,
-) -> BoundReport:
+def check_theorem(g: Graph, s: int, theorem: int, w: VertexWeights) -> BoundReport:
     if theorem not in (1, 2):
         raise ValueError(f"theorem must be 1 or 2, got {theorem}")
-    if w is None:
-        w = compute_weights(g, dp_limit)
     lhs = count_cliques(g, s)
     rhs = thm1_rhs(g, s, w) if theorem == 1 else thm2_rhs(g, s, w)
     gap = rhs - lhs
@@ -114,18 +106,12 @@ def check_theorem(
 
 
 def reduction_invariance(
-    g: Graph,
-    s: int,
-    theorem: int,
-    w: VertexWeights | None = None,
-    dp_limit: int = DEFAULT_DP_LIMIT,
+    g: Graph, s: int, theorem: int, w: VertexWeights, dp_limit: int = DEFAULT_DP_LIMIT
 ) -> dict:
     """Dropping light vertices changes nothing: the heavy-set induced subgraph
     has the same clique count, the same right side (heavy weights survive
     induction because their witness paths/cycles stay inside the heavy set),
     and hence the same equality status."""
-    if w is None:
-        w = compute_weights(g, dp_limit)
     heavy = heavy_cycle_set(g, s, w) if theorem == 1 else heavy_path_set(g, s, w)
     sub = g.induced(sorted(heavy))
     w_sub = compute_weights(sub, dp_limit)
@@ -152,7 +138,8 @@ def reduction_invariance(
 def luo_dominance(g: Graph, s: int, w: VertexWeights) -> dict:
     """Both localized right sides refine the classical global bounds:
     cycle form <= (n-1)/(k-1) C(k, s) at k = circumference, and path form
-    <= (n/k) C(k, s) at k = 1 + max p. Degenerate k <= 1 is skipped."""
+    <= (n/k) C(k, s) at k = 1 + max p. The cycle side is skipped when k <= 1;
+    the path side only on the empty graph."""
     if s < 2:
         raise ValueError(f"dominance needs clique order >= 2, got {s}")
     report: dict = {"s": s}
@@ -171,7 +158,7 @@ def luo_dominance(g: Graph, s: int, w: VertexWeights) -> dict:
             "tight": rhs == cap,
         }
     k_path = 1 + max(w.p, default=0)
-    if k_path <= 1 and g.n == 0:
+    if g.n == 0:
         report["path"] = {"skipped": True, "k": k_path}
     else:
         cap = Fraction(g.n * binom(k_path, s), k_path)

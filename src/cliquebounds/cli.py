@@ -62,7 +62,8 @@ def cmd_weights(args) -> int:
 def cmd_check(args) -> int:
     status = EXIT_OK
     for g in _read_graphs(args.input):
-        rep = check_theorem(g, args.s, args.theorem, dp_limit=args.dp_limit)
+        w = compute_weights(g, dp_limit=args.dp_limit)
+        rep = check_theorem(g, args.s, args.theorem, w)
         print(rep.to_json())
         if rep.in_scope and (rep.gap < 0 or not rep.consistent):
             status = EXIT_INCONSISTENT
@@ -115,7 +116,7 @@ def cmd_gen(args) -> int:
         # apply at any size the graph type allows
         w = compute_weights_block_graph(g)
         for s in (2, 3, 4):
-            rep = check_theorem(g, s, theorem, w=w)
+            rep = check_theorem(g, s, theorem, w)
             if not rep.equality:
                 print(
                     json.dumps({"self_check": "failed", "s": s, "gap": str(rep.gap)}),
@@ -131,12 +132,7 @@ def cmd_peel(args) -> int:
         if g.n == 0:
             print(json.dumps({"stages": 0, "ok": True}))
             continue
-        w = compute_weights(g, dp_limit=args.dp_limit)
-        if args.start is not None:
-            u = args.start
-        else:
-            u = min(v for v in range(g.n) if w.c[v] == w.circumference)
-        trace = peel(g, u, dp_limit=args.dp_limit)
+        trace = peel(g, args.start, dp_limit=args.dp_limit)
         if args.trace:
             for i, st in enumerate(trace.stages):
                 print(
@@ -188,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--clique-forest", help="COUNTxORDER or COUNTxLO-HI (random, needs --seed)")
     p.add_argument("--seed", type=int)
     p.add_argument("--self-check", action="store_true")
-    p.add_argument("--dp-limit", type=int, default=18)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("peel", help="terminal-set peeling trace and split verdict")

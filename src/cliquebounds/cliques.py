@@ -40,7 +40,8 @@ def _later_masks(g: Graph) -> list[int]:
 
 
 def count_cliques(g: Graph, s: int) -> int:
-    """Number of s-vertex cliques, by pivoted bitmask expansion."""
+    """Number of s-vertex cliques, by forward bitmask expansion along a
+    degeneracy order."""
     if s < 0:
         raise ValueError(f"clique order must be >= 0, got {s}")
     if s == 0:

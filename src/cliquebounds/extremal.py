@@ -101,12 +101,17 @@ def _block_is_clique(g: Graph, block: frozenset[int]) -> bool:
     return all((g.adj[v] | (1 << v)) & mask == mask for v in block)
 
 
+def _block_graph_decomposition(g: Graph) -> BlockDecomposition | None:
+    """The block decomposition when g is a block graph, else None."""
+    if not is_connected(g):
+        return None
+    decomp = block_decomposition(g)
+    return decomp if all(_block_is_clique(g, b) for b in decomp.blocks) else None
+
+
 def is_block_graph(g: Graph) -> bool:
     """Connected and every block induces a complete graph."""
-    if not is_connected(g):
-        return False
-    decomp = block_decomposition(g)
-    return all(_block_is_clique(g, b) for b in decomp.blocks)
+    return _block_graph_decomposition(g) is not None
 
 
 def is_parent_dominated(g: Graph) -> bool:
@@ -116,9 +121,9 @@ def is_parent_dominated(g: Graph) -> bool:
     pass vacuously."""
     if g.n <= 1:
         return True
-    if not is_block_graph(g):
+    decomp = _block_graph_decomposition(g)
+    if decomp is None:
         return False
-    decomp = block_decomposition(g)
     orders = [len(b) for b in decomp.blocks]
     blocks_at_cut: dict[int, list[int]] = {}
     for bi, v in decomp.tree_edges:

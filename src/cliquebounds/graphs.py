@@ -320,7 +320,7 @@ def _canonical_mask(n: int, adj) -> int:
                 if used >> v & 1:
                     continue
                 col = 0
-                for t, w in enumerate(placed):
+                for w in placed:
                     col = (col << 1) | (adj[v] >> w & 1)
                 cands.setdefault(col, []).append(v)
             if not cands:

@@ -83,7 +83,7 @@ class TransformClosure:
 def transform_closure(
     g: Graph,
     path: PathSeq,
-    weights: VertexWeights | None = None,
+    weights: VertexWeights,
     budget: int = DEFAULT_CLOSURE_BUDGET,
 ) -> TransformClosure:
     """Breadth-first closure of a longest v0-path under single rotations.
@@ -92,8 +92,6 @@ def transform_closure(
     sequences with the same terminal can expose different chords later.
     """
     _require_path(g, path)
-    if weights is None:
-        weights = compute_weights(g)
     start = path[0]
     seen: set[PathSeq] = {path}
     order: list[PathSeq] = [path]
@@ -201,61 +199,56 @@ def verify_closure_lemmas(g: Graph, tc: TransformClosure, weights: VertexWeights
 @dataclass(frozen=True)
 class PeelStage:
     """One live stage: its original-id vertex list, the dense induced graph,
-    the start vertex, base path, terminal set (all original ids) and the
-    per-vertex cycle weights measured inside this stage."""
+    the start vertex, base path and terminal set (all original ids), plus the
+    stage's weights and rotation closure (both in the dense graph's ids)."""
 
     vertices: tuple[int, ...]
     graph: Graph
     start: int
     path: PathSeq
     terminals: frozenset[int]
-    cycle_weights: dict[int, int]
+    weights: VertexWeights
+    closure: TransformClosure
 
 
 @dataclass(frozen=True)
 class PeelTrace:
     graph: Graph
-    start: int
+    start: int | None
     stages: tuple[PeelStage, ...]
-
-    @property
-    def t(self) -> int:
-        return len(self.stages) - 1
 
 
 def peel(
     g: Graph,
-    u: int,
+    u: int | None = None,
     dp_limit: int = DEFAULT_DP_LIMIT,
     budget: int = DEFAULT_CLOSURE_BUDGET,
 ) -> PeelTrace:
     """Run the iterative terminal-set removal starting from a heaviest vertex.
 
     Stage i takes a longest x-path in the live graph, removes the closure's
-    terminal set, then drops isolated vertices; x is re-chosen (max stage
-    weight, lowest id on ties) only once it has been removed.
+    terminal set, then drops isolated vertices. x starts at ``u``, which must
+    be a heaviest vertex; x is chosen (max stage weight, lowest id on ties)
+    when ``u`` is omitted and again each time it has been removed.
     """
     if g.n == 0:
         return PeelTrace(g, u, ())
-    base = compute_weights(g, dp_limit)
-    if not 0 <= u < g.n:
+    if u is not None and not 0 <= u < g.n:
         raise ValueError(f"start vertex {u} not in graph")
-    if base.c[u] != base.circumference:
-        raise ValueError(
-            f"start vertex {u} has weight {base.c[u]}, not the maximum {base.circumference}"
-        )
     stages: list[PeelStage] = []
     live = list(range(g.n))
     x = u
     while live:
         dense = g.induced(live)
-        w_i = compute_weights(dense, dp_limit)
-        if x not in live:
-            best = max(w_i.c)
-            x = next(v for i, v in enumerate(live) if w_i.c[i] == best)
-        x_local = live.index(x)
-        path_local = longest_path_from(dense, x_local, dp_limit)
-        tc = transform_closure(dense, path_local, weights=w_i, budget=budget)
+        w = compute_weights(dense, dp_limit)
+        if x not in live:  # u omitted, or x removed by an earlier stage
+            x = live[w.c.index(w.circumference)]
+        elif not stages and w.c[x] != w.circumference:
+            raise ValueError(
+                f"start vertex {x} has weight {w.c[x]}, not the maximum {w.circumference}"
+            )
+        path_local = longest_path_from(dense, live.index(x), dp_limit)
+        tc = transform_closure(dense, path_local, w, budget)
         terminals = frozenset(live[i] for i in tc.terminal_set)
         stages.append(
             PeelStage(
@@ -264,7 +257,8 @@ def peel(
                 start=x,
                 path=tuple(live[i] for i in path_local),
                 terminals=terminals,
-                cycle_weights={v: w_i.c[i] for i, v in enumerate(live)},
+                weights=w,
+                closure=tc,
             )
         )
         kept = [v for v in live if v not in terminals]
@@ -273,14 +267,21 @@ def peel(
             v for v in kept
             if any(nb in kept_set for nb in g.neighbors(v))
         ]
-    return PeelTrace(g, u, tuple(stages))
+    return PeelTrace(g, stages[0].start, tuple(stages))
 
 
 def verify_peel_decomposition(g: Graph, trace: PeelTrace, s: int) -> dict:
     """Exact split of the s-clique count across stages, plus stage-weight
-    monotonicity against the input graph and the trace bookkeeping rules."""
+    monotonicity against the input graph and the trace bookkeeping rules.
+    The input graph's weights are read from stage 0, which must be g."""
     failures: list[dict] = []
-    base = compute_weights(g)
+    stage0 = trace.stages[0] if trace.stages else None
+    is_input = (
+        stage0 is not None and stage0.vertices == tuple(range(g.n)) and stage0.graph == g
+    )
+    if g.n and not is_input:
+        failures.append({"check": "stage0_is_input"})
+    base_c = stage0.weights.c if is_input else ()
     total = 0
     seen_terminals: set[int] = set()
     for i, stage in enumerate(trace.stages):
@@ -293,11 +294,11 @@ def verify_peel_decomposition(g: Graph, trace: PeelTrace, s: int) -> dict:
         seen_terminals.update(stage.terminals)
         if trace.start in stage.terminals:
             failures.append({"check": "start_never_terminal", "stage": i})
-        for v, cw in stage.cycle_weights.items():
-            if cw > base.c[v]:
+        for v, cw in zip(stage.vertices, stage.weights.c):
+            if is_input and cw > base_c[v]:
                 failures.append(
                     {"check": "weight_monotone", "stage": i, "vertex": v,
-                     "stage_weight": cw, "base_weight": base.c[v]}
+                     "stage_weight": cw, "base_weight": base_c[v]}
                 )
     lhs = count_cliques(g, s)
     if lhs != total:

@@ -5,11 +5,16 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines and
 timings.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from cliquebounds import (
     BlockSpec,
+    closure_and_peel_lemmas,
     complete_graph,
     compute_weights,
     compute_weights_block_graph,
@@ -20,21 +25,14 @@ from cliquebounds import (
     exhaustive_verify,
     generate_pdbg,
     identity_grid,
-    is_connected,
     is_hamiltonian,
     is_parent_dominated,
     labeled_crosscheck,
-    longest_path_from,
     luo_dominance,
     path_proof_claims,
-    peel,
     random_clique_forest,
-    random_graph,
     thm1_rhs,
     thm2_rhs,
-    transform_closure,
-    verify_closure_lemmas,
-    verify_peel_decomposition,
     write_graph6,
 )
 from oracles import bowtie, dfs_weights, petersen
@@ -149,37 +147,15 @@ def test_criterion_4_known_instances():
     report("4 known instances", not failures, t0, f"failures={failures}")
 
 
-def _closure_and_peel_ok(g):
-    w = compute_weights(g)
-    u = min(v for v in range(g.n) if w.c[v] == w.circumference)
-    tc = transform_closure(g, longest_path_from(g, u), weights=w)
-    if not verify_closure_lemmas(g, tc, w)["ok"]:
-        return False
-    trace = peel(g, u)
-    return all(verify_peel_decomposition(g, trace, s)["ok"] for s in (2, 3, 4))
-
-
 def test_criterion_5_transform_and_peeling_lemmas():
     t0 = time.time()
-    failures = []
-    for n in range(1, 8):
-        for g in enumerate_graphs(n):
-            if not _closure_and_peel_ok(g):
-                failures.append(write_graph6(g))
-    rng = random.Random(424242)
-    checked = 0
-    while checked < 500:
-        g = random_graph(rng.randint(4, 10), rng.uniform(0.2, 0.55), rng.randrange(1 << 30))
-        if not is_connected(g):
-            continue
-        checked += 1
-        if not _closure_and_peel_ok(g):
-            failures.append(write_graph6(g))
+    summary = closure_and_peel_lemmas(7, 500, 424242)
     report(
         "5 transform/peeling lemmas",
-        not failures,
+        summary["ok"] and summary["graphs_checked"] == 1252 + 500,
         t0,
-        f"exhaustive n<=7 plus {checked} random; failures={failures[:3]}",
+        f"exhaustive n<=7 plus 500 random; checked={summary['graphs_checked']} "
+        f"failures={summary['failures'][:3]}",
     )
 
 
@@ -219,3 +195,20 @@ def test_criterion_8_path_proof_claims():
         f"graphs={summary['graphs_checked']} paths={summary['longest_paths_checked']} "
         f"chain_cells={summary['chain_cells']} failures={summary['failures'][:3]}",
     )
+
+
+def test_verification_battery_script_quick():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_verification_battery.py"), "--quick"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "ALL SECTIONS CLEAN" in proc.stdout

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquebounds import (
     check_theorem,
@@ -47,7 +48,8 @@ class TestThm1Rhs:
         assert thm1_rhs(g, 1, compute_weights(g)) == 0
 
     def test_single_vertex_s1_out_of_scope(self):
-        rep = check_theorem(from_edges(1, []), 1, 1)
+        g = from_edges(1, [])
+        rep = check_theorem(g, 1, 1, compute_weights(g))
         assert not rep.in_scope
         assert rep.gap < 0
         assert rep.consistent
@@ -93,23 +95,27 @@ class TestHeavySets:
 
 class TestCheckTheorem:
     def test_k6_path_form(self):
-        rep = check_theorem(complete_graph(6), 3, 2)
+        g = complete_graph(6)
+        rep = check_theorem(g, 3, 2, compute_weights(g))
         assert rep.lhs == 20 and rep.rhs == 20
         assert rep.equality and rep.extremal and rep.consistent
 
     def test_petersen_cycle_form_strict(self):
-        rep = check_theorem(petersen(), 2, 1)
+        g = petersen()
+        rep = check_theorem(g, 2, 1, compute_weights(g))
         assert rep.lhs == 15
         assert rep.rhs == Fraction(81, 2)
         assert not rep.equality and not rep.extremal and rep.consistent
 
     def test_c4_s3_strict_consistent(self):
-        rep = check_theorem(cycle_graph(4), 3, 1)
+        g = cycle_graph(4)
+        rep = check_theorem(g, 3, 1, compute_weights(g))
         assert rep.lhs == 0 and rep.rhs == 4
         assert not rep.equality and not rep.extremal and rep.consistent
 
     def test_json_schema(self):
-        rep = check_theorem(bowtie(), 2, 1)
+        g = bowtie()
+        rep = check_theorem(g, 2, 1, compute_weights(g))
         data = json.loads(rep.to_json())
         assert set(data) == {
             "theorem", "s", "graph6", "lhs", "rhs_num", "rhs_den",
@@ -119,12 +125,31 @@ class TestCheckTheorem:
         assert Fraction(data["rhs_num"], data["rhs_den"]) == 6
 
     def test_json_degenerate_flag(self):
-        data = check_theorem(from_edges(1, []), 1, 1).to_json_dict()
+        g = from_edges(1, [])
+        data = check_theorem(g, 1, 1, compute_weights(g)).to_json_dict()
         assert data["in_scope"] is False
 
     def test_rejects_bad_theorem(self):
         with pytest.raises(ValueError):
-            check_theorem(bowtie(), 2, 3)
+            check_theorem(bowtie(), 2, 3, compute_weights(bowtie()))
+
+
+class TestRelabeling:
+    @given(graphs(max_n=7), st.data())
+    @settings(max_examples=80)
+    def test_relabeling_permutes_weights_and_keeps_verdicts(self, g, data):
+        perm = data.draw(st.permutations(range(g.n)))
+        h = from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+        wg, wh = compute_weights(g), compute_weights(h)
+        assert all(wh.p[perm[v]] == wg.p[v] for v in range(g.n))
+        assert all(wh.c[perm[v]] == wg.c[v] for v in range(g.n))
+        for s in range(1, 5):
+            for theorem in (1, 2):
+                a = check_theorem(g, s, theorem, wg)
+                b = check_theorem(h, s, theorem, wh)
+                assert (a.lhs, a.rhs, a.equality, a.extremal) == (
+                    b.lhs, b.rhs, b.equality, b.extremal
+                )
 
 
 class TestBeyondExhaustiveRange:
@@ -144,12 +169,12 @@ class TestBeyondExhaustiveRange:
 class TestReductionInvariance:
     def test_k4_with_pendant(self):
         g = from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
-        rep = reduction_invariance(g, 3, 1)
+        rep = reduction_invariance(g, 3, 1, compute_weights(g))
         assert rep["ok"] and rep["heavy_size"] == 4
 
     def test_forest_with_isolate(self):
         g = disjoint_union(complete_graph(3), from_edges(1, []))
-        assert reduction_invariance(g, 2, 2)["ok"]
+        assert reduction_invariance(g, 2, 2, compute_weights(g))["ok"]
 
     def test_exhaustive_small(self, reps_by_n):
         for n in range(7):

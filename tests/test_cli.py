@@ -148,6 +148,18 @@ class TestPeelCommand:
         assert code == 0
         assert json.loads(out)["stages"] == 0
 
+    def test_dp_limit_reaches_every_stage(self, capsys, monkeypatch):
+        from cliquebounds import path_graph
+
+        code, out, err = run_cli(
+            capsys,
+            ["peel", "--dp-limit", "19"],
+            stdin=write_graph6(path_graph(19)),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0, err
+        assert json.loads(out.strip().splitlines()[-1])["ok"] is True
+
     def test_bowtie_verdict(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             capsys, ["peel"], stdin=write_graph6(bowtie()), monkeypatch=monkeypatch

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -25,10 +26,12 @@ from oracles import bowtie
 
 
 def closure_from_heaviest(g):
-    w = compute_weights(g)
-    u = min(v for v in range(g.n) if w.c[v] == w.circumference)
-    tc = transform_closure(g, longest_path_from(g, u), weights=w)
-    return w, tc
+    stage0 = peel(g).stages[0]
+    return stage0.weights, stage0.closure
+
+
+def closure(g, path):
+    return transform_closure(g, path, compute_weights(g))
 
 
 class TestSimpleTransforms:
@@ -64,23 +67,23 @@ class TestSimpleTransforms:
 class TestTransformClosure:
     def test_path_graph_trivial(self):
         g = path_graph(5)
-        tc = transform_closure(g, (0, 1, 2, 3, 4))
+        tc = closure(g, (0, 1, 2, 3, 4))
         assert tc.terminal_set == frozenset({4})
         assert len(tc.paths) == 1
 
     def test_k4_all_non_start_terminals(self):
         g = complete_graph(4)
-        tc = transform_closure(g, (0, 1, 2, 3))
+        tc = closure(g, (0, 1, 2, 3))
         assert tc.terminal_set == frozenset({1, 2, 3})
 
     def test_c5_two_terminals(self):
         g = cycle_graph(5)
-        tc = transform_closure(g, (0, 1, 2, 3, 4))
+        tc = closure(g, (0, 1, 2, 3, 4))
         assert tc.terminal_set == frozenset({1, 4})
 
     def test_single_vertex_excludes_start(self):
         g = from_edges(1, [])
-        tc = transform_closure(g, (0,))
+        tc = closure(g, (0,))
         assert tc.terminal_set == frozenset()
 
     def test_start_and_vertex_set_preserved(self):
@@ -89,7 +92,7 @@ class TestTransformClosure:
             g = random_graph(rng.randint(2, 9), rng.uniform(0.25, 0.6), rng.randrange(1 << 30))
             v0 = rng.randrange(g.n)
             base = longest_path_from(g, v0)
-            tc = transform_closure(g, base)
+            tc = closure(g, base)
             for p in tc.paths:
                 assert p[0] == v0
                 assert set(p) == set(base)
@@ -100,9 +103,9 @@ class TestTransformClosure:
         for _ in range(20):
             g = random_graph(rng.randint(3, 7), rng.uniform(0.4, 0.8), rng.randrange(1 << 30))
             v0 = rng.randrange(g.n)
-            tc = transform_closure(g, longest_path_from(g, v0))
+            tc = closure(g, longest_path_from(g, v0))
             other = random.Random(0).choice(tc.paths)
-            back = transform_closure(g, other)
+            back = closure(g, other)
             assert set(back.paths) == set(tc.paths)
 
     def test_representatives_end_at_terminal(self):
@@ -120,15 +123,15 @@ class TestTransformClosure:
     def test_budget_error(self):
         g = complete_graph(8)
         with pytest.raises(ClosureBudgetError):
-            transform_closure(g, longest_path_from(g, 0), budget=10)
+            transform_closure(g, longest_path_from(g, 0), compute_weights(g), budget=10)
 
     def test_deterministic(self):
         rng = random.Random(91)
         for _ in range(20):
             g = random_graph(rng.randint(2, 8), rng.uniform(0.3, 0.7), rng.randrange(1 << 30))
             base = longest_path_from(g, 0)
-            a = transform_closure(g, base)
-            b = transform_closure(g, base)
+            a = closure(g, base)
+            b = closure(g, base)
             assert a.paths == b.paths
             assert a.representatives == b.representatives
 
@@ -153,7 +156,7 @@ class TestClosureLemmas:
         g = bowtie()
         w = compute_weights(g)
         # start at a degree-2 vertex so the closure permutes only the far triangle
-        tc = transform_closure(g, longest_path_from(g, 0), weights=w)
+        tc = transform_closure(g, longest_path_from(g, 0), w)
         rep = verify_closure_lemmas(g, tc, w)
         assert rep["ok"]
         fixed = len(tc.base) - min(w.c[v] for v in tc.terminal_set) + 1
@@ -213,23 +216,55 @@ class TestPeel:
         for s in (2, 3):
             assert verify_peel_decomposition(g, trace, s)["ok"]
 
+    @pytest.mark.parametrize(
+        "g, u",
+        [
+            (path_graph(4), 0),
+            (bowtie(), 0),
+            (disjoint_union(complete_graph(2), complete_graph(3)), 2),
+            (disjoint_union(cycle_graph(3), cycle_graph(5)), 3),
+            (from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1)]), 1),
+        ],
+    )
+    def test_default_start_is_lowest_id_heaviest(self, g, u):
+        trace = peel(g)
+        assert trace.start == trace.stages[0].start == u
+        assert trace == peel(g, u)
+
+    def test_stage0_keeps_input_weights_and_closure(self):
+        g = bowtie()
+        stage0 = peel(g).stages[0]
+        w = compute_weights(g)
+        assert stage0.graph == g and stage0.weights == w
+        assert stage0.closure == transform_closure(g, stage0.path, w)
+
+    def test_verify_rejects_trace_whose_stage0_is_not_input(self):
+        g = bowtie()
+        trace = peel(g)
+        assert verify_peel_decomposition(g, trace, 2)["ok"]
+        for bad in (
+            dataclasses.replace(trace, stages=trace.stages[1:]),
+            dataclasses.replace(trace, stages=()),
+            peel(complete_graph(5)),
+        ):
+            rep = verify_peel_decomposition(g, bad, 2)
+            assert not rep["ok"]
+            assert {"check": "stage0_is_input"} in rep["failures"]
+
     def test_trace_deterministic(self):
         rng = random.Random(92)
         for _ in range(15):
             g = random_graph(rng.randint(1, 8), rng.uniform(0.2, 0.6), rng.randrange(1 << 30))
-            w = compute_weights(g)
-            u = min(v for v in range(g.n) if w.c[v] == w.circumference)
-            assert peel(g, u) == peel(g, u)
+            assert peel(g) == peel(g)
 
     def test_stage_graphs_shrink_and_partition(self):
         rng = random.Random(3)
         for _ in range(30):
             g = random_graph(rng.randint(1, 9), rng.uniform(0.2, 0.7), rng.randrange(1 << 30))
-            w = compute_weights(g)
             if g.n == 0:
                 continue
-            u = min(v for v in range(g.n) if w.c[v] == w.circumference)
-            trace = peel(g, u)
+            trace = peel(g)
+            u = trace.start
             sizes = [len(st.vertices) for st in trace.stages]
             assert sizes == sorted(sizes, reverse=True)
             all_terms = [v for st in trace.stages for v in st.terminals]
