@@ -18,13 +18,11 @@ import sys
 import time
 
 from cliquebounds import (
+    classical_bound_dominance,
     closure_and_peel_lemmas,
-    compute_weights,
-    enumerate_graphs,
     exhaustive_verify,
     identity_grid,
     labeled_crosscheck,
-    luo_dominance,
     path_proof_claims,
 )
 
@@ -85,18 +83,12 @@ def main():
 
     banner("5. Classical-bound dominance")
     t0 = time.time()
-    dom_fails = 0
-    for n in range(1, args.n_max + 1):
-        for g in enumerate_graphs(n):
-            w = compute_weights(g)
-            for s in (2, 3, 4):
-                rep = luo_dominance(g, s, w)
-                if w.circumference >= 3 and not rep["cycle"]["ok"]:
-                    dom_fails += 1
-                if not rep["path"]["ok"]:
-                    dom_fails += 1
-    all_ok &= dom_fails == 0
-    print(f"  violations: {dom_fails}  [{time.time()-t0:.1f}s]")
+    dom = classical_bound_dominance(args.n_max)
+    all_ok &= dom["ok"]
+    print(f"  graphs: {dom['checked']}  violations: {len(dom['failures'])}"
+          f"  [{time.time()-t0:.1f}s]")
+    for failure in dom["failures"][:5]:
+        print("  VIOLATION:", failure)
 
     banner("6. Longest-path endpoint and ratio-chain claims")
     t0 = time.time()

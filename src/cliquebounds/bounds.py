@@ -91,10 +91,11 @@ class BoundReport:
         return json.dumps(self.to_json_dict())
 
 
-def check_theorem(g: Graph, s: int, theorem: int, w: VertexWeights) -> BoundReport:
+def check_theorem(g: Graph, s: int, theorem: int, w: VertexWeights, lhs: int) -> BoundReport:
+    """Evaluate one bound on g from its weights ``w`` and its s-clique count
+    ``lhs``, both computed once by the caller for every theorem it checks."""
     if theorem not in (1, 2):
         raise ValueError(f"theorem must be 1 or 2, got {theorem}")
-    lhs = count_cliques(g, s)
     rhs = thm1_rhs(g, s, w) if theorem == 1 else thm2_rhs(g, s, w)
     gap = rhs - lhs
     in_scope = not (theorem == 1 and s == 1 and g.n == 1)

@@ -11,10 +11,13 @@ Exit codes: 0 all checks consistent, 1 mathematical inconsistency found,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from collections.abc import Iterator
 
 from .bounds import check_theorem
+from .cliques import count_cliques
 from .graphs import (
     BlockSpec,
     Graph,
@@ -35,19 +38,25 @@ EXIT_INCONSISTENT = 1
 EXIT_USAGE = 2
 
 
-def _read_graphs(source: str) -> list[Graph]:
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
-    stripped = text.strip()
-    if not stripped:
-        return []
-    first = stripped.splitlines()[0].strip()
-    if first.startswith("n ") or first == "n":
-        return [parse_edge_list(text)]
-    return [parse_graph6(line) for line in stripped.splitlines() if line.strip()]
+def _read_graphs(source: str) -> Iterator[Graph]:
+    """Yield the input's graphs one line at a time, so reports for earlier
+    lines are out before a bad line stops the run: one graph6 string per
+    line, or a single edge-list graph when the first nonblank line is its
+    ``n <count>`` header. A graph6 parse error names its 1-based line."""
+    opened = contextlib.nullcontext(sys.stdin) if source == "-" else open(source, encoding="ascii")
+    with opened as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            if text.startswith("n ") or text == "n":
+                yield parse_edge_list(line + fh.read())
+                return
+            try:
+                g = parse_graph6(text)
+            except GraphParseError as exc:
+                raise GraphParseError(f"line {lineno}: {exc}") from None
+            yield g
 
 
 def cmd_weights(args) -> int:
@@ -63,7 +72,7 @@ def cmd_check(args) -> int:
     status = EXIT_OK
     for g in _read_graphs(args.input):
         w = compute_weights(g, dp_limit=args.dp_limit)
-        rep = check_theorem(g, args.s, args.theorem, w)
+        rep = check_theorem(g, args.s, args.theorem, w, count_cliques(g, args.s))
         print(rep.to_json())
         if rep.in_scope and (rep.gap < 0 or not rep.consistent):
             status = EXIT_INCONSISTENT
@@ -116,7 +125,7 @@ def cmd_gen(args) -> int:
         # apply at any size the graph type allows
         w = compute_weights_block_graph(g)
         for s in (2, 3, 4):
-            rep = check_theorem(g, s, theorem, w)
+            rep = check_theorem(g, s, theorem, w, count_cliques(g, s))
             if not rep.equality:
                 print(
                     json.dumps({"self_check": "failed", "s": s, "gap": str(rep.gap)}),

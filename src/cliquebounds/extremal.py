@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, is_connected, iter_bits
-from .weights import DEFAULT_DP_LIMIT, VertexWeights, compute_weights
+from .weights import VertexWeights
 
 
 @dataclass(frozen=True)
@@ -162,11 +162,10 @@ def components_are_cliques(g: Graph) -> bool:
     return True
 
 
-def is_hamiltonian(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> bool:
-    """True iff the graph has a spanning cycle (so always false for n < 3)."""
-    if g.n < 3:
-        return False
-    return compute_weights(g, dp_limit).circumference == g.n
+def is_hamiltonian(g: Graph, w: VertexWeights) -> bool:
+    """True iff the graph has a spanning cycle (so always false for n < 3),
+    read from its weights ``w``."""
+    return g.n >= 3 and w.circumference == g.n
 
 
 def extremal_predicate(g: Graph, s: int, theorem: int, w: VertexWeights) -> bool:

@@ -8,8 +8,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .bounds import check_theorem
-from .cliques import binom, contribution_upper_bound
+from .bounds import check_theorem, luo_dominance
+from .cliques import binom, contribution_upper_bound, count_cliques
 from .graphs import (
     ENUMERATION_LIMIT,
     Graph,
@@ -30,8 +30,9 @@ def _verdict_tuple(g: Graph, s_max: int) -> tuple:
     w = compute_weights(g)
     out = []
     for s in range(1, s_max + 1):
+        lhs = count_cliques(g, s)
         for theorem in (1, 2):
-            rep = check_theorem(g, s, theorem, w)
+            rep = check_theorem(g, s, theorem, w, lhs)
             out.append((rep.equality, rep.extremal, rep.gap >= 0 or not rep.in_scope))
     return tuple(out)
 
@@ -56,8 +57,9 @@ def exhaustive_verify(n_max: int, s_max: int) -> dict:
             counts[n] += 1
             w = compute_weights(g)
             for s in range(1, s_max + 1):
+                lhs = count_cliques(g, s)
                 for theorem in (1, 2):
-                    rep = check_theorem(g, s, theorem, w)
+                    rep = check_theorem(g, s, theorem, w, lhs)
                     if not rep.in_scope:
                         degenerate += 1
                         continue
@@ -167,6 +169,28 @@ def closure_and_peel_lemmas(n_max: int, random_graphs: int, seed: int) -> dict:
         ):
             failures.append(write_graph6(g))
     return {"graphs_checked": checked, "failures": failures, "ok": not failures}
+
+
+def classical_bound_dominance(n_max: int) -> dict:
+    """Both localized right sides at most the classical global bounds
+    (``luo_dominance``) for s = 2, 3, 4 over every isomorphism class with
+    1..n_max vertices, exactly. The cycle side counts only when the graph has
+    a cycle. Failures are (side, graph6, s) witnesses."""
+    if n_max > ENUMERATION_LIMIT:
+        raise ResourceLimitError(f"dominance sweep capped at n <= {ENUMERATION_LIMIT}")
+    failures: list[tuple[str, str, int]] = []
+    checked = 0
+    for n in range(1, n_max + 1):
+        for g in enumerate_graphs(n):
+            checked += 1
+            w = compute_weights(g)
+            for s in (2, 3, 4):
+                rep = luo_dominance(g, s, w)
+                if w.circumference >= 3 and not rep["cycle"]["ok"]:
+                    failures.append(("cycle", write_graph6(g), s))
+                if not rep["path"]["ok"]:
+                    failures.append(("path", write_graph6(g), s))
+    return {"checked": checked, "failures": failures, "ok": not failures}
 
 
 def identity_grid(

@@ -3,12 +3,16 @@
 p(v) is the number of edges on the longest simple path containing v.
 c(v) is the length of the longest cycle containing v, or 2 when v lies on
 no cycle. Both come from subset dynamic programming over (vertex set,
-endpoint) states; block graphs get a polynomial tree-DP shortcut.
+endpoint) states, run once per biconnected block; the per-block tables are
+composed over the block-cut tree (Hopcroft & Tarjan 1973), at a cost of
+about (cut vertices in B + 2) * 2^|B| per block B. Block graphs also get a
+polynomial tree-DP shortcut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, ResourceLimitError, iter_bits
 
@@ -32,33 +36,123 @@ def _guard(n: int, dp_limit: int):
         )
 
 
+class _BlockTables(NamedTuple):
+    """Per-vertex tables of one block, indexed by the block's local labels
+    (its vertices in sorted order)."""
+
+    local: dict[int, int]
+    p: list[int]
+    c: list[int]
+    # cut vertex a -> the longest path in the block from a that contains v
+    start: dict[int, list[int]]
+    # (a, b), both orders -> the longest a-b path in the block containing v
+    pair: dict[tuple[int, int], list[int]]
+
+
 def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights:
     """Exact p(v) and c(v) for every vertex.
+
+    The subset DP runs once per block B of the block decomposition, on B
+    relabeled to 0..|B|-1, and the per-block tables are composed over the
+    block-cut tree. Every cycle lies inside one block, so c(v) is the best
+    cycle through v in a block containing v. A simple path meets the blocks
+    along a path of the block-cut tree, so p(v) is the best, over the blocks
+    B containing v, of a path inside B, or of a path in B from a cut vertex
+    a (or between cut vertices a and b) extended by the longest arm that
+    leaves B through a (and through b). Per block this costs about
+    (cut vertices in B + 2) * 2^|B| steps, so the work scales with the
+    largest block; the guard stays on n.
+    """
+    from .extremal import block_decomposition
+
+    n = g.n
+    _guard(n, dp_limit)
+    if n == 0:
+        return VertexWeights((), (), 0)
+    decomp = block_decomposition(g)
+    blocks_at: dict[int, list[int]] = {}
+    cuts_of: list[list[int]] = [[] for _ in decomp.blocks]
+    for bi, a in decomp.tree_edges:
+        blocks_at.setdefault(a, []).append(bi)
+        cuts_of[bi].append(a)
+
+    tables: list[_BlockTables] = []
+    for bi, blk in enumerate(decomp.blocks):
+        local = {v: i for i, v in enumerate(sorted(blk))}
+        adj = [sum(1 << local[u] for u in iter_bits(g.adj[v]) if u in local) for v in local]
+        p_in, c_in = _path_and_cycle_tables(adj, len(local))
+        start: dict[int, list[int]] = {}
+        pair: dict[tuple[int, int], list[int]] = {}
+        for k, a in enumerate(cuts_of[bi]):
+            later = cuts_of[bi][k + 1:]
+            start[a], rows = _paths_from(adj, len(local), local[a], [local[b] for b in later])
+            for b, row in zip(later, rows):
+                pair[(a, b)] = pair[(b, a)] = row
+        tables.append(_BlockTables(local, p_in, c_in, start, pair))
+
+    def down(a: int, bi: int) -> int:
+        """Longest path from cut vertex a into block bi, continuing through
+        bi's other cut vertices away from a."""
+        t = tables[bi]
+        i = t.local[a]
+        through = [t.pair[(a, b)][i] + arm[(b, bi)] for b in cuts_of[bi] if b != a]
+        return max([t.start[a][i]] + through)
+
+    # arm[(a, bi)]: the longest path that starts at cut vertex a and leaves
+    # block bi through a. It needs only arms farther from bi in the
+    # block-cut tree, so an explicit stack memoizes it without recursion.
+    arm: dict[tuple[int, int], int] = {}
+    for bi, a in decomp.tree_edges:
+        stack = [(a, bi)]
+        while stack:
+            key = stack[-1]
+            if key in arm:
+                stack.pop()
+                continue
+            at, away = key
+            others = [bj for bj in blocks_at[at] if bj != away]
+            missing = [
+                (b, bj) for bj in others for b in cuts_of[bj] if b != at and (b, bj) not in arm
+            ]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            arm[key] = max(down(at, bj) for bj in others)
+
+    p = [0] * n
+    c = [2] * n
+    for bi, t in enumerate(tables):
+        for v, i in t.local.items():
+            best = max(
+                [t.p[i]]
+                + [arm[(a, bi)] + row[i] for a, row in t.start.items()]
+                + [arm[(a, bi)] + row[i] + arm[(b, bi)] for (a, b), row in t.pair.items()]
+            )
+            p[v] = max(p[v], best)
+            c[v] = max(c[v], t.c[i])
+    return VertexWeights(tuple(p), tuple(c), max(c))
+
+
+def _path_and_cycle_tables(adj, n: int) -> tuple[list[int], list[int]]:
+    """p and c of a graph on vertices 0..n-1, by subset DP.
 
     Two tables over subsets S: endpoints of simple paths spanning exactly S
     (any start) drive p; endpoints of paths spanning S that start at min(S)
     detect cycles, closing S into a cycle when some endpoint is adjacent to
     min(S) and |S| >= 3.
     """
-    n = g.n
-    _guard(n, dp_limit)
-    if n == 0:
-        return VertexWeights((), (), 0)
-    adj = g.adj
     size = 1 << n
 
     endp = [0] * size
     for v in range(n):
         endp[1 << v] = 1 << v
-    p = [0] * n
+    paths = [0] * n
     for s_mask in range(1, size):
         ends = endp[s_mask]
         if not ends:
             continue
-        length = s_mask.bit_count() - 1
-        for v in iter_bits(s_mask):
-            if p[v] < length:
-                p[v] = length
+        paths[s_mask.bit_count() - 1] |= s_mask
         for u in iter_bits(ends):
             ext = adj[u] & ~s_mask
             for w in iter_bits(ext):
@@ -67,7 +161,7 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
     rooted = [0] * size
     for v in range(n):
         rooted[1 << v] = 1 << v
-    c = [2] * n
+    cycles = [0] * (n + 1)
     for s_mask in range(1, size):
         ends = rooted[s_mask]
         if not ends:
@@ -75,16 +169,54 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
         low = s_mask & -s_mask
         above = ~((low << 1) - 1)
         if s_mask.bit_count() >= 3 and ends & adj[low.bit_length() - 1]:
-            span = s_mask.bit_count()
-            for v in iter_bits(s_mask):
-                if c[v] < span:
-                    c[v] = span
+            cycles[s_mask.bit_count()] |= s_mask
         for u in iter_bits(ends):
             ext = adj[u] & ~s_mask & above
             for w in iter_bits(ext):
                 rooted[s_mask | (1 << w)] |= 1 << w
+    return _longest_containing(paths, n, 0), _longest_containing(cycles, n, 2)
 
-    return VertexWeights(tuple(p), tuple(c), max(c))
+
+def _paths_from(adj, n: int, a: int, targets: list[int]) -> tuple[list[int], list[list[int]]]:
+    """Over the subsets S containing a, with the endpoints of paths that
+    start at a and span exactly S: the longest path from a that contains v,
+    and for each b in ``targets`` the longest a-b path that contains v.
+
+    In a block every vertex lies on some a-b path (the block is 2-connected
+    or a single edge), so no a-b row keeps its placeholder 0.
+    """
+    size = 1 << n
+    reach = [0] * size
+    reach[1 << a] = 1 << a
+    target_mask = sum(1 << b for b in targets)
+    paths = [0] * n
+    to_b = {b: [0] * n for b in targets}
+    for s_mask in range(1 << a, size):
+        ends = reach[s_mask]
+        if not ends:
+            continue
+        length = s_mask.bit_count() - 1
+        paths[length] |= s_mask
+        for b in iter_bits(ends & target_mask):
+            to_b[b][length] |= s_mask
+        for u in iter_bits(ends):
+            for w in iter_bits(adj[u] & ~s_mask):
+                reach[s_mask | (1 << w)] |= 1 << w
+    return (
+        _longest_containing(paths, n, 0),
+        [_longest_containing(to_b[b], n, 0) for b in targets],
+    )
+
+
+def _longest_containing(by_length: list[int], n: int, floor: int) -> list[int]:
+    """Per vertex, the largest L whose mask by_length[L] holds it, or
+    ``floor`` when no mask does. by_length[L] is the union of the vertex
+    sets of the paths with L edges (of the cycles with L vertices)."""
+    out = [floor] * n
+    for length, mask in enumerate(by_length):
+        for v in iter_bits(mask):
+            out[v] = length
+    return out
 
 
 def _max_len_from(adj, start: int, avail: int) -> int:

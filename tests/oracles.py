@@ -1,8 +1,10 @@
 """Independent reference implementations used only to cross-check the package.
 
-Everything here deliberately avoids the package's bitmask DP style: paths and
-cycles come from plain recursive DFS over neighbor lists, clique counts from
-subset enumeration, canonical forms from trying all permutations.
+Everything here but one deliberately avoids the package's bitmask DP style:
+paths and cycles come from plain recursive DFS over neighbor lists, clique
+counts from subset enumeration, canonical forms from trying all permutations.
+The exception is ``subset_dp_weights``, the whole-graph subset DP that the
+package's per-block weights are checked against.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from cliquebounds import Graph
+from cliquebounds.graphs import iter_bits
+from cliquebounds.weights import VertexWeights
 
 
 def _neighbor_lists(g: Graph) -> list[list[int]]:
@@ -44,6 +48,61 @@ def dfs_weights(g: Graph) -> tuple[list[int], list[int]]:
     for v in range(g.n):
         walk([v], {v})
     return best_p, best_c
+
+
+def subset_dp_weights(g: Graph) -> VertexWeights:
+    """p and c by one subset DP over all 2^n vertex subsets of the whole
+    graph: the package's weights before they were composed per block.
+
+    Two tables over subsets S: endpoints of simple paths spanning exactly S
+    (any start) drive p; endpoints of paths spanning S that start at min(S)
+    detect cycles, closing S into a cycle when some endpoint is adjacent to
+    min(S) and |S| >= 3.
+    """
+    n = g.n
+    if n == 0:
+        return VertexWeights((), (), 0)
+    adj = g.adj
+    size = 1 << n
+
+    endp = [0] * size
+    for v in range(n):
+        endp[1 << v] = 1 << v
+    p = [0] * n
+    for s_mask in range(1, size):
+        ends = endp[s_mask]
+        if not ends:
+            continue
+        length = s_mask.bit_count() - 1
+        for v in iter_bits(s_mask):
+            if p[v] < length:
+                p[v] = length
+        for u in iter_bits(ends):
+            ext = adj[u] & ~s_mask
+            for w in iter_bits(ext):
+                endp[s_mask | (1 << w)] |= 1 << w
+
+    rooted = [0] * size
+    for v in range(n):
+        rooted[1 << v] = 1 << v
+    c = [2] * n
+    for s_mask in range(1, size):
+        ends = rooted[s_mask]
+        if not ends:
+            continue
+        low = s_mask & -s_mask
+        above = ~((low << 1) - 1)
+        if s_mask.bit_count() >= 3 and ends & adj[low.bit_length() - 1]:
+            span = s_mask.bit_count()
+            for v in iter_bits(s_mask):
+                if c[v] < span:
+                    c[v] = span
+        for u in iter_bits(ends):
+            ext = adj[u] & ~s_mask & above
+            for w in iter_bits(ext):
+                rooted[s_mask | (1 << w)] |= 1 << w
+
+    return VertexWeights(tuple(p), tuple(c), max(c))
 
 
 def dfs_longest_paths_from(g: Graph, v0: int) -> list[tuple[int, ...]]:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from cliquebounds import (
     BlockSpec,
+    classical_bound_dominance,
     closure_and_peel_lemmas,
     complete_graph,
     compute_weights,
@@ -21,19 +22,16 @@ from cliquebounds import (
     count_cliques,
     cycle_graph,
     disjoint_union,
-    enumerate_graphs,
     exhaustive_verify,
     generate_pdbg,
     identity_grid,
     is_hamiltonian,
     is_parent_dominated,
     labeled_crosscheck,
-    luo_dominance,
     path_proof_claims,
     random_clique_forest,
     thm1_rhs,
     thm2_rhs,
-    write_graph6,
 )
 from oracles import bowtie, dfs_weights, petersen
 
@@ -122,7 +120,7 @@ def test_criterion_4_known_instances():
         failures.append("petersen dfs oracle")
     if w.p != tuple(oracle_p) or w.c != tuple(oracle_c):
         failures.append("petersen dp vs oracle")
-    if is_hamiltonian(pet):
+    if is_hamiltonian(pet, w):
         failures.append("petersen hamiltonian")
     if count_cliques(pet, 3) != 0:
         failures.append("petersen triangles")
@@ -172,17 +170,13 @@ def test_criterion_6_identity_grids():
 
 def test_criterion_7_luo_dominance():
     t0 = time.time()
-    failures = []
-    for n in range(1, 8):
-        for g in enumerate_graphs(n):
-            w = compute_weights(g)
-            for s in (2, 3, 4):
-                rep = luo_dominance(g, s, w)
-                if w.circumference >= 3 and not rep["cycle"]["ok"]:
-                    failures.append(("cycle", write_graph6(g), s))
-                if not rep["path"]["ok"]:
-                    failures.append(("path", write_graph6(g), s))
-    report("7 classical-bound dominance", not failures, t0, f"failures={failures[:3]}")
+    summary = classical_bound_dominance(7)
+    report(
+        "7 classical-bound dominance",
+        summary["ok"] and summary["checked"] == 1252,
+        t0,
+        f"checked={summary['checked']} failures={summary['failures'][:3]}",
+    )
 
 
 def test_criterion_8_path_proof_claims():

@@ -49,7 +49,7 @@ class TestThm1Rhs:
 
     def test_single_vertex_s1_out_of_scope(self):
         g = from_edges(1, [])
-        rep = check_theorem(g, 1, 1, compute_weights(g))
+        rep = check_theorem(g, 1, 1, compute_weights(g), count_cliques(g, 1))
         assert not rep.in_scope
         assert rep.gap < 0
         assert rep.consistent
@@ -96,26 +96,26 @@ class TestHeavySets:
 class TestCheckTheorem:
     def test_k6_path_form(self):
         g = complete_graph(6)
-        rep = check_theorem(g, 3, 2, compute_weights(g))
+        rep = check_theorem(g, 3, 2, compute_weights(g), count_cliques(g, 3))
         assert rep.lhs == 20 and rep.rhs == 20
         assert rep.equality and rep.extremal and rep.consistent
 
     def test_petersen_cycle_form_strict(self):
         g = petersen()
-        rep = check_theorem(g, 2, 1, compute_weights(g))
+        rep = check_theorem(g, 2, 1, compute_weights(g), count_cliques(g, 2))
         assert rep.lhs == 15
         assert rep.rhs == Fraction(81, 2)
         assert not rep.equality and not rep.extremal and rep.consistent
 
     def test_c4_s3_strict_consistent(self):
         g = cycle_graph(4)
-        rep = check_theorem(g, 3, 1, compute_weights(g))
+        rep = check_theorem(g, 3, 1, compute_weights(g), count_cliques(g, 3))
         assert rep.lhs == 0 and rep.rhs == 4
         assert not rep.equality and not rep.extremal and rep.consistent
 
     def test_json_schema(self):
         g = bowtie()
-        rep = check_theorem(g, 2, 1, compute_weights(g))
+        rep = check_theorem(g, 2, 1, compute_weights(g), count_cliques(g, 2))
         data = json.loads(rep.to_json())
         assert set(data) == {
             "theorem", "s", "graph6", "lhs", "rhs_num", "rhs_den",
@@ -126,12 +126,12 @@ class TestCheckTheorem:
 
     def test_json_degenerate_flag(self):
         g = from_edges(1, [])
-        data = check_theorem(g, 1, 1, compute_weights(g)).to_json_dict()
+        data = check_theorem(g, 1, 1, compute_weights(g), count_cliques(g, 1)).to_json_dict()
         assert data["in_scope"] is False
 
     def test_rejects_bad_theorem(self):
         with pytest.raises(ValueError):
-            check_theorem(bowtie(), 2, 3, compute_weights(bowtie()))
+            check_theorem(bowtie(), 2, 3, compute_weights(bowtie()), count_cliques(bowtie(), 2))
 
 
 class TestRelabeling:
@@ -145,8 +145,8 @@ class TestRelabeling:
         assert all(wh.c[perm[v]] == wg.c[v] for v in range(g.n))
         for s in range(1, 5):
             for theorem in (1, 2):
-                a = check_theorem(g, s, theorem, wg)
-                b = check_theorem(h, s, theorem, wh)
+                a = check_theorem(g, s, theorem, wg, count_cliques(g, s))
+                b = check_theorem(h, s, theorem, wh, count_cliques(h, s))
                 assert (a.lhs, a.rhs, a.equality, a.extremal) == (
                     b.lhs, b.rhs, b.equality, b.extremal
                 )
@@ -161,7 +161,7 @@ class TestBeyondExhaustiveRange:
             w = compute_weights(g)
             for s in range(1, 7):
                 for theorem in (1, 2):
-                    rep = check_theorem(g, s, theorem, w)
+                    rep = check_theorem(g, s, theorem, w, count_cliques(g, s))
                     assert rep.gap >= 0, (rep.graph6, s, theorem)
                     assert rep.consistent, (rep.graph6, s, theorem)
 

@@ -74,6 +74,15 @@ class TestCheckCommand:
         assert code == 2
         assert "error" in err
 
+    def test_bad_line_after_a_good_one_keeps_its_report(self, capsys, tmp_path):
+        f = tmp_path / "g6.txt"
+        f.write_text(write_graph6(bowtie()) + "\nB\x01w\n")
+        code, out, err = run_cli(capsys, ["check", "--theorem", "1", "--s", "2", str(f)])
+        assert code == 2
+        assert len(out.strip().splitlines()) == 1
+        assert json.loads(out)["graph6"] == write_graph6(bowtie())
+        assert "line 2" in err
+
     def test_bad_s_exits_2(self, capsys, monkeypatch):
         code, _, _ = run_cli(
             capsys, ["check", "--theorem", "2", "--s", "0"], stdin="Bw", monkeypatch=monkeypatch

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 
 from cliquebounds import (
     BlockSpec,
+    Graph,
     ResourceLimitError,
+    block_decomposition,
     complete_graph,
     compute_weights,
     compute_weights_block_graph,
@@ -18,7 +20,7 @@ from cliquebounds import (
     random_clique_forest,
     random_graph,
 )
-from oracles import bowtie, dfs_longest_paths_from, dfs_weights, petersen
+from oracles import bowtie, dfs_longest_paths_from, dfs_weights, petersen, subset_dp_weights
 from strategies import graphs
 
 
@@ -92,6 +94,72 @@ class TestComputeWeights:
         for i, v in enumerate(keep):
             assert ws.p[i] <= w.p[v]
             assert ws.c[i] <= w.c[v]
+
+
+def block_glued_graph(rng: random.Random, n_max: int) -> Graph:
+    """Up to three disjoint components, each grown from one vertex by gluing
+    blocks at a random earlier vertex: cliques, cliques missing an edge,
+    cycles with random chords, bridges and pendant trees. Randomly relabeled,
+    at most ``n_max`` vertices."""
+    edges, n = [], 0
+    for _ in range(rng.randint(1, 3)):
+        if n == n_max:
+            break
+        first = n
+        n += 1
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.choice(("clique", "clique-1", "cycle", "bridge", "tree"))
+            new = 1 if kind == "bridge" else rng.randint(2, 5)
+            if n + new > n_max:
+                break
+            verts = [rng.randrange(first, n)] + list(range(n, n + new))
+            n += new
+            if kind == "tree":
+                edges += [(v, rng.choice(verts[:i])) for i, v in enumerate(verts) if i]
+            elif kind == "cycle" and len(verts) >= 4:
+                ring = rng.sample(verts, len(verts))
+                edges += zip(ring, ring[1:] + ring[:1])
+                chords = [(u, v) for i, u in enumerate(verts) for v in verts[i + 2:]]
+                edges += [e for e in chords if rng.random() < 0.3]
+            else:
+                pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]]
+                if kind == "clique-1" and len(pairs) > 1:
+                    pairs.pop(rng.randrange(len(pairs)))
+                edges += pairs
+    perm = rng.sample(range(n), n)
+    return from_edges(n, {tuple(sorted((perm[u], perm[v]))) for u, v in edges})
+
+
+class TestAgainstWholeGraphSubsetDP:
+    """The per-block weights equal the whole-graph subset DP they replace."""
+
+    def test_every_class_up_to_7(self, reps_by_n, reps7):
+        for g in [g for n in range(7) for g in reps_by_n[n]] + reps7:
+            assert compute_weights(g) == subset_dp_weights(g), g
+
+    def test_seeded_block_glued_graphs(self):
+        rng = random.Random(2718)
+        multi_block = 0
+        for _ in range(500):
+            g = block_glued_graph(rng, 16)
+            assert compute_weights(g) == subset_dp_weights(g), g
+            multi_block += len(block_decomposition(g).blocks) > 1
+        assert multi_block > 400
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(1618)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            g = random_graph(n, rng.uniform(0.15, 0.6), rng.randrange(1 << 30))
+            assert compute_weights(g) == subset_dp_weights(g), g
+
+    def test_work_scales_with_the_largest_block(self):
+        # 63 bridges: far past any whole-graph DP, instant block by block
+        w = compute_weights(path_graph(64), dp_limit=64)
+        assert w.p == (63,) * 64 and w.c == (2,) * 64
+        g = generate_pdbg(BlockSpec((4,) * 21))
+        assert g.n == 64
+        assert compute_weights(g, dp_limit=64) == compute_weights_block_graph(g)
 
 
 class TestLongestPathFrom:
