@@ -40,17 +40,10 @@ def thm1_rhs(g: Graph, s: int, w: VertexWeights) -> Fraction:
 
 
 def thm2_rhs(g: Graph, s: int, w: VertexWeights) -> Fraction:
-    """Path-form right side, with its two algebraically equal shapes checked
-    against each other."""
+    """Path-form right side, (1/s) sum_v C(p(v), s-1)."""
     if s < 1:
         raise ValueError(f"clique order must be >= 1, got {s}")
-    total = Fraction(sum(binom(w.p[v], s - 1) for v in range(g.n)), s)
-    alt = sum(
-        (Fraction(binom(w.p[v] + 1, s), w.p[v] + 1) for v in range(g.n)), Fraction(0)
-    )
-    if total != alt:
-        raise AssertionError(f"path-form shapes disagree: {total} vs {alt}")
-    return total
+    return Fraction(sum(binom(w.p[v], s - 1) for v in range(g.n)), s)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ def _read_graphs(source: str) -> Iterator[Graph]:
     """Yield the input's graphs one line at a time, so reports for earlier
     lines are out before a bad line stops the run: one graph6 string per
     line, or a single edge-list graph when the first nonblank line is its
-    ``n <count>`` header. A graph6 parse error names its 1-based line."""
+    ``n <count>`` header. A parse error names its 1-based line."""
     opened = contextlib.nullcontext(sys.stdin) if source == "-" else open(source, encoding="ascii")
     with opened as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -50,7 +50,8 @@ def _read_graphs(source: str) -> Iterator[Graph]:
             if not text:
                 continue
             if text.startswith("n ") or text == "n":
-                yield parse_edge_list(line + fh.read())
+                # the blank lines before the header keep its line numbers
+                yield parse_edge_list("\n" * (lineno - 1) + line + fh.read())
                 return
             try:
                 g = parse_graph6(text)

@@ -234,13 +234,14 @@ def write_graph6(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the ``n <count>`` header plus one ``u v`` edge per line."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """Parse the ``n <count>`` header plus one ``u v`` edge per line. Blank
+    lines are skipped; errors name the 1-based line of ``text``."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise GraphParseError("empty edge-list input")
-    head = lines[0].split()
+    head = lines[0][1].split()
     if len(head) != 2 or head[0] != "n":
-        raise GraphParseError(f"bad edge-list header {lines[0]!r}, expected 'n <count>'")
+        raise GraphParseError(f"bad edge-list header {lines[0][1]!r}, expected 'n <count>'")
     try:
         n = int(head[1])
     except ValueError:
@@ -248,7 +249,7 @@ def parse_edge_list(text: str) -> Graph:
     if not 0 <= n <= MAX_VERTICES:
         raise GraphParseError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
     edges = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphParseError(f"bad edge on line {lineno}: {ln!r}")

@@ -3,14 +3,15 @@
 p(v) is the number of edges on the longest simple path containing v.
 c(v) is the length of the longest cycle containing v, or 2 when v lies on
 no cycle. Both come from subset dynamic programming over (vertex set,
-endpoint) states, run once per biconnected block; the per-block tables are
-composed over the block-cut tree (Hopcroft & Tarjan 1973), at a cost of
-about (cut vertices in B + 2) * 2^|B| per block B. Block graphs also get a
-polynomial tree-DP shortcut.
+endpoint) states, run once per biconnected block that is not a clique; a
+clique block's tables are closed-form. The per-block tables are composed
+over the block-cut tree (Hopcroft & Tarjan 1973), at a cost of about
+(cut vertices in B + 2) * 2^|B| per non-clique block B.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,11 +29,32 @@ class VertexWeights:
     circumference: int
 
 
-def _guard(n: int, dp_limit: int):
-    if n > dp_limit:
+# Peak bytes per subset of the DP: two tables of 2^|B| list slots are live at
+# once, and each filled slot holds its own int object (8 + 32 bytes). Measured
+# with tracemalloc on the complete graph at |B| = 14: 39.5 bytes per slot.
+_DP_BYTES_PER_SLOT = 40
+
+
+def _guard(size: int, dp_limit: int, what: str):
+    if size > dp_limit:
         raise ResourceLimitError(
-            f"subset DP guarded at n <= {dp_limit} (got n={n}); use the block-graph "
-            "shortcut or raise dp_limit explicitly"
+            f"subset DP guarded at {what} <= {dp_limit} (got {size}); "
+            "raise dp_limit explicitly"
+        )
+
+
+def _memory_guard(size: int):
+    """Refuse a subset DP over ``size`` vertices whose two live tables would
+    not fit in physical memory, before allocating either."""
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return
+    need = 2 * (1 << size) * _DP_BYTES_PER_SLOT
+    if need > have:
+        raise ResourceLimitError(
+            f"subset DP over a block of {size} vertices needs about {need} bytes, "
+            f"more than the {have} bytes of physical memory"
         )
 
 
@@ -52,24 +74,29 @@ class _BlockTables(NamedTuple):
 def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights:
     """Exact p(v) and c(v) for every vertex.
 
-    The subset DP runs once per block B of the block decomposition, on B
-    relabeled to 0..|B|-1, and the per-block tables are composed over the
-    block-cut tree. Every cycle lies inside one block, so c(v) is the best
-    cycle through v in a block containing v. A simple path meets the blocks
-    along a path of the block-cut tree, so p(v) is the best, over the blocks
-    B containing v, of a path inside B, or of a path in B from a cut vertex
-    a (or between cut vertices a and b) extended by the longest arm that
-    leaves B through a (and through b). Per block this costs about
-    (cut vertices in B + 2) * 2^|B| steps, so the work scales with the
-    largest block; the guard stays on n.
+    Per block B of the block decomposition, relabeled to 0..|B|-1, a clique
+    block gets its tables in closed form (every path table |B| - 1, c = |B|
+    from three vertices on) and any other block runs the subset DP; the
+    per-block tables are composed over the block-cut tree. Every cycle lies
+    inside one block, so c(v) is the best cycle through v in a block
+    containing v. A simple path meets the blocks along a path of the
+    block-cut tree, so p(v) is the best, over the blocks B containing v, of
+    a path inside B, or of a path in B from a cut vertex a (or between cut
+    vertices a and b) extended by the longest arm that leaves B through a
+    (and through b). A DP block costs about (cut vertices in B + 2) * 2^|B|
+    steps, so the guard is on the largest non-clique block, and on the
+    memory its tables need.
     """
-    from .extremal import block_decomposition
+    from .extremal import _block_is_clique, block_decomposition
 
     n = g.n
-    _guard(n, dp_limit)
     if n == 0:
         return VertexWeights((), (), 0)
     decomp = block_decomposition(g)
+    clique = [_block_is_clique(g, blk) for blk in decomp.blocks]
+    largest = max((len(b) for b, cl in zip(decomp.blocks, clique) if not cl), default=0)
+    _guard(largest, dp_limit, "non-clique block order")
+    _memory_guard(largest)
     blocks_at: dict[int, list[int]] = {}
     cuts_of: list[list[int]] = [[] for _ in decomp.blocks]
     for bi, a in decomp.tree_edges:
@@ -79,15 +106,23 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
     tables: list[_BlockTables] = []
     for bi, blk in enumerate(decomp.blocks):
         local = {v: i for i, v in enumerate(sorted(blk))}
-        adj = [sum(1 << local[u] for u in iter_bits(g.adj[v]) if u in local) for v in local]
-        p_in, c_in = _path_and_cycle_tables(adj, len(local))
         start: dict[int, list[int]] = {}
         pair: dict[tuple[int, int], list[int]] = {}
-        for k, a in enumerate(cuts_of[bi]):
-            later = cuts_of[bi][k + 1:]
-            start[a], rows = _paths_from(adj, len(local), local[a], [local[b] for b in later])
-            for b, row in zip(later, rows):
-                pair[(a, b)] = pair[(b, a)] = row
+        if clique[bi]:
+            # a Hamiltonian path starts at, or joins, any vertices of a clique
+            size = len(local)
+            p_in, c_in = [size - 1] * size, [size if size >= 3 else 2] * size
+            for a in cuts_of[bi]:
+                start[a] = p_in
+                pair.update(((a, b), p_in) for b in cuts_of[bi] if b != a)
+        else:
+            adj = [sum(1 << local[u] for u in iter_bits(g.adj[v]) if u in local) for v in local]
+            p_in, c_in = _path_and_cycle_tables(adj, len(local))
+            for k, a in enumerate(cuts_of[bi]):
+                later = cuts_of[bi][k + 1:]
+                start[a], rows = _paths_from(adj, len(local), local[a], [local[b] for b in later])
+                for b, row in zip(later, rows):
+                    pair[(a, b)] = pair[(b, a)] = row
         tables.append(_BlockTables(local, p_in, c_in, start, pair))
 
     def down(a: int, bi: int) -> int:
@@ -243,7 +278,9 @@ def longest_path_from(g: Graph, v0: int, dp_limit: int = DEFAULT_DP_LIMIT) -> tu
     Built greedily: at each step take the smallest next vertex from which the
     remaining graph still admits a completion to full length.
     """
-    _guard(g.n, dp_limit)
+    # Guarded on n, not per block: the path states multiply across blocks
+    # (a chain of 21 K4 blocks has about 4^21 vertex sets of paths from v0).
+    _guard(g.n, dp_limit, "n")
     if not 0 <= v0 < g.n:
         raise ValueError(f"start vertex {v0} not in graph")
     adj = g.adj
@@ -267,82 +304,11 @@ def longest_path_from(g: Graph, v0: int, dp_limit: int = DEFAULT_DP_LIMIT) -> tu
 
 
 def compute_weights_block_graph(g: Graph) -> VertexWeights:
-    """Structural weights for graphs whose every block is a clique.
+    """``compute_weights`` for graphs whose every block is a clique (unions
+    of block graphs), where no block runs the subset DP, so any n up to the
+    graph type's limit is cheap. Raises ValueError on any other graph."""
+    from .extremal import _block_is_clique, block_decomposition
 
-    c(v) is the largest order of a block containing v (2 when that is at most
-    2, i.e. v lies on no cycle). p(v) comes from the heaviest path through a
-    block containing v in the block-cut tree, where a tree-path covering
-    blocks B_1..B_m realizes a graph path of sum(|B_i| - 1) edges. Accepts
-    disjoint unions of block graphs; each component is handled on its own.
-    """
-    from .extremal import block_decomposition
-
-    if g.n == 0:
-        return VertexWeights((), (), 0)
-    decomp = block_decomposition(g)
-    for blk in decomp.blocks:
-        for v in blk:
-            need = [u for u in blk if u != v]
-            if any(not g.has_edge(u, v) for u in need):
-                raise ValueError("input is not a block graph: some block is not a clique")
-
-    order = [len(b) for b in decomp.blocks]
-    c = [2] * g.n
-    blocks_at: list[list[int]] = [[] for _ in range(g.n)]
-    for bi, blk in enumerate(decomp.blocks):
-        for v in blk:
-            blocks_at[v].append(bi)
-            if order[bi] >= 3 and c[v] < order[bi]:
-                c[v] = order[bi]
-
-    # Bipartite block-cut tree: block nodes ('b', i) and cut nodes ('c', v).
-    tree: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for bi in range(len(decomp.blocks)):
-        tree[("b", bi)] = []
-    for v in decomp.cut_vertices:
-        tree[("c", v)] = []
-    for bi, v in decomp.tree_edges:
-        tree[("b", bi)].append(("c", v))
-        tree[("c", v)].append(("b", bi))
-
-    def weight(node) -> int:
-        return order[node[1]] - 1 if node[0] == "b" else 0
-
-    best_through = [0] * len(decomp.blocks)
-    seen: set[tuple[str, int]] = set()
-    for root_bi in range(len(decomp.blocks)):
-        root = ("b", root_bi)
-        if root in seen:
-            continue
-        parent: dict[tuple[str, int], tuple[str, int] | None] = {root: None}
-        topo = [root]
-        for node in topo:
-            seen.add(node)
-            for nb in tree[node]:
-                if nb not in parent:
-                    parent[nb] = node
-                    topo.append(nb)
-        down = {node: 0 for node in topo}
-        for node in reversed(topo):
-            kids = [nb for nb in tree[node] if parent.get(nb) == node]
-            down[node] = weight(node) + max((down[k] for k in kids), default=0)
-        up = {root: 0}
-        for node in topo:
-            kids = [nb for nb in tree[node] if parent.get(nb) == node]
-            for k in kids:
-                others = max((down[o] for o in kids if o != k), default=0)
-                up[k] = max(0, weight(node) + max(up[node], others))
-        for node in topo:
-            if node[0] != "b":
-                continue
-            kids = [nb for nb in tree[node] if parent.get(nb) == node]
-            arms = sorted((down[k] for k in kids), reverse=True) + [up[node]]
-            arms.sort(reverse=True)
-            arm1 = arms[0] if arms else 0
-            arm2 = arms[1] if len(arms) > 1 else 0
-            best_through[node[1]] = weight(node) + max(arm1, 0) + max(arm2, 0)
-
-    p = [0] * g.n
-    for v in range(g.n):
-        p[v] = max(best_through[bi] for bi in blocks_at[v])
-    return VertexWeights(tuple(p), tuple(c), max(c))
+    if not all(_block_is_clique(g, blk) for blk in block_decomposition(g).blocks):
+        raise ValueError("input is not a block graph: some block is not a clique")
+    return compute_weights(g)

@@ -1,10 +1,12 @@
 """Independent reference implementations used only to cross-check the package.
 
-Everything here but one deliberately avoids the package's bitmask DP style:
+Everything here but two deliberately avoids the package's bitmask DP style:
 paths and cycles come from plain recursive DFS over neighbor lists, clique
 counts from subset enumeration, canonical forms from trying all permutations.
-The exception is ``subset_dp_weights``, the whole-graph subset DP that the
-package's per-block weights are checked against.
+The two are the package's retired weights algorithms, which its current
+weights are checked against: ``subset_dp_weights``, the whole-graph
+subset DP, and ``tree_dp_block_graph_weights``, the block-cut-tree DP for
+block graphs (the only oracle that reaches n = 64).
 """
 
 from __future__ import annotations
@@ -102,6 +104,88 @@ def subset_dp_weights(g: Graph) -> VertexWeights:
             for w in iter_bits(ext):
                 rooted[s_mask | (1 << w)] |= 1 << w
 
+    return VertexWeights(tuple(p), tuple(c), max(c))
+
+
+def tree_dp_block_graph_weights(g: Graph) -> VertexWeights:
+    """Structural weights for graphs whose every block is a clique.
+
+    c(v) is the largest order of a block containing v (2 when that is at most
+    2, i.e. v lies on no cycle). p(v) comes from the heaviest path through a
+    block containing v in the block-cut tree, where a tree-path covering
+    blocks B_1..B_m realizes a graph path of sum(|B_i| - 1) edges. Accepts
+    disjoint unions of block graphs; each component is handled on its own.
+    """
+    from cliquebounds.extremal import block_decomposition
+
+    if g.n == 0:
+        return VertexWeights((), (), 0)
+    decomp = block_decomposition(g)
+    for blk in decomp.blocks:
+        for v in blk:
+            need = [u for u in blk if u != v]
+            if any(not g.has_edge(u, v) for u in need):
+                raise ValueError("input is not a block graph: some block is not a clique")
+
+    order = [len(b) for b in decomp.blocks]
+    c = [2] * g.n
+    blocks_at: list[list[int]] = [[] for _ in range(g.n)]
+    for bi, blk in enumerate(decomp.blocks):
+        for v in blk:
+            blocks_at[v].append(bi)
+            if order[bi] >= 3 and c[v] < order[bi]:
+                c[v] = order[bi]
+
+    # Bipartite block-cut tree: block nodes ('b', i) and cut nodes ('c', v).
+    tree: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    for bi in range(len(decomp.blocks)):
+        tree[("b", bi)] = []
+    for v in decomp.cut_vertices:
+        tree[("c", v)] = []
+    for bi, v in decomp.tree_edges:
+        tree[("b", bi)].append(("c", v))
+        tree[("c", v)].append(("b", bi))
+
+    def weight(node) -> int:
+        return order[node[1]] - 1 if node[0] == "b" else 0
+
+    best_through = [0] * len(decomp.blocks)
+    seen: set[tuple[str, int]] = set()
+    for root_bi in range(len(decomp.blocks)):
+        root = ("b", root_bi)
+        if root in seen:
+            continue
+        parent: dict[tuple[str, int], tuple[str, int] | None] = {root: None}
+        topo = [root]
+        for node in topo:
+            seen.add(node)
+            for nb in tree[node]:
+                if nb not in parent:
+                    parent[nb] = node
+                    topo.append(nb)
+        down = {node: 0 for node in topo}
+        for node in reversed(topo):
+            kids = [nb for nb in tree[node] if parent.get(nb) == node]
+            down[node] = weight(node) + max((down[k] for k in kids), default=0)
+        up = {root: 0}
+        for node in topo:
+            kids = [nb for nb in tree[node] if parent.get(nb) == node]
+            for k in kids:
+                others = max((down[o] for o in kids if o != k), default=0)
+                up[k] = max(0, weight(node) + max(up[node], others))
+        for node in topo:
+            if node[0] != "b":
+                continue
+            kids = [nb for nb in tree[node] if parent.get(nb) == node]
+            arms = sorted((down[k] for k in kids), reverse=True) + [up[node]]
+            arms.sort(reverse=True)
+            arm1 = arms[0] if arms else 0
+            arm2 = arms[1] if len(arms) > 1 else 0
+            best_through[node[1]] = weight(node) + max(arm1, 0) + max(arm2, 0)
+
+    p = [0] * g.n
+    for v in range(g.n):
+        p[v] = max(best_through[bi] for bi in blocks_at[v])
     return VertexWeights(tuple(p), tuple(c), max(c))
 
 

@@ -33,7 +33,7 @@ from cliquebounds import (
     thm1_rhs,
     thm2_rhs,
 )
-from oracles import bowtie, dfs_weights, petersen
+from oracles import bowtie, dfs_weights, petersen, tree_dp_block_graph_weights
 
 
 def report(criterion, ok, started, detail=""):
@@ -95,6 +95,8 @@ def test_criterion_3_generators_hit_equality():
         spec = _random_pdbg_spec(rng)
         g = generate_pdbg(spec)
         w = compute_weights_block_graph(g)
+        if w != tree_dp_block_graph_weights(g):
+            failures.append(("weights", spec.orders))
         if not is_parent_dominated(g):
             failures.append(("recognizer", spec.orders))
         for s in (2, 3, 4):
@@ -103,6 +105,8 @@ def test_criterion_3_generators_hit_equality():
     for trial in range(200):
         g = random_clique_forest(rng.randint(1, 6), 1, 9, rng.randrange(1 << 30))
         w = compute_weights_block_graph(g)
+        if w != tree_dp_block_graph_weights(g):
+            failures.append(("weights", g.n))
         for s in (2, 3, 4):
             if count_cliques(g, s) != thm2_rhs(g, s, w):
                 failures.append(("forest", g.n, s))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquebounds import (
+    binom,
     check_theorem,
     complete_graph,
     compute_weights,
@@ -73,10 +74,11 @@ class TestThm2Rhs:
     @given(graphs(max_n=6))
     @settings(max_examples=80)
     def test_two_forms_never_diverge(self, g):
-        # thm2_rhs asserts its two closed forms against each other internally
+        # (1/s) C(p, s-1) = C(p+1, s)/(p+1), summed over the vertices
         w = compute_weights(g)
         for s in range(1, 6):
-            thm2_rhs(g, s, w)
+            alt = sum((Fraction(binom(p + 1, s), p + 1) for p in w.p), Fraction(0))
+            assert thm2_rhs(g, s, w) == alt
 
 
 class TestHeavySets:

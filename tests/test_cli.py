@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cliquebounds import parse_graph6, write_graph6
+from cliquebounds import cycle_graph, parse_graph6, path_graph, write_graph6
 from cliquebounds.cli import main
 from oracles import bowtie
 
@@ -42,6 +42,33 @@ class TestWeightsCommand:
         assert code == 0
         assert "circumference\t2" in out
 
+    def test_edge_list_errors_name_the_physical_line(self, capsys, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text("n 3\n\n0 1\nx y\n")
+        code, _, err = run_cli(capsys, ["weights", str(f)])
+        assert code == 2 and "line 4" in err
+        f.write_text("\n\nn 3\n0 1\nx y\n")
+        code, _, err = run_cli(capsys, ["weights", str(f)])
+        assert code == 2 and "line 5" in err
+
+    def test_path_19_at_the_default_limit(self, capsys, monkeypatch):
+        # every block is a bridge, so no block runs the subset DP
+        code, out, err = run_cli(
+            capsys, ["weights"], stdin=write_graph6(path_graph(19)), monkeypatch=monkeypatch
+        )
+        assert code == 0, err
+        assert out.splitlines()[0] == "0\t18\t2"
+
+    def test_oversized_dp_exits_2_before_allocating(self, capsys, monkeypatch):
+        code, out, err = run_cli(
+            capsys,
+            ["weights", "--dp-limit", "64"],
+            stdin=write_graph6(cycle_graph(40)),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2 and out == ""
+        assert "resource guard" in err and "physical memory" in err
+
 
 class TestCheckCommand:
     def test_bowtie_equality(self, capsys, monkeypatch):
@@ -55,8 +82,6 @@ class TestCheckCommand:
         assert rep["graph6"] == line
 
     def test_c4_strict_consistent(self, capsys, monkeypatch):
-        from cliquebounds import cycle_graph
-
         code, out, _ = run_cli(
             capsys,
             ["check", "--theorem", "1", "--s", "3"],
@@ -138,6 +163,11 @@ class TestGenCommand:
         code, out, _ = run_cli(capsys, ["gen", "--pdbg", "4,3,2", "--self-check"])
         assert code == 0
 
+    def test_self_check_past_the_dp_limit(self, capsys):
+        code, out, err = run_cli(capsys, ["gen", "--pdbg", "30,20", "--self-check"])
+        assert code == 0, err
+        assert parse_graph6(out.strip()).n == 49
+
 
 class TestPeelCommand:
     def test_k4_trace(self, capsys, monkeypatch):
@@ -158,8 +188,6 @@ class TestPeelCommand:
         assert json.loads(out)["stages"] == 0
 
     def test_dp_limit_reaches_every_stage(self, capsys, monkeypatch):
-        from cliquebounds import path_graph
-
         code, out, err = run_cli(
             capsys,
             ["peel", "--dp-limit", "19"],

@@ -11,6 +11,7 @@ from cliquebounds import (
     ResourceLimitError,
     canonical_mask,
     complete_graph,
+    compute_weights,
     cycle_graph,
     disjoint_union,
     enumerate_graphs,
@@ -27,7 +28,7 @@ from cliquebounds import (
     to_pair_mask,
     write_graph6,
 )
-from oracles import decode_graph6_bitstring, permutation_canonical_mask
+from oracles import decode_graph6_bitstring, permutation_canonical_mask, subset_dp_weights
 from strategies import graphs
 
 GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156]
@@ -133,6 +134,12 @@ class TestEdgeList:
         with pytest.raises(GraphParseError):
             parse_edge_list("n 2\n0 5\n")
 
+    def test_errors_name_the_physical_line(self):
+        with pytest.raises(GraphParseError, match="line 4"):
+            parse_edge_list("n 3\n\n0 1\nx y\n")
+        with pytest.raises(GraphParseError, match="line 5"):
+            parse_edge_list("\nn 3\n0 1\n\n0 7\n")
+
 
 class TestConstructors:
     def test_complete(self):
@@ -182,6 +189,8 @@ class TestEnumeration:
         assert len(reps) == 12346
         for g in reps[::97]:
             assert parse_graph6(write_graph6(g)) == g
+        for g in reps:
+            assert compute_weights(g) == subset_dp_weights(g), g
 
     def test_representatives_are_canonical(self, reps_by_n):
         for g in reps_by_n[5]:

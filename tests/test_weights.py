@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,15 @@ from cliquebounds import (
     random_clique_forest,
     random_graph,
 )
-from oracles import bowtie, dfs_longest_paths_from, dfs_weights, petersen, subset_dp_weights
+from cliquebounds.weights import _DP_BYTES_PER_SLOT, _path_and_cycle_tables
+from oracles import (
+    bowtie,
+    dfs_longest_paths_from,
+    dfs_weights,
+    petersen,
+    subset_dp_weights,
+    tree_dp_block_graph_weights,
+)
 from strategies import graphs
 
 
@@ -53,8 +62,33 @@ class TestComputeWeights:
         assert w.c == (2,)
 
     def test_resource_guard(self):
-        with pytest.raises(ResourceLimitError):
-            compute_weights(from_edges(20, []), dp_limit=18)
+        # the guard is on the largest non-clique block: a 20-cycle is one
+        # such block, while K20 is a clique block and runs no DP
+        with pytest.raises(ResourceLimitError, match="non-clique block order <= 18"):
+            compute_weights(cycle_graph(20), dp_limit=18)
+        w = compute_weights(complete_graph(20), dp_limit=18)
+        assert w.p == (19,) * 20 and w.c == (20,) * 20
+
+    def test_memory_guard_refuses_before_allocating(self):
+        # 2^40 slots fit no desk machine; the guard raises before any table
+        with pytest.raises(ResourceLimitError, match="physical memory"):
+            compute_weights(cycle_graph(40), dp_limit=64)
+
+    def test_bytes_per_slot_bound_the_measured_peak(self):
+        # K11 minus an edge fills nearly every slot, most with an int above
+        # the small-int cache: about the worst case of a non-clique block
+        size = 11
+        adj = [((1 << size) - 1) & ~(1 << v) for v in range(size)]
+        adj[0] &= ~2
+        adj[1] &= ~1
+        tracemalloc.start()
+        try:
+            _path_and_cycle_tables(adj, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.85 * 2 * (1 << size) * _DP_BYTES_PER_SLOT <= peak
+        assert peak <= 2 * (1 << size) * _DP_BYTES_PER_SLOT
 
     def test_exhaustive_against_dfs_oracle(self, reps_by_n):
         for n in range(7):
@@ -159,7 +193,7 @@ class TestAgainstWholeGraphSubsetDP:
         assert w.p == (63,) * 64 and w.c == (2,) * 64
         g = generate_pdbg(BlockSpec((4,) * 21))
         assert g.n == 64
-        assert compute_weights(g, dp_limit=64) == compute_weights_block_graph(g)
+        assert compute_weights(g) == tree_dp_block_graph_weights(g)
 
 
 class TestLongestPathFrom:
@@ -198,7 +232,7 @@ class TestBlockGraphShortcut:
 
     def test_pdbg_13_vertices_matches_dp(self):
         g = generate_pdbg(BlockSpec((5, 4, 4, 3)))
-        assert compute_weights_block_graph(g) == compute_weights(g, dp_limit=13)
+        assert tree_dp_block_graph_weights(g) == compute_weights(g)
 
     def test_rejects_non_block_graph(self):
         with pytest.raises(ValueError, match="block graph"):
@@ -213,17 +247,13 @@ class TestBlockGraphShortcut:
                 parents.append(rng.randrange(len(orders)))
                 orders.append(rng.randint(2, orders[parents[-1]]))
             g = generate_pdbg(BlockSpec(tuple(orders), tuple(parents)))
-            if g.n > 14:
-                continue
-            assert compute_weights_block_graph(g) == compute_weights(g, dp_limit=14)
+            assert tree_dp_block_graph_weights(g) == compute_weights(g)
 
     def test_matches_dp_on_clique_forests(self):
         rng = random.Random(4242)
         for _ in range(40):
             g = random_clique_forest(rng.randint(1, 4), 1, 4, rng.randrange(1 << 30))
-            if g.n > 14:
-                continue
-            assert compute_weights_block_graph(g) == compute_weights(g, dp_limit=14)
+            assert tree_dp_block_graph_weights(g) == compute_weights(g)
 
     def test_disjoint_cliques(self):
         g = disjoint_union(complete_graph(4), complete_graph(2), complete_graph(1))
@@ -244,5 +274,5 @@ class TestBlockGraphShortcut:
                 ):
                     continue
                 checked += 1
-                assert compute_weights_block_graph(g) == compute_weights(g)
+                assert tree_dp_block_graph_weights(g) == compute_weights(g)
         assert checked > 50
