@@ -13,17 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cliques import binom, count_cliques
-from .extremal import extremal_predicate
+from .extremal import extremal_predicate, heavy_cycle_set, heavy_path_set
 from .graphs import Graph, write_graph6
-from .weights import DEFAULT_DP_LIMIT, VertexWeights, compute_weights
-
-
-def heavy_cycle_set(g: Graph, s: int, w: VertexWeights) -> frozenset[int]:
-    return frozenset(v for v in range(g.n) if w.c[v] >= s)
-
-
-def heavy_path_set(g: Graph, s: int, w: VertexWeights) -> frozenset[int]:
-    return frozenset(v for v in range(g.n) if w.p[v] >= s - 1)
+from .weights import VertexWeights, compute_weights
 
 
 def thm1_rhs(g: Graph, s: int, w: VertexWeights) -> Fraction:
@@ -99,16 +91,14 @@ def check_theorem(g: Graph, s: int, theorem: int, w: VertexWeights, lhs: int) ->
     return BoundReport(theorem, s, g6, lhs, rhs, gap, equality, extremal, consistent, in_scope)
 
 
-def reduction_invariance(
-    g: Graph, s: int, theorem: int, w: VertexWeights, dp_limit: int = DEFAULT_DP_LIMIT
-) -> dict:
+def reduction_invariance(g: Graph, s: int, theorem: int, w: VertexWeights) -> dict:
     """Dropping light vertices changes nothing: the heavy-set induced subgraph
     has the same clique count, the same right side (heavy weights survive
     induction because their witness paths/cycles stay inside the heavy set),
     and hence the same equality status."""
     heavy = heavy_cycle_set(g, s, w) if theorem == 1 else heavy_path_set(g, s, w)
     sub = g.induced(sorted(heavy))
-    w_sub = compute_weights(sub, dp_limit)
+    w_sub = compute_weights(sub)
     lhs = count_cliques(g, s)
     lhs_sub = count_cliques(sub, s)
     rhs = thm1_rhs(g, s, w) if theorem == 1 else thm2_rhs(g, s, w)

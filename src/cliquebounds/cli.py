@@ -31,7 +31,7 @@ from .graphs import (
 )
 from .oracle import exhaustive_verify
 from .transforms import ClosureBudgetError, peel, verify_peel_decomposition
-from .weights import compute_weights, compute_weights_block_graph
+from .weights import DEFAULT_DP_LIMIT, compute_weights, compute_weights_block_graph
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -139,9 +139,6 @@ def cmd_gen(args) -> int:
 def cmd_peel(args) -> int:
     status = EXIT_OK
     for g in _read_graphs(args.input):
-        if g.n == 0:
-            print(json.dumps({"stages": 0, "ok": True}))
-            continue
         trace = peel(g, args.start, dp_limit=args.dp_limit)
         if args.trace:
             for i, st in enumerate(trace.stages):
@@ -173,14 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="per-vertex longest-path/cycle weights as TSV")
     p.add_argument("input", nargs="?", default="-", help="graph6 lines or edge-list file; - for stdin")
-    p.add_argument("--dp-limit", type=int, default=18)
+    p.add_argument("--dp-limit", type=int, default=DEFAULT_DP_LIMIT)
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("check", help="evaluate one localized bound per input graph")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--dp-limit", type=int, default=18)
+    p.add_argument("--dp-limit", type=int, default=DEFAULT_DP_LIMIT)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("sweep", help="exhaustive verification over isomorphism classes")
@@ -200,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--start", type=int)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--dp-limit", type=int, default=18)
+    p.add_argument("--dp-limit", type=int, default=DEFAULT_DP_LIMIT)
     p.set_defaults(func=cmd_peel)
 
     return parser
@@ -209,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "s", None) is not None and args.command in ("check",) and args.s < 1:
+    if getattr(args, "s", 1) < 1:
         print("clique order must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     try:

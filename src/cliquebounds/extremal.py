@@ -20,9 +20,6 @@ class BlockDecomposition:
     cut_vertices: frozenset[int]
     tree_edges: tuple[tuple[int, int], ...]
 
-    def blocks_containing(self, v: int) -> list[int]:
-        return [i for i, b in enumerate(self.blocks) if v in b]
-
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """Single-pass depth-first decomposition with an edge stack."""
@@ -168,6 +165,14 @@ def is_hamiltonian(g: Graph, w: VertexWeights) -> bool:
     return g.n >= 3 and w.circumference == g.n
 
 
+def heavy_cycle_set(g: Graph, s: int, w: VertexWeights) -> frozenset[int]:
+    return frozenset(v for v in range(g.n) if w.c[v] >= s)
+
+
+def heavy_path_set(g: Graph, s: int, w: VertexWeights) -> frozenset[int]:
+    return frozenset(v for v in range(g.n) if w.p[v] >= s - 1)
+
+
 def extremal_predicate(g: Graph, s: int, theorem: int, w: VertexWeights) -> bool:
     """Equality-class membership for the two localized bounds.
 
@@ -183,11 +188,9 @@ def extremal_predicate(g: Graph, s: int, theorem: int, w: VertexWeights) -> bool
     if theorem == 1:
         if s == 1:
             return all(cv == g.n for cv in w.c)
-        heavy = [v for v in range(g.n) if w.c[v] >= s]
-        return is_parent_dominated(g.induced(heavy))
+        return is_parent_dominated(g.induced(heavy_cycle_set(g, s, w)))
     if theorem == 2:
         if s == 1:
             return True
-        heavy = [v for v in range(g.n) if w.p[v] >= s - 1]
-        return components_are_cliques(g.induced(heavy))
+        return components_are_cliques(g.induced(heavy_path_set(g, s, w)))
     raise ValueError(f"theorem must be 1 or 2, got {theorem}")

@@ -362,6 +362,8 @@ def _canonical_reps(n: int) -> tuple[int, ...]:
 
 def enumerate_graphs(n: int, connected_only: bool = False):
     """Yield one representative per isomorphism class of n-vertex graphs."""
+    if n < 0:
+        raise ValueError(f"vertex count must be >= 0, got {n}")
     if n > ENUMERATION_LIMIT:
         raise ResourceLimitError(f"enumeration capped at n <= {ENUMERATION_LIMIT}, got {n}")
     for mask in _canonical_reps(n):

@@ -26,10 +26,10 @@ from .transforms import peel, verify_closure_lemmas, verify_peel_decomposition
 from .weights import compute_weights
 
 
-def _verdict_tuple(g: Graph, s_max: int) -> tuple:
+def _verdict_tuple(g: Graph) -> tuple:
     w = compute_weights(g)
     out = []
-    for s in range(1, s_max + 1):
+    for s in range(1, 6):
         lhs = count_cliques(g, s)
         for theorem in (1, 2):
             rep = check_theorem(g, s, theorem, w, lhs)
@@ -89,9 +89,10 @@ def exhaustive_verify(n_max: int, s_max: int) -> dict:
     }
 
 
-def labeled_crosscheck(n: int, s_max: int = 5) -> dict:
-    """Run the same verdicts over all labeled n-vertex graphs with no
-    isomorphism filtering, and force agreement with the canonical run.
+def labeled_crosscheck(n: int) -> dict:
+    """Run the same verdicts (s <= 5, both theorems) over all labeled
+    n-vertex graphs with no isomorphism filtering, and force agreement with
+    the canonical run.
 
     Guards the enumerator two ways: the canonical forms of all labeled graphs
     must be exactly the representative set, and each labeled graph's verdict
@@ -104,7 +105,7 @@ def labeled_crosscheck(n: int, s_max: int = 5) -> dict:
     for g in enumerate_graphs(n):
         mask = to_pair_mask(g)
         rep_masks.add(mask)
-        rep_verdicts[mask] = _verdict_tuple(g, s_max)
+        rep_verdicts[mask] = _verdict_tuple(g)
     violations: list[dict] = []
     mismatches: list[dict] = []
     seen_canon = set()
@@ -116,7 +117,7 @@ def labeled_crosscheck(n: int, s_max: int = 5) -> dict:
         if canon not in rep_verdicts:
             mismatches.append({"kind": "missing_representative", "mask": mask, "canon": canon})
             continue
-        verdict = _verdict_tuple(g, s_max)
+        verdict = _verdict_tuple(g)
         if verdict != rep_verdicts[canon]:
             mismatches.append({"kind": "verdict_disagreement", "graph6": write_graph6(g)})
         if any(not ineq for _, _, ineq in verdict):
@@ -139,19 +140,19 @@ def labeled_crosscheck(n: int, s_max: int = 5) -> dict:
     }
 
 
-def closure_and_peel_lemmas(n_max: int, random_graphs: int, seed: int) -> dict:
+def closure_and_peel_lemmas() -> dict:
     """Rotation-closure lemmas on peel's stage-0 closure (the whole graph,
     from its lowest-id heaviest vertex) and the exact peeling split of the
     s-clique count for s = 2, 3, 4. Runs over every isomorphism class with
-    1..n_max vertices, then ``random_graphs`` seeded connected G(n, p) graphs
-    with n in [4, 10], p in [0.2, 0.55]. Failures are graph6 witnesses."""
+    1..7 vertices, then 500 connected G(n, p) graphs from seed 424242 with
+    n in [4, 10], p in [0.2, 0.55]. Failures are graph6 witnesses."""
 
     def inputs():
-        for n in range(1, n_max + 1):
+        for n in range(1, 8):
             yield from enumerate_graphs(n)
-        rng = random.Random(seed)
+        rng = random.Random(424242)
         done = 0
-        while done < random_graphs:
+        while done < 500:
             g = random_graph(rng.randint(4, 10), rng.uniform(0.2, 0.55), rng.randrange(1 << 30))
             if is_connected(g):
                 done += 1
@@ -171,16 +172,14 @@ def closure_and_peel_lemmas(n_max: int, random_graphs: int, seed: int) -> dict:
     return {"graphs_checked": checked, "failures": failures, "ok": not failures}
 
 
-def classical_bound_dominance(n_max: int) -> dict:
+def classical_bound_dominance() -> dict:
     """Both localized right sides at most the classical global bounds
     (``luo_dominance``) for s = 2, 3, 4 over every isomorphism class with
-    1..n_max vertices, exactly. The cycle side counts only when the graph has
+    1..7 vertices, exactly. The cycle side counts only when the graph has
     a cycle. Failures are (side, graph6, s) witnesses."""
-    if n_max > ENUMERATION_LIMIT:
-        raise ResourceLimitError(f"dominance sweep capped at n <= {ENUMERATION_LIMIT}")
     failures: list[tuple[str, str, int]] = []
     checked = 0
-    for n in range(1, n_max + 1):
+    for n in range(1, 8):
         for g in enumerate_graphs(n):
             checked += 1
             w = compute_weights(g)
@@ -193,31 +192,26 @@ def classical_bound_dominance(n_max: int) -> dict:
     return {"checked": checked, "failures": failures, "ok": not failures}
 
 
-def identity_grid(
-    d_max: int = 12,
-    conv_s_max: int = 8,
-    shift_x_max: int = 40,
-    shift_y_max: int = 12,
-    mono_x_max: int = 40,
-    merge_max: int = 15,
-    merge_s_max: int = 8,
-) -> dict:
+def identity_grid() -> dict:
     """Exact grids for the four standalone facts the bound proofs lean on.
 
-    convolution      sum form of the contribution cap equals its closed form
+    convolution      sum form of the contribution cap equals its closed form,
+                     for d <= 12, a <= d, s <= 8
     binomial_shift   C(x-2,y)/(x-3) <= C(x-1,y)/(x-1) for x>=4, y>=3, with
-                     equality exactly when x-1 < y, and equality always at y=2
-    monotonicity     C(x,s)/(x-1) non-decreasing in integer x >= 2
+                     equality exactly when x-1 < y, and equality always at
+                     y=2; x <= 40, y <= 12
+    monotonicity     C(x,s)/(x-1) non-decreasing in integer x >= 2, for
+                     x < 40, 2 <= s <= 8
     merge_bound      (C(d+1,s)-C(a,s))/(d-a+1) <= C(a+d,s)/(a+d-1) for
                      d >= a >= 1, s >= 3; equality exactly at a=1 or on
-                     all-zero cells, and identically at s=2
+                     all-zero cells, and identically at s=2; d <= 15, s <= 8
     """
     failures: list[dict] = []
     cells = 0
 
-    for d in range(d_max + 1):
+    for d in range(13):
         for a in range(d + 1):
-            for s in range(1, conv_s_max + 1):
+            for s in range(1, 9):
                 cells += 1
                 try:
                     contribution_upper_bound(d, a, s)
@@ -225,8 +219,8 @@ def identity_grid(
                     failures.append({"check": "convolution", "d": d, "s_size": a,
                                      "s": s, "detail": str(exc)})
 
-    for x in range(4, shift_x_max + 1):
-        for y in range(2, shift_y_max + 1):
+    for x in range(4, 41):
+        for y in range(2, 13):
             cells += 1
             lhs = Fraction(binom(x - 2, y), x - 3)
             rhs = Fraction(binom(x - 1, y), x - 1)
@@ -238,8 +232,8 @@ def identity_grid(
             elif (lhs == rhs) != (x - 1 < y):
                 failures.append({"check": "binomial_shift_eq", "x": x, "y": y})
 
-    for s in range(2, conv_s_max + 1):
-        for x in range(2, mono_x_max):
+    for s in range(2, 9):
+        for x in range(2, 40):
             cells += 1
             if Fraction(binom(x, s), x - 1) > Fraction(binom(x + 1, s), x):
                 failures.append({"check": "monotonicity", "x": x, "s": s})
@@ -249,9 +243,9 @@ def identity_grid(
         rhs = Fraction(binom(a + d, s), a + d - 1)
         return lhs, rhs
 
-    for d in range(1, merge_max + 1):
+    for d in range(1, 16):
         for a in range(1, d + 1):
-            for s in range(3, merge_s_max + 1):
+            for s in range(3, 9):
                 cells += 1
                 lhs, rhs = merge_sides(d, a, s)
                 if lhs > rhs:

@@ -4,9 +4,9 @@ decomposition built on it.
 A rotation of a longest v0-path P = v0..vk along a chord (vj, vk), j <= k-2,
 replaces the tail by v0..vj vk v(k-1)..v(j+1). Closing the set of paths
 reachable by rotations yields the terminal set L, one representative path
-per terminal, a pivot vertex per representative, and the outside-neighbor
-sets S_v. Peeling repeatedly removes terminal sets and isolated vertices
-until nothing is left, which splits every clique count across stages.
+per terminal, and the outside-neighbor sets S_v. Peeling repeatedly removes
+terminal sets and isolated vertices until nothing is left, which splits
+every clique count across stages.
 """
 
 from __future__ import annotations
@@ -65,26 +65,18 @@ def simple_transforms(g: Graph, path: PathSeq) -> list[PathSeq]:
 @dataclass(frozen=True)
 class TransformClosure:
     """Everything the rotation closure of one base path produces.
-
-    ``terminal_set`` never contains the start vertex. ``pivots[v]`` is the
-    vertex c(v)-1 steps before v on v's representative, or None when the
-    representative is shorter than that (not observed on any verified input).
-    """
+    ``terminal_set`` never contains the start vertex."""
 
     start: int
     base: PathSeq
     paths: tuple[PathSeq, ...]
     terminal_set: frozenset[int]
     representatives: dict[int, PathSeq]
-    pivots: dict[int, int | None]
     s_sets: dict[int, frozenset[int]]
 
 
 def transform_closure(
-    g: Graph,
-    path: PathSeq,
-    weights: VertexWeights,
-    budget: int = DEFAULT_CLOSURE_BUDGET,
+    g: Graph, path: PathSeq, budget: int = DEFAULT_CLOSURE_BUDGET
 ) -> TransformClosure:
     """Breadth-first closure of a longest v0-path under single rotations.
 
@@ -115,14 +107,8 @@ def transform_closure(
             if term != start and term not in reps:
                 reps[term] = nxt
     terminals = frozenset(reps)
-    pivots: dict[int, int | None] = {}
-    s_sets: dict[int, frozenset[int]] = {}
-    for v, rep in reps.items():
-        k = len(rep) - 1
-        back = weights.c[v] - 1
-        pivots[v] = rep[k - back] if k >= back else None
-        s_sets[v] = frozenset(u for u in g.neighbors(v) if u not in terminals)
-    return TransformClosure(start, path, tuple(order), terminals, reps, pivots, s_sets)
+    s_sets = {v: frozenset(u for u in g.neighbors(v) if u not in terminals) for v in reps}
+    return TransformClosure(start, path, tuple(order), terminals, reps, s_sets)
 
 
 def verify_closure_lemmas(g: Graph, tc: TransformClosure, weights: VertexWeights) -> dict:
@@ -218,12 +204,7 @@ class PeelTrace:
     stages: tuple[PeelStage, ...]
 
 
-def peel(
-    g: Graph,
-    u: int | None = None,
-    dp_limit: int = DEFAULT_DP_LIMIT,
-    budget: int = DEFAULT_CLOSURE_BUDGET,
-) -> PeelTrace:
+def peel(g: Graph, u: int | None = None, dp_limit: int = DEFAULT_DP_LIMIT) -> PeelTrace:
     """Run the iterative terminal-set removal starting from a heaviest vertex.
 
     Stage i takes a longest x-path in the live graph, removes the closure's
@@ -248,7 +229,7 @@ def peel(
                 f"start vertex {x} has weight {w.c[x]}, not the maximum {w.circumference}"
             )
         path_local = longest_path_from(dense, live.index(x), dp_limit)
-        tc = transform_closure(dense, path_local, w, budget)
+        tc = transform_closure(dense, path_local)
         terminals = frozenset(live[i] for i in tc.terminal_set)
         stages.append(
             PeelStage(

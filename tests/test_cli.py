@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +130,27 @@ class TestSweepCommand:
         code, out, _ = run_cli(capsys, ["sweep", "--n", "0"])
         assert code == 0
 
+    def test_bad_s_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, ["sweep", "--n", "3", "--s", "0"])
+        assert code == 2 and out == ""
+        assert "clique order" in err
+
+    def test_module_entry_point_in_a_fresh_interpreter(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "cliquebounds.cli", "sweep", "--n", "4", "--s", "3"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["graphs_total"] == 18
+
     def test_n9_guard(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--n", "9"])
         assert code == 2
@@ -185,7 +210,9 @@ class TestPeelCommand:
     def test_empty_graph(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, ["peel"], stdin="?", monkeypatch=monkeypatch)
         assert code == 0
-        assert json.loads(out)["stages"] == 0
+        summary = json.loads(out)
+        assert summary["stages"] == 0 and summary["ok"]
+        assert summary["identity"] == {"2": True, "3": True, "4": True}
 
     def test_dp_limit_reaches_every_stage(self, capsys, monkeypatch):
         code, out, err = run_cli(

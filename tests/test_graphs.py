@@ -181,6 +181,10 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             list(enumerate_graphs(9))
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="vertex count"):
+            list(enumerate_graphs(-1))
+
     @pytest.mark.skipif(
         not os.environ.get("RUN_SLOW"), reason="n=8 enumeration takes ~70s; set RUN_SLOW=1"
     )

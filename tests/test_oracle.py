@@ -55,6 +55,10 @@ class TestLabeledCrosscheck:
         with pytest.raises(ResourceLimitError):
             labeled_crosscheck(6)
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="vertex count"):
+            labeled_crosscheck(-1)
+
 
 class TestIdentityGrid:
     def test_default_grid_clean(self):

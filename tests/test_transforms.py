@@ -30,10 +30,6 @@ def closure_from_heaviest(g):
     return stage0.weights, stage0.closure
 
 
-def closure(g, path):
-    return transform_closure(g, path, compute_weights(g))
-
-
 class TestSimpleTransforms:
     def test_c4_single_rotation(self):
         assert simple_transforms(cycle_graph(4), (0, 1, 2, 3)) == [(0, 3, 2, 1)]
@@ -67,23 +63,23 @@ class TestSimpleTransforms:
 class TestTransformClosure:
     def test_path_graph_trivial(self):
         g = path_graph(5)
-        tc = closure(g, (0, 1, 2, 3, 4))
+        tc = transform_closure(g, (0, 1, 2, 3, 4))
         assert tc.terminal_set == frozenset({4})
         assert len(tc.paths) == 1
 
     def test_k4_all_non_start_terminals(self):
         g = complete_graph(4)
-        tc = closure(g, (0, 1, 2, 3))
+        tc = transform_closure(g, (0, 1, 2, 3))
         assert tc.terminal_set == frozenset({1, 2, 3})
 
     def test_c5_two_terminals(self):
         g = cycle_graph(5)
-        tc = closure(g, (0, 1, 2, 3, 4))
+        tc = transform_closure(g, (0, 1, 2, 3, 4))
         assert tc.terminal_set == frozenset({1, 4})
 
     def test_single_vertex_excludes_start(self):
         g = from_edges(1, [])
-        tc = closure(g, (0,))
+        tc = transform_closure(g, (0,))
         assert tc.terminal_set == frozenset()
 
     def test_start_and_vertex_set_preserved(self):
@@ -92,7 +88,7 @@ class TestTransformClosure:
             g = random_graph(rng.randint(2, 9), rng.uniform(0.25, 0.6), rng.randrange(1 << 30))
             v0 = rng.randrange(g.n)
             base = longest_path_from(g, v0)
-            tc = closure(g, base)
+            tc = transform_closure(g, base)
             for p in tc.paths:
                 assert p[0] == v0
                 assert set(p) == set(base)
@@ -103,9 +99,9 @@ class TestTransformClosure:
         for _ in range(20):
             g = random_graph(rng.randint(3, 7), rng.uniform(0.4, 0.8), rng.randrange(1 << 30))
             v0 = rng.randrange(g.n)
-            tc = closure(g, longest_path_from(g, v0))
+            tc = transform_closure(g, longest_path_from(g, v0))
             other = random.Random(0).choice(tc.paths)
-            back = closure(g, other)
+            back = transform_closure(g, other)
             assert set(back.paths) == set(tc.paths)
 
     def test_representatives_end_at_terminal(self):
@@ -123,15 +119,15 @@ class TestTransformClosure:
     def test_budget_error(self):
         g = complete_graph(8)
         with pytest.raises(ClosureBudgetError):
-            transform_closure(g, longest_path_from(g, 0), compute_weights(g), budget=10)
+            transform_closure(g, longest_path_from(g, 0), budget=10)
 
     def test_deterministic(self):
         rng = random.Random(91)
         for _ in range(20):
             g = random_graph(rng.randint(2, 8), rng.uniform(0.3, 0.7), rng.randrange(1 << 30))
             base = longest_path_from(g, 0)
-            a = closure(g, base)
-            b = closure(g, base)
+            a = transform_closure(g, base)
+            b = transform_closure(g, base)
             assert a.paths == b.paths
             assert a.representatives == b.representatives
 
@@ -156,7 +152,7 @@ class TestClosureLemmas:
         g = bowtie()
         w = compute_weights(g)
         # start at a degree-2 vertex so the closure permutes only the far triangle
-        tc = transform_closure(g, longest_path_from(g, 0), w)
+        tc = transform_closure(g, longest_path_from(g, 0))
         rep = verify_closure_lemmas(g, tc, w)
         assert rep["ok"]
         fixed = len(tc.base) - min(w.c[v] for v in tc.terminal_set) + 1
@@ -236,7 +232,7 @@ class TestPeel:
         stage0 = peel(g).stages[0]
         w = compute_weights(g)
         assert stage0.graph == g and stage0.weights == w
-        assert stage0.closure == transform_closure(g, stage0.path, w)
+        assert stage0.closure == transform_closure(g, stage0.path)
 
     def test_verify_rejects_trace_whose_stage0_is_not_input(self):
         g = bowtie()
