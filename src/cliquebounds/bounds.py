@@ -47,7 +47,7 @@ class BoundReport:
 
     theorem: int
     s: int
-    graph6: str | None
+    graph: Graph
     lhs: int
     rhs: Fraction
     gap: Fraction
@@ -55,6 +55,11 @@ class BoundReport:
     extremal: bool
     consistent: bool
     in_scope: bool = True
+
+    @property
+    def graph6(self) -> str | None:
+        """The graph as graph6, written when read; None past n = 62."""
+        return write_graph6(self.graph) if self.graph.n <= 62 else None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -87,8 +92,7 @@ def check_theorem(g: Graph, s: int, theorem: int, w: VertexWeights, lhs: int) ->
     extremal = extremal_predicate(g, s, theorem, w)
     equality = gap == 0
     consistent = (equality == extremal) if in_scope else True
-    g6 = write_graph6(g) if g.n <= 62 else None
-    return BoundReport(theorem, s, g6, lhs, rhs, gap, equality, extremal, consistent, in_scope)
+    return BoundReport(theorem, s, g, lhs, rhs, gap, equality, extremal, consistent, in_scope)
 
 
 def reduction_invariance(g: Graph, s: int, theorem: int, w: VertexWeights) -> dict:

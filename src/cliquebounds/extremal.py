@@ -1,114 +1,22 @@
 """Structural recognizers for the equality classes of the localized bounds:
-block decomposition, parent-dominated block graphs, clique components,
-Hamiltonicity."""
+block graphs, parent-dominated block graphs, clique components,
+Hamiltonicity. They read the block decomposition from ``graphs``; the
+theorem-1 predicate reads the one on ``VertexWeights`` when the heavy set is
+every vertex."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import Graph, is_connected, iter_bits
+from .graphs import BlockDecomposition, Graph, block_decomposition, components, iter_bits
 from .weights import VertexWeights
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Biconnected components (bridges as 2-sets, isolated vertices as
-    singletons), cut vertices, and the bipartite block-cut tree given as
-    (block index, cut vertex) incidences."""
-
-    blocks: tuple[frozenset[int], ...]
-    cut_vertices: frozenset[int]
-    tree_edges: tuple[tuple[int, int], ...]
-
-
-def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Single-pass depth-first decomposition with an edge stack."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    blocks: list[frozenset[int]] = []
-    cuts: set[int] = set()
-    stack: list[tuple[int, int]] = []
-    timer = 0
-
-    def pop_block(u: int, v: int):
-        verts: set[int] = set()
-        while True:
-            a, b = stack.pop()
-            verts.add(a)
-            verts.add(b)
-            if (a, b) == (u, v):
-                break
-        blocks.append(frozenset(verts))
-
-    def dfs(root: int):
-        nonlocal timer
-        disc[root] = low[root] = timer
-        timer += 1
-        work = [(root, -1, g.neighbors(root))]
-        root_children = 0
-        while work:
-            u, parent, it = work[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((u, w))
-                    if u == root:
-                        root_children += 1
-                    work.append((w, u, g.neighbors(w)))
-                    advanced = True
-                    break
-                if disc[w] < disc[u]:
-                    stack.append((u, w))
-                    if low[u] > disc[w]:
-                        low[u] = disc[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pu = work[-1][0]
-                if low[pu] > low[u]:
-                    low[pu] = low[u]
-                if low[u] >= disc[pu]:
-                    pop_block(pu, u)
-                    if pu != root:
-                        cuts.add(pu)
-        if root_children > 1:
-            cuts.add(root)
-
-    for v in range(n):
-        if disc[v] == -1:
-            if g.degree(v) == 0:
-                blocks.append(frozenset({v}))
-            else:
-                dfs(v)
-
-    tree = tuple(
-        (bi, v) for bi, blk in enumerate(blocks) for v in sorted(blk) if v in cuts
-    )
-    return BlockDecomposition(tuple(blocks), frozenset(cuts), tree)
-
-
-def _block_is_clique(g: Graph, block: frozenset[int]) -> bool:
-    mask = sum(1 << v for v in block)
-    return all((g.adj[v] | (1 << v)) & mask == mask for v in block)
-
-
-def _block_graph_decomposition(g: Graph) -> BlockDecomposition | None:
-    """The block decomposition when g is a block graph, else None."""
-    if not is_connected(g):
-        return None
-    decomp = block_decomposition(g)
-    return decomp if all(_block_is_clique(g, b) for b in decomp.blocks) else None
+def _is_block_graph(d: BlockDecomposition) -> bool:
+    return d.components <= 1 and all(d.clique)
 
 
 def is_block_graph(g: Graph) -> bool:
     """Connected and every block induces a complete graph."""
-    return _block_graph_decomposition(g) is not None
+    return _is_block_graph(block_decomposition(g))
 
 
 def is_parent_dominated(g: Graph) -> bool:
@@ -116,42 +24,31 @@ def is_parent_dominated(g: Graph) -> bool:
     has every block's order at most its parent block's order. Any rooting at
     a maximum-order block may witness it; the empty graph and single vertices
     pass vacuously."""
-    if g.n <= 1:
-        return True
-    decomp = _block_graph_decomposition(g)
-    if decomp is None:
+    return g.n <= 1 or _parent_dominated(block_decomposition(g))
+
+
+def _parent_dominated(d: BlockDecomposition) -> bool:
+    """``is_parent_dominated`` read from a decomposition; no blocks pass."""
+    if not _is_block_graph(d):
         return False
-    orders = [len(b) for b in decomp.blocks]
-    blocks_at_cut: dict[int, list[int]] = {}
-    for bi, v in decomp.tree_edges:
-        blocks_at_cut.setdefault(v, []).append(bi)
-    max_order = max(orders)
-    for root in [i for i, o in enumerate(orders) if o == max_order]:
-        ok = True
-        seen_blocks = {root}
-        frontier = [root]
-        while frontier and ok:
-            nxt = []
-            for bi in frontier:
-                for v in decomp.blocks[bi]:
-                    if v not in blocks_at_cut:
-                        continue
-                    for child in blocks_at_cut[v]:
-                        if child in seen_blocks:
-                            continue
-                        if orders[child] > orders[bi]:
-                            ok = False
-                        seen_blocks.add(child)
-                        nxt.append(child)
-            frontier = nxt
-        if ok:
+    orders = [len(b) for b in d.blocks]
+    top = max(orders, default=0)
+    for root in [i for i, o in enumerate(orders) if o == top]:
+        seen = {root}
+        todo = [root]
+        while todo:
+            bi = todo.pop()
+            children = {child for v in d.blocks[bi] for child in d.blocks_at[v]} - seen
+            if any(orders[child] > orders[bi] for child in children):
+                break
+            seen |= children
+            todo.extend(children)
+        else:
             return True
-    return False
+    return not orders
 
 
 def components_are_cliques(g: Graph) -> bool:
-    from .graphs import components
-
     for comp in components(g):
         for v in iter_bits(comp):
             if (g.adj[v] | (1 << v)) & comp != comp:
@@ -188,7 +85,10 @@ def extremal_predicate(g: Graph, s: int, theorem: int, w: VertexWeights) -> bool
     if theorem == 1:
         if s == 1:
             return all(cv == g.n for cv in w.c)
-        return is_parent_dominated(g.induced(heavy_cycle_set(g, s, w)))
+        heavy = heavy_cycle_set(g, s, w)
+        if len(heavy) == g.n:
+            return _parent_dominated(w.decomposition)
+        return is_parent_dominated(g.induced(heavy))
     if theorem == 2:
         if s == 1:
             return True

@@ -165,6 +165,99 @@ def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
 
 
+@dataclass(frozen=True)
+class BlockDecomposition:
+    """Biconnected components (bridges as 2-sets, isolated vertices as
+    singletons), cut vertices, and the bipartite block-cut tree given as
+    (block index, cut vertex) incidences. ``clique[i]`` says whether block i
+    induces a complete graph; ``blocks_at[v]`` lists the blocks holding
+    vertex v, two or more exactly when v is a cut vertex."""
+
+    blocks: tuple[frozenset[int], ...]
+    cut_vertices: frozenset[int]
+    tree_edges: tuple[tuple[int, int], ...]
+    clique: tuple[bool, ...]
+    blocks_at: tuple[tuple[int, ...], ...]
+
+    @property
+    def components(self) -> int:
+        """Connected components: the block-cut forest has one tree each."""
+        return len(self.blocks) + len(self.cut_vertices) - len(self.tree_edges)
+
+
+def block_decomposition(g: Graph) -> BlockDecomposition:
+    """Single-pass depth-first decomposition with an edge stack."""
+    n = g.n
+    disc = [-1] * n
+    low = [0] * n
+    blocks: list[frozenset[int]] = []
+    stack: list[tuple[int, int]] = []
+    timer = 0
+
+    def pop_block(u: int, v: int):
+        verts: set[int] = set()
+        while True:
+            a, b = stack.pop()
+            verts.add(a)
+            verts.add(b)
+            if (a, b) == (u, v):
+                break
+        blocks.append(frozenset(verts))
+
+    def dfs(root: int):
+        nonlocal timer
+        disc[root] = low[root] = timer
+        timer += 1
+        work = [(root, -1, g.neighbors(root))]
+        while work:
+            u, parent, it = work[-1]
+            advanced = False
+            for w in it:
+                if w == parent:
+                    continue
+                if disc[w] == -1:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((u, w))
+                    work.append((w, u, g.neighbors(w)))
+                    advanced = True
+                    break
+                if disc[w] < disc[u]:
+                    stack.append((u, w))
+                    if low[u] > disc[w]:
+                        low[u] = disc[w]
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pu = work[-1][0]
+                if low[pu] > low[u]:
+                    low[pu] = low[u]
+                if low[u] >= disc[pu]:
+                    pop_block(pu, u)
+
+    for v in range(n):
+        if disc[v] == -1:
+            if g.degree(v) == 0:
+                blocks.append(frozenset({v}))
+            else:
+                dfs(v)
+
+    blocks_at: list[list[int]] = [[] for _ in range(n)]
+    clique = []
+    for bi, blk in enumerate(blocks):
+        mask = 0
+        for v in blk:
+            blocks_at[v].append(bi)
+            mask |= 1 << v
+        clique.append(all((g.adj[v] | (1 << v)) & mask == mask for v in blk))
+    cuts = frozenset(v for v in range(n) if len(blocks_at[v]) > 1)
+    tree = tuple((bi, v) for bi, blk in enumerate(blocks) for v in sorted(blk) if v in cuts)
+    return BlockDecomposition(
+        tuple(blocks), cuts, tree, tuple(clique), tuple(map(tuple, blocks_at))
+    )
+
+
 # ---------------------------------------------------------------------------
 # graph6 codec (column-major upper triangle, 6-bit chunks offset by 63)
 # ---------------------------------------------------------------------------

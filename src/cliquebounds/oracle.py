@@ -45,6 +45,8 @@ def exhaustive_verify(n_max: int, s_max: int) -> dict:
     input (cycle form, s=1, single vertex) is counted separately, not as a
     violation.
     """
+    if n_max < 0:
+        raise ValueError(f"vertex count must be >= 0, got {n_max}")
     if n_max > ENUMERATION_LIMIT:
         raise ResourceLimitError(f"exhaustive sweep capped at n <= {ENUMERATION_LIMIT}")
     violations: list[dict] = []

@@ -212,10 +212,10 @@ def peel(g: Graph, u: int | None = None, dp_limit: int = DEFAULT_DP_LIMIT) -> Pe
     be a heaviest vertex; x is chosen (max stage weight, lowest id on ties)
     when ``u`` is omitted and again each time it has been removed.
     """
-    if g.n == 0:
-        return PeelTrace(g, u, ())
     if u is not None and not 0 <= u < g.n:
         raise ValueError(f"start vertex {u} not in graph")
+    if g.n == 0:
+        return PeelTrace(g, u, ())
     stages: list[PeelStage] = []
     live = list(range(g.n))
     x = u

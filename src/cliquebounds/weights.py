@@ -6,7 +6,9 @@ no cycle. Both come from subset dynamic programming over (vertex set,
 endpoint) states, run once per biconnected block that is not a clique; a
 clique block's tables are closed-form. The per-block tables are composed
 over the block-cut tree (Hopcroft & Tarjan 1973), at a cost of about
-(cut vertices in B + 2) * 2^|B| per non-clique block B.
+(cut vertices in B + 2) * 2^|B| per non-clique block B. The block
+decomposition comes from ``graphs`` and is returned on ``VertexWeights``,
+so its readers (the extremal predicate) need not build it again.
 """
 
 from __future__ import annotations
@@ -15,18 +17,20 @@ import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graphs import Graph, ResourceLimitError, iter_bits
+from .graphs import BlockDecomposition, Graph, ResourceLimitError, block_decomposition, iter_bits
 
 DEFAULT_DP_LIMIT = 18
 
 
 @dataclass(frozen=True)
 class VertexWeights:
-    """p and c arrays plus the circumference (max c; 0 on the empty graph)."""
+    """p and c arrays plus the circumference (max c; 0 on the empty graph),
+    and the block decomposition of the graph they were composed over."""
 
     p: tuple[int, ...]
     c: tuple[int, ...]
     circumference: int
+    decomposition: BlockDecomposition
 
 
 # Peak bytes per subset of the DP: two tables of 2^|B| list slots are live at
@@ -87,20 +91,16 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
     steps, so the guard is on the largest non-clique block, and on the
     memory its tables need.
     """
-    from .extremal import _block_is_clique, block_decomposition
+    return _compose(g, block_decomposition(g), dp_limit)
 
-    n = g.n
-    if n == 0:
-        return VertexWeights((), (), 0)
-    decomp = block_decomposition(g)
-    clique = [_block_is_clique(g, blk) for blk in decomp.blocks]
-    largest = max((len(b) for b, cl in zip(decomp.blocks, clique) if not cl), default=0)
+
+def _compose(g: Graph, decomp: BlockDecomposition, dp_limit: int) -> VertexWeights:
+    """The weights of g from its block decomposition ``decomp``."""
+    largest = max((len(b) for b, cl in zip(decomp.blocks, decomp.clique) if not cl), default=0)
     _guard(largest, dp_limit, "non-clique block order")
     _memory_guard(largest)
-    blocks_at: dict[int, list[int]] = {}
     cuts_of: list[list[int]] = [[] for _ in decomp.blocks]
     for bi, a in decomp.tree_edges:
-        blocks_at.setdefault(a, []).append(bi)
         cuts_of[bi].append(a)
 
     tables: list[_BlockTables] = []
@@ -108,7 +108,7 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
         local = {v: i for i, v in enumerate(sorted(blk))}
         start: dict[int, list[int]] = {}
         pair: dict[tuple[int, int], list[int]] = {}
-        if clique[bi]:
+        if decomp.clique[bi]:
             # a Hamiltonian path starts at, or joins, any vertices of a clique
             size = len(local)
             p_in, c_in = [size - 1] * size, [size if size >= 3 else 2] * size
@@ -145,7 +145,7 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
                 stack.pop()
                 continue
             at, away = key
-            others = [bj for bj in blocks_at[at] if bj != away]
+            others = [bj for bj in decomp.blocks_at[at] if bj != away]
             missing = [
                 (b, bj) for bj in others for b in cuts_of[bj] if b != at and (b, bj) not in arm
             ]
@@ -155,8 +155,8 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
             stack.pop()
             arm[key] = max(down(at, bj) for bj in others)
 
-    p = [0] * n
-    c = [2] * n
+    p = [0] * g.n
+    c = [2] * g.n
     for bi, t in enumerate(tables):
         for v, i in t.local.items():
             best = max(
@@ -166,7 +166,7 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
             )
             p[v] = max(p[v], best)
             c[v] = max(c[v], t.c[i])
-    return VertexWeights(tuple(p), tuple(c), max(c))
+    return VertexWeights(tuple(p), tuple(c), max(c, default=0), decomp)
 
 
 def _path_and_cycle_tables(adj, n: int) -> tuple[list[int], list[int]]:
@@ -307,8 +307,7 @@ def compute_weights_block_graph(g: Graph) -> VertexWeights:
     """``compute_weights`` for graphs whose every block is a clique (unions
     of block graphs), where no block runs the subset DP, so any n up to the
     graph type's limit is cheap. Raises ValueError on any other graph."""
-    from .extremal import _block_is_clique, block_decomposition
-
-    if not all(_block_is_clique(g, blk) for blk in block_decomposition(g).blocks):
+    decomp = block_decomposition(g)
+    if not all(decomp.clique):
         raise ValueError("input is not a block graph: some block is not a clique")
-    return compute_weights(g)
+    return _compose(g, decomp, DEFAULT_DP_LIMIT)

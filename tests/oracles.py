@@ -6,14 +6,21 @@ counts from subset enumeration, canonical forms from trying all permutations.
 The two are the package's retired weights algorithms, which its current
 weights are checked against: ``subset_dp_weights``, the whole-graph
 subset DP, and ``tree_dp_block_graph_weights``, the block-cut-tree DP for
-block graphs (the only oracle that reaches n = 64).
+block graphs (the only oracle that reaches n = 64). Both return
+``VertexWeights`` carrying the package's block decomposition of g, so they
+compare equal to ``compute_weights`` field by field; their p and c are
+computed without it. The block decomposition and the block-graph
+recognizers are checked against networkx (``nx_block_decomposition``).
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from typing import NamedTuple
 
-from cliquebounds import Graph
+import networkx as nx
+
+from cliquebounds import Graph, block_decomposition
 from cliquebounds.graphs import iter_bits
 from cliquebounds.weights import VertexWeights
 
@@ -63,7 +70,7 @@ def subset_dp_weights(g: Graph) -> VertexWeights:
     """
     n = g.n
     if n == 0:
-        return VertexWeights((), (), 0)
+        return VertexWeights((), (), 0, block_decomposition(g))
     adj = g.adj
     size = 1 << n
 
@@ -104,7 +111,7 @@ def subset_dp_weights(g: Graph) -> VertexWeights:
             for w in iter_bits(ext):
                 rooted[s_mask | (1 << w)] |= 1 << w
 
-    return VertexWeights(tuple(p), tuple(c), max(c))
+    return VertexWeights(tuple(p), tuple(c), max(c), block_decomposition(g))
 
 
 def tree_dp_block_graph_weights(g: Graph) -> VertexWeights:
@@ -116,11 +123,9 @@ def tree_dp_block_graph_weights(g: Graph) -> VertexWeights:
     blocks B_1..B_m realizes a graph path of sum(|B_i| - 1) edges. Accepts
     disjoint unions of block graphs; each component is handled on its own.
     """
-    from cliquebounds.extremal import block_decomposition
-
-    if g.n == 0:
-        return VertexWeights((), (), 0)
     decomp = block_decomposition(g)
+    if g.n == 0:
+        return VertexWeights((), (), 0, decomp)
     for blk in decomp.blocks:
         for v in blk:
             need = [u for u in blk if u != v]
@@ -186,7 +191,77 @@ def tree_dp_block_graph_weights(g: Graph) -> VertexWeights:
     p = [0] * g.n
     for v in range(g.n):
         p[v] = max(best_through[bi] for bi in blocks_at[v])
-    return VertexWeights(tuple(p), tuple(c), max(c))
+    return VertexWeights(tuple(p), tuple(c), max(c), decomp)
+
+
+class NxBlocks(NamedTuple):
+    blocks: frozenset[frozenset[int]]
+    cut_vertices: frozenset[int]
+    clique: dict[frozenset[int], bool]
+    components: int
+
+
+def _nx_graph(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def _nx_blocks(h: nx.Graph) -> list[frozenset[int]]:
+    """networkx's biconnected components skip isolated vertices; here they
+    are singleton blocks, as in the package."""
+    blocks = [frozenset(b) for b in nx.biconnected_components(h)]
+    return blocks + [frozenset({v}) for v in nx.isolates(h)]
+
+
+def _nx_is_clique(h: nx.Graph, block) -> bool:
+    return all(h.has_edge(u, v) for u, v in combinations(block, 2))
+
+
+def nx_block_decomposition(g: Graph) -> NxBlocks:
+    """Blocks, cut vertices, per-block clique flags and the number of
+    connected components, all from networkx."""
+    h = _nx_graph(g)
+    blocks = _nx_blocks(h)
+    return NxBlocks(
+        frozenset(blocks),
+        frozenset(nx.articulation_points(h)),
+        {b: _nx_is_clique(h, b) for b in blocks},
+        nx.number_connected_components(h),
+    )
+
+
+def nx_is_block_graph(g: Graph) -> bool:
+    """Connected (the empty graph counts) and every block a clique."""
+    h = _nx_graph(g)
+    return (g.n == 0 or nx.is_connected(h)) and all(_nx_is_clique(h, b) for b in _nx_blocks(h))
+
+
+def nx_is_parent_dominated(g: Graph) -> bool:
+    """A block graph with some maximum-order block from which a
+    breadth-first search of the block-cut tree reaches every block through
+    a parent block at least as large; graphs with at most one vertex pass."""
+    if g.n <= 1:
+        return True
+    if not nx_is_block_graph(g):
+        return False
+    h = _nx_graph(g)
+    blocks = _nx_blocks(h)
+    tree = nx.Graph()
+    tree.add_nodes_from(("block", i) for i in range(len(blocks)))
+    for v in nx.articulation_points(h):
+        tree.add_edges_from((("block", i), ("cut", v)) for i, b in enumerate(blocks) if v in b)
+    top = max(len(b) for b in blocks)
+    for root in [i for i, b in enumerate(blocks) if len(b) == top]:
+        cut_above = dict(nx.bfs_predecessors(tree, ("block", root)))
+        if all(
+            len(blocks[i]) <= len(blocks[cut_above[cut_above[("block", i)]][1]])
+            for i in range(len(blocks))
+            if i != root
+        ):
+            return True
+    return False
 
 
 def dfs_longest_paths_from(g: Graph, v0: int) -> list[tuple[int, ...]]:

@@ -1,8 +1,10 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies and seeded graph generators shared by the tests."""
+
+import random
 
 from hypothesis import strategies as st
 
-from cliquebounds import from_pair_mask
+from cliquebounds import Graph, from_edges, from_pair_mask
 
 
 @st.composite
@@ -11,3 +13,37 @@ def graphs(draw, min_n=0, max_n=7):
     nbits = n * (n - 1) // 2
     mask = draw(st.integers(min_value=0, max_value=(1 << nbits) - 1))
     return from_pair_mask(n, mask)
+
+
+def block_glued_graph(rng: random.Random, n_max: int) -> Graph:
+    """Up to three disjoint components, each grown from one vertex by gluing
+    blocks at a random earlier vertex: cliques, cliques missing an edge,
+    cycles with random chords, bridges and pendant trees. Randomly relabeled,
+    at most ``n_max`` vertices."""
+    edges, n = [], 0
+    for _ in range(rng.randint(1, 3)):
+        if n == n_max:
+            break
+        first = n
+        n += 1
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.choice(("clique", "clique-1", "cycle", "bridge", "tree"))
+            new = 1 if kind == "bridge" else rng.randint(2, 5)
+            if n + new > n_max:
+                break
+            verts = [rng.randrange(first, n)] + list(range(n, n + new))
+            n += new
+            if kind == "tree":
+                edges += [(v, rng.choice(verts[:i])) for i, v in enumerate(verts) if i]
+            elif kind == "cycle" and len(verts) >= 4:
+                ring = rng.sample(verts, len(verts))
+                edges += zip(ring, ring[1:] + ring[:1])
+                chords = [(u, v) for i, u in enumerate(verts) for v in verts[i + 2:]]
+                edges += [e for e in chords if rng.random() < 0.3]
+            else:
+                pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]]
+                if kind == "clique-1" and len(pairs) > 1:
+                    pairs.pop(rng.randrange(len(pairs)))
+                edges += pairs
+    perm = rng.sample(range(n), n)
+    return from_edges(n, {tuple(sorted((perm[u], perm[v]))) for u, v in edges})

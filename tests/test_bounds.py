@@ -23,6 +23,7 @@ from cliquebounds import (
     reduction_invariance,
     thm1_rhs,
     thm2_rhs,
+    write_graph6,
 )
 from oracles import bowtie, petersen
 from strategies import graphs
@@ -134,6 +135,21 @@ class TestCheckTheorem:
     def test_rejects_bad_theorem(self):
         with pytest.raises(ValueError):
             check_theorem(bowtie(), 2, 3, compute_weights(bowtie()), count_cliques(bowtie(), 2))
+
+    def test_graph6_written_only_when_read(self, count_calls):
+        g = bowtie()
+        w, lhs = compute_weights(g), count_cliques(g, 2)
+        calls = count_calls("write_graph6")
+        rep = check_theorem(g, 2, 1, w, lhs)
+        assert calls == []
+        assert rep.graph6 == write_graph6(g)
+        assert json.loads(rep.to_json())["graph6"] == rep.graph6
+        assert len(calls) == 3
+
+    def test_no_graph6_past_62_vertices(self):
+        g = path_graph(63)
+        rep = check_theorem(g, 2, 2, compute_weights(g), count_cliques(g, 2))
+        assert rep.graph6 is None and rep.to_json_dict()["graph6"] is None
 
 
 class TestRelabeling:

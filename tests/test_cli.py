@@ -130,6 +130,11 @@ class TestSweepCommand:
         code, out, _ = run_cli(capsys, ["sweep", "--n", "0"])
         assert code == 0
 
+    def test_negative_n_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, ["sweep", "--n", "-1"])
+        assert code == 2 and out == ""
+        assert "vertex count must be >= 0" in err
+
     def test_bad_s_exits_2(self, capsys):
         code, out, err = run_cli(capsys, ["sweep", "--n", "3", "--s", "0"])
         assert code == 2 and out == ""
@@ -213,6 +218,13 @@ class TestPeelCommand:
         summary = json.loads(out)
         assert summary["stages"] == 0 and summary["ok"]
         assert summary["identity"] == {"2": True, "3": True, "4": True}
+
+    def test_start_outside_the_empty_graph_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("n 0\n")
+        code, out, err = run_cli(capsys, ["peel", "--start", "5", str(path)])
+        assert code == 2 and out == ""
+        assert "start vertex 5 not in graph" in err
 
     def test_dp_limit_reaches_every_stage(self, capsys, monkeypatch):
         code, out, err = run_cli(

@@ -11,13 +11,41 @@ from cliquebounds import (
     extremal_predicate,
     from_edges,
     generate_pdbg,
+    heavy_cycle_set,
     is_block_graph,
+    is_connected,
     is_hamiltonian,
     is_parent_dominated,
     path_graph,
     random_graph,
 )
-from oracles import bowtie, petersen
+from oracles import (
+    bowtie,
+    nx_block_decomposition,
+    nx_is_block_graph,
+    nx_is_parent_dominated,
+    petersen,
+)
+from strategies import block_glued_graph
+
+
+def random_pdbgs():
+    """200 parent-dominated block graphs from random block specs (seed 808),
+    each at most 30 vertices."""
+    rng = random.Random(808)
+    for _ in range(200):
+        orders = [rng.randint(2, 9)]
+        parents = []
+        total = orders[0]
+        for i in range(rng.randint(0, 11)):
+            par = rng.randrange(len(orders))
+            o = rng.randint(2, orders[par])
+            if total + o - 1 > 30:
+                break
+            parents.append(par)
+            orders.append(o)
+            total += o - 1
+        yield generate_pdbg(BlockSpec(tuple(orders), tuple(parents)))
 
 
 class TestBlockDecomposition:
@@ -110,20 +138,7 @@ class TestRecognizers:
         assert not is_parent_dominated(g)
 
     def test_parent_dominated_200_random_specs(self):
-        rng = random.Random(808)
-        for _ in range(200):
-            orders = [rng.randint(2, 9)]
-            parents = []
-            total = orders[0]
-            for i in range(rng.randint(0, 11)):
-                par = rng.randrange(len(orders))
-                o = rng.randint(2, orders[par])
-                if total + o - 1 > 30:
-                    break
-                parents.append(par)
-                orders.append(o)
-                total += o - 1
-            g = generate_pdbg(BlockSpec(tuple(orders), tuple(parents)))
+        for g in random_pdbgs():
             assert is_parent_dominated(g)
 
     def test_tie_rooting_accepted(self):
@@ -180,3 +195,69 @@ class TestExtremalPredicate:
     def test_path_form_s1_always(self):
         g = random_graph(6, 0.4, 3)
         assert extremal_predicate(g, 1, 2, compute_weights(g))
+
+    def test_heavy_set_of_every_vertex_reads_the_weights_decomposition(
+        self, reps7, count_calls
+    ):
+        graphs = [g for g in reps7 if is_connected(g)] + [bowtie(), petersen()]
+        weights = [compute_weights(g) for g in graphs]
+        calls = count_calls("block_decomposition")
+        for g, w in zip(graphs, weights):
+            extremal_predicate(g, 2, 1, w)
+        assert calls == []
+
+    def test_smaller_heavy_set_decomposes_its_subgraph(self, count_calls):
+        # K4 with a pendant vertex: at s = 3 the heavy set is the K4
+        g = from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+        w = compute_weights(g)
+        calls = count_calls("block_decomposition")
+        assert extremal_predicate(g, 3, 1, w)
+        assert calls == [(complete_graph(4),)]
+
+
+class TestAgainstNetworkx:
+    """Blocks, cut vertices, clique flags, component counts and both
+    block-graph recognizers against the networkx oracle."""
+
+    @staticmethod
+    def assert_matches(g):
+        d = block_decomposition(g)
+        nxd = nx_block_decomposition(g)
+        assert len(d.blocks) == len(nxd.blocks) and set(d.blocks) == nxd.blocks, g
+        assert d.cut_vertices == nxd.cut_vertices, g
+        assert dict(zip(d.blocks, d.clique)) == nxd.clique, g
+        assert d.components == nxd.components, g
+        assert [set(bs) for bs in d.blocks_at] == [
+            {i for i, b in enumerate(d.blocks) if v in b} for v in range(g.n)
+        ], g
+        assert is_block_graph(g) == nx_is_block_graph(g), g
+        assert is_parent_dominated(g) == nx_is_parent_dominated(g), g
+
+    def test_every_class_up_to_7(self, reps_by_n, reps7):
+        parent_dominated = 0
+        for g in [g for n in range(7) for g in reps_by_n[n]] + reps7:
+            self.assert_matches(g)
+            parent_dominated += is_parent_dominated(g)
+            w = compute_weights(g)
+            for s in range(2, 6):
+                heavy = g.induced(heavy_cycle_set(g, s, w))
+                assert extremal_predicate(g, s, 1, w) == nx_is_parent_dominated(heavy), (g, s)
+        assert parent_dominated > 50
+
+    def test_seeded_block_glued_graphs(self):
+        rng = random.Random(2718)
+        for _ in range(500):
+            self.assert_matches(block_glued_graph(rng, 16))
+
+    def test_random_pdbg_specs(self):
+        for g in random_pdbgs():
+            self.assert_matches(g)
+            assert nx_is_parent_dominated(g)
+
+    def test_oracle_rejects_what_it_should(self):
+        assert not nx_is_parent_dominated(
+            from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)])
+        )
+        assert not nx_is_block_graph(cycle_graph(4))
+        assert not nx_is_block_graph(disjoint_union(complete_graph(3), complete_graph(3)))
+        assert nx_is_block_graph(from_edges(0, []))

@@ -39,6 +39,10 @@ class TestExhaustiveVerify:
         with pytest.raises(ResourceLimitError):
             exhaustive_verify(9, 2)
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="vertex count"):
+            exhaustive_verify(-1, 3)
+
 
 class TestLabeledCrosscheck:
     def test_n4(self):

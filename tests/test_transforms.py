@@ -184,8 +184,10 @@ class TestPeel:
         assert [st.start for st in trace.stages] == [0, 0]
 
     def test_empty_graph(self):
-        trace = peel(from_edges(0, []), 0)
+        trace = peel(from_edges(0, []))
         assert trace.stages == ()
+        with pytest.raises(ValueError, match="start vertex 0 not in graph"):
+            peel(from_edges(0, []), 0)
 
     def test_isolated_vertices_dropped_not_peeled(self):
         g = from_edges(4, [(0, 1)])

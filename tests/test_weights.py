@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from cliquebounds import (
     BlockSpec,
-    Graph,
     ResourceLimitError,
     block_decomposition,
     complete_graph,
@@ -30,7 +29,7 @@ from oracles import (
     subset_dp_weights,
     tree_dp_block_graph_weights,
 )
-from strategies import graphs
+from strategies import block_glued_graph, graphs
 
 
 class TestComputeWeights:
@@ -50,6 +49,10 @@ class TestComputeWeights:
         assert set(w.p) == {9}
         assert set(w.c) == {9}
         assert w.circumference == 9
+
+    def test_carries_its_block_decomposition(self, reps_by_n):
+        for g in [bowtie(), petersen()] + reps_by_n[5]:
+            assert compute_weights(g).decomposition == block_decomposition(g), g
 
     def test_empty_graph(self):
         w = compute_weights(from_edges(0, []))
@@ -130,40 +133,6 @@ class TestComputeWeights:
             assert ws.c[i] <= w.c[v]
 
 
-def block_glued_graph(rng: random.Random, n_max: int) -> Graph:
-    """Up to three disjoint components, each grown from one vertex by gluing
-    blocks at a random earlier vertex: cliques, cliques missing an edge,
-    cycles with random chords, bridges and pendant trees. Randomly relabeled,
-    at most ``n_max`` vertices."""
-    edges, n = [], 0
-    for _ in range(rng.randint(1, 3)):
-        if n == n_max:
-            break
-        first = n
-        n += 1
-        for _ in range(rng.randint(0, 6)):
-            kind = rng.choice(("clique", "clique-1", "cycle", "bridge", "tree"))
-            new = 1 if kind == "bridge" else rng.randint(2, 5)
-            if n + new > n_max:
-                break
-            verts = [rng.randrange(first, n)] + list(range(n, n + new))
-            n += new
-            if kind == "tree":
-                edges += [(v, rng.choice(verts[:i])) for i, v in enumerate(verts) if i]
-            elif kind == "cycle" and len(verts) >= 4:
-                ring = rng.sample(verts, len(verts))
-                edges += zip(ring, ring[1:] + ring[:1])
-                chords = [(u, v) for i, u in enumerate(verts) for v in verts[i + 2:]]
-                edges += [e for e in chords if rng.random() < 0.3]
-            else:
-                pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]]
-                if kind == "clique-1" and len(pairs) > 1:
-                    pairs.pop(rng.randrange(len(pairs)))
-                edges += pairs
-    perm = rng.sample(range(n), n)
-    return from_edges(n, {tuple(sorted((perm[u], perm[v]))) for u, v in edges})
-
-
 class TestAgainstWholeGraphSubsetDP:
     """The per-block weights equal the whole-graph subset DP they replace."""
 
@@ -238,6 +207,18 @@ class TestBlockGraphShortcut:
         with pytest.raises(ValueError, match="block graph"):
             compute_weights_block_graph(cycle_graph(4))
 
+    def test_rejects_before_any_dp(self):
+        # a DP over this block would hit the resource guard first
+        with pytest.raises(ValueError, match="block graph"):
+            compute_weights_block_graph(cycle_graph(40))
+
+    def test_decomposes_once(self, count_calls):
+        g = generate_pdbg(BlockSpec((5, 4, 4, 3)))
+        calls = count_calls("block_decomposition")
+        w = compute_weights_block_graph(g)
+        assert calls == [(g,)]
+        assert w.decomposition == block_decomposition(g)
+
     def test_matches_dp_on_random_block_graphs(self):
         rng = random.Random(31337)
         for _ in range(60):
@@ -262,8 +243,6 @@ class TestBlockGraphShortcut:
         assert w.c == (4, 4, 4, 4, 2, 2, 2)
 
     def test_matches_dp_on_every_small_block_forest(self, reps_by_n):
-        from cliquebounds.extremal import block_decomposition
-
         checked = 0
         for n in range(7):
             for g in reps_by_n[n]:
