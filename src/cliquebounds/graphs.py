@@ -14,8 +14,10 @@ from itertools import combinations
 
 MAX_VERTICES = 64
 
-# Canonical-form enumeration is brute force over relabelings; past 8 vertices
-# the class counts (and the DP verifiers downstream) are out of desk range.
+# Canonical augmentation enumerates the 12,346 classes on 8 vertices in about
+# 10 s; past 8 the class counts (and the DP verifiers downstream) are out of
+# desk range, and the lex-minimal labeling behind canonical_mask slows
+# exponentially on vertex-transitive graphs.
 ENUMERATION_LIMIT = 8
 
 
@@ -390,18 +392,25 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 def canonical_mask(g: Graph) -> int:
     """Lexicographically minimal pair-order edge bitmask over all relabelings.
 
-    Exact brute-force search: positions are assigned one vertex at a time,
-    keeping every relabeling whose next adjacency column ties the minimum.
-    A prefix of the bit-string is fixed once its columns are fixed, so the
-    greedy column choice is optimal; twin vertices are deduplicated since
-    swapping them is an automorphism.
+    Exact search: positions are assigned one vertex at a time, keeping every
+    relabeling whose next adjacency column ties the minimum. A prefix of the
+    bit-string is fixed once its columns are fixed, so the greedy column
+    choice is optimal; twin vertices are deduplicated since swapping them is
+    an automorphism. The tied relabelings multiply on vertex-transitive
+    graphs (C16 takes about 10 s), so n is capped at ``ENUMERATION_LIMIT``.
     """
-    return _canonical_mask(g.n, g.adj)
+    if g.n > ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"canonical labeling capped at n <= {ENUMERATION_LIMIT}, got {g.n}"
+        )
+    return _canonical_search(g.n, g.adj)[0]
 
 
-def _canonical_mask(n: int, adj) -> int:
-    if n <= 1:
-        return 0
+def _canonical_search(n: int, adj) -> tuple[int, list[tuple[int, ...]]]:
+    """The canonical mask and the tied labelings that reach it, each listing
+    the vertex placed at every position. Every labeling that reaches the mask
+    is one of these up to twin swaps, so their differences and the twin
+    transpositions generate the automorphism group."""
     states: list[tuple[tuple[int, ...], int]] = [((), 0)]
     mask = 0
     bit = 0
@@ -436,21 +445,105 @@ def _canonical_mask(n: int, adj) -> int:
             if best_col >> (pos - 1 - t) & 1:
                 mask |= 1 << (bit + t)
         bit += pos
-    return mask
+    return mask, [placed for placed, _ in states]
+
+
+def _automorphism_generators(n: int, adj, labelings) -> list[list[int]]:
+    """Generators of Aut(G) as vertex maps, from ``_canonical_search``'s tied
+    labelings and one transposition per vertex and its next twin."""
+    first = labelings[0]
+    gens = []
+    for lab in labelings[1:]:
+        perm = [0] * n
+        for a, b in zip(first, lab):
+            perm[a] = b
+        gens.append(perm)
+    for v in range(n):
+        for w in range(v + 1, n):
+            if (adj[v] ^ adj[w]) & ~(1 << v | 1 << w) == 0:
+                perm = list(range(n))
+                perm[v], perm[w] = w, v
+                gens.append(perm)
+                break
+    return gens
+
+
+def _subset_orbit_reps(k: int, gens) -> list[int]:
+    """The least member of each orbit of the subsets of 0..k-1 (bitmasks)
+    under the group that ``gens`` generate."""
+    size = 1 << k
+    images = []
+    for perm in gens:
+        img = [0] * size
+        for s in range(1, size):
+            low = s & -s
+            img[s] = img[s ^ low] | 1 << perm[low.bit_length() - 1]
+        images.append(img)
+    seen = bytearray(size)
+    reps = []
+    for s in range(size):
+        if seen[s]:
+            continue
+        reps.append(s)
+        seen[s] = 1
+        stack = [s]
+        while stack:
+            t = stack.pop()
+            for img in images:
+                u = img[t]
+                if not seen[u]:
+                    seen[u] = 1
+                    stack.append(u)
+    return reps
+
+
+def _vertex_orbit(v: int, gens) -> int:
+    """The orbit of vertex v under the group that ``gens`` generate, as a bitmask."""
+    orbit = 1 << v
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        for perm in gens:
+            y = perm[x]
+            if not orbit >> y & 1:
+                orbit |= 1 << y
+                stack.append(y)
+    return orbit
 
 
 @lru_cache(maxsize=None)
 def _canonical_reps(n: int) -> tuple[int, ...]:
+    """Canonical masks of the n-vertex classes, sorted, by canonical
+    augmentation (McKay, "Isomorph-free exhaustive generation", J.
+    Algorithms 26, 1998). Each (n-1)-vertex representative gets a new vertex
+    n-1 once per Aut-orbit of neighbourhoods; the child is kept only if n-1
+    lies in the orbit of its canonical deletion vertex: the last vertex, in
+    canonical order, of maximal (degree, sorted neighbour degrees). So every
+    class is reached from exactly one parent, through one neighbourhood."""
     if n == 0:
         return (0,)
-    prev = _canonical_reps(n - 1)
-    base = (n - 1) * (n - 2) // 2
-    reps = set()
-    for old in prev:
-        for nb in range(1 << (n - 1)):
-            cand = old | (nb << base)
-            reps.add(_canonical_mask(n, _adj_from_mask(n, cand)))
-    return tuple(sorted(reps))
+    last = n - 1
+    out = []
+    for parent in _canonical_reps(last):
+        padj = _adj_from_mask(last, parent)
+        gens = _automorphism_generators(last, padj, _canonical_search(last, padj)[1])
+        for nb in _subset_orbit_reps(last, gens):
+            adj = [row | (nb >> u & 1) << last for u, row in enumerate(padj)] + [nb]
+            deg = [row.bit_count() for row in adj]
+            if deg[last] < max(deg):
+                continue
+            inv = {
+                u: sorted(deg[w] for w in iter_bits(adj[u]))
+                for u in range(n) if deg[u] == deg[last]
+            }
+            top = max(inv.values())
+            if inv[last] != top:
+                continue
+            mask, labelings = _canonical_search(n, adj)
+            drop = next(u for u in reversed(labelings[0]) if inv.get(u) == top)
+            if _vertex_orbit(drop, _automorphism_generators(n, adj, labelings)) >> last & 1:
+                out.append(mask)
+    return tuple(sorted(out))
 
 
 def enumerate_graphs(n: int, connected_only: bool = False):

@@ -100,8 +100,8 @@ def labeled_crosscheck(n: int) -> dict:
     must be exactly the representative set, and each labeled graph's verdict
     tuple must equal its representative's.
     """
-    if n > 5:
-        raise ResourceLimitError(f"labeled sweep capped at n <= 5, got {n}")
+    if n > 6:
+        raise ResourceLimitError(f"labeled sweep capped at n <= 6, got {n}")
     rep_masks = set()
     rep_verdicts: dict[int, tuple] = {}
     for g in enumerate_graphs(n):

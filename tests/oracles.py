@@ -11,16 +11,20 @@ block graphs (the only oracle that reaches n = 64). Both return
 compare equal to ``compute_weights`` field by field; their p and c are
 computed without it. The block decomposition and the block-graph
 recognizers are checked against networkx (``nx_block_decomposition``).
+The retired enumerator, ``brute_force_reps``, is the oracle for the
+package's canonical augmentation; it canonicalizes with the package's own
+``canonical_mask``, which is checked against ``permutation_canonical_mask``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import NamedTuple
 
 import networkx as nx
 
-from cliquebounds import Graph, block_decomposition
+from cliquebounds import Graph, block_decomposition, canonical_mask, from_pair_mask
 from cliquebounds.graphs import iter_bits
 from cliquebounds.weights import VertexWeights
 
@@ -313,6 +317,22 @@ def permutation_canonical_mask(g: Graph) -> int:
     if not best:
         return 0
     return sum(b << k for k, b in enumerate(best))
+
+
+@lru_cache(maxsize=None)
+def brute_force_reps(n: int) -> tuple[int, ...]:
+    """The package's retired enumerator: canonicalize all 2^(n-1) one-vertex
+    extensions of every (n-1)-vertex class and deduplicate the masks."""
+    if n == 0:
+        return (0,)
+    prev = brute_force_reps(n - 1)
+    base = (n - 1) * (n - 2) // 2
+    reps = set()
+    for old in prev:
+        for nb in range(1 << (n - 1)):
+            cand = old | (nb << base)
+            reps.add(canonical_mask(from_pair_mask(n, cand)))
+    return tuple(sorted(reps))
 
 
 def decode_graph6_bitstring(line: str) -> tuple[int, set[tuple[int, int]]]:

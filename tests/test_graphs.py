@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -28,11 +29,26 @@ from cliquebounds import (
     to_pair_mask,
     write_graph6,
 )
-from oracles import decode_graph6_bitstring, permutation_canonical_mask, subset_dp_weights
+from oracles import (
+    brute_force_reps,
+    decode_graph6_bitstring,
+    permutation_canonical_mask,
+    subset_dp_weights,
+)
 from strategies import graphs
 
 GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156]
 CONNECTED_COUNTS = [1, 1, 1, 2, 6, 21, 112]
+# sha256 of repr(tuple of pair masks) of enumerate_graphs(n) as the retired
+# brute-force enumerator produced it.
+REPS_SHA256 = {
+    7: "97993ed7f43cc065f3a10d0e62181a49ad75a8cd6c57716d5162f5b5e81be58c",
+    8: "995b863a734d34cae960b76d55bc792b6b29cbb87d5afedcb82c3c1c1f05ffec",
+}
+
+
+def reps_sha256(graphs) -> str:
+    return hashlib.sha256(repr(tuple(to_pair_mask(g) for g in graphs)).encode()).hexdigest()
 
 
 class TestGraphType:
@@ -185,19 +201,35 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="vertex count"):
             list(enumerate_graphs(-1))
 
+    def test_matches_brute_force_enumerator(self, reps_by_n):
+        for n in range(7):
+            assert tuple(to_pair_mask(g) for g in reps_by_n[n]) == brute_force_reps(n), n
+
+    def test_n7_matches_brute_force_digest(self, reps7):
+        assert reps_sha256(reps7) == REPS_SHA256[7]
+
     @pytest.mark.skipif(
-        not os.environ.get("RUN_SLOW"), reason="n=8 enumeration takes ~70s; set RUN_SLOW=1"
+        not os.environ.get("RUN_SLOW"), reason="n=8 enumeration takes ~10 s; set RUN_SLOW=1"
+    )
+    def test_n8_enumeration(self):
+        reps = list(enumerate_graphs(8))
+        assert len(reps) == 12346  # OEIS A000088
+        assert sum(map(is_connected, reps)) == 11117  # OEIS A001349
+        assert reps_sha256(reps) == REPS_SHA256[8]
+
+    @pytest.mark.skipif(
+        not os.environ.get("RUN_SLOW"),
+        reason="weights of all n=8 classes take ~25 s; set RUN_SLOW=1",
     )
     def test_n8_boundary(self):
         reps = list(enumerate_graphs(8))
-        assert len(reps) == 12346
         for g in reps[::97]:
             assert parse_graph6(write_graph6(g)) == g
         for g in reps:
             assert compute_weights(g) == subset_dp_weights(g), g
 
-    def test_representatives_are_canonical(self, reps_by_n):
-        for g in reps_by_n[5]:
+    def test_representatives_are_canonical(self, reps_by_n, reps7):
+        for g in [g for n in range(7) for g in reps_by_n[n]] + reps7:
             assert canonical_mask(g) == to_pair_mask(g)
 
     def test_pairwise_non_isomorphic_by_permutation_oracle(self, reps_by_n):
@@ -225,6 +257,10 @@ class TestEnumeration:
         random.Random(3).shuffle(perm)
         relabeled = from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
         assert canonical_mask(relabeled) == canonical_mask(g)
+
+    def test_canonical_mask_guard(self):
+        with pytest.raises(ResourceLimitError, match="canonical labeling"):
+            canonical_mask(cycle_graph(9))
 
 
 class TestRandomGraph:

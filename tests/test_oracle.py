@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from cliquebounds import (
@@ -57,7 +59,16 @@ class TestLabeledCrosscheck:
 
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
-            labeled_crosscheck(6)
+            labeled_crosscheck(7)
+
+    @pytest.mark.skipif(
+        not os.environ.get("RUN_SLOW"), reason="32,768 labeled graphs take ~37 s; set RUN_SLOW=1"
+    )
+    def test_n6(self):
+        summary = labeled_crosscheck(6)
+        assert summary["labeled_total"] == 32768
+        assert summary["classes"] == 156
+        assert summary["ok"]
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError, match="vertex count"):
