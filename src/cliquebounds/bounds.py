@@ -57,9 +57,9 @@ class BoundReport:
     in_scope: bool = True
 
     @property
-    def graph6(self) -> str | None:
-        """The graph as graph6, written when read; None past n = 62."""
-        return write_graph6(self.graph) if self.graph.n <= 62 else None
+    def graph6(self) -> str:
+        """The graph as graph6, written when read."""
+        return write_graph6(self.graph)
 
     def to_json_dict(self) -> dict:
         out = {

@@ -1,5 +1,9 @@
 """Exact clique counting and the fractional per-vertex contribution scheme.
 
+Cliques are expanded on bitmasks in vertex-id order: each one is reached
+exactly once, from its lowest vertex, by repeatedly intersecting with the
+higher-id neighbours of the vertex just added.
+
 All bound arithmetic downstream is exact rational (fractions.Fraction);
 equality detection hinges on exact ties, so nothing here ever floats.
 """
@@ -20,63 +24,43 @@ def binom(a: int, b: int) -> int:
     return comb(a, b)
 
 
-def _degeneracy_order(g: Graph) -> list[int]:
-    remaining = g.full_mask
-    order = []
-    while remaining:
-        best = min(iter_bits(remaining), key=lambda v: ((g.adj[v] & remaining).bit_count(), v))
-        order.append(best)
-        remaining &= ~(1 << best)
-    return order
-
-
 def _later_masks(g: Graph) -> list[int]:
-    order = _degeneracy_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    later = [0] * g.n
-    for v in range(g.n):
-        later[v] = sum(1 << u for u in iter_bits(g.adj[v]) if pos[u] > pos[v])
-    return later
+    return [a >> (v + 1) << (v + 1) for v, a in enumerate(g.adj)]
+
+
+def _count(later: list[int], cand: int, r: int) -> int:
+    """Number of r-cliques inside the vertex mask ``cand``, each reached once
+    from its lowest vertex."""
+    if r == 0:
+        return 1
+    if cand.bit_count() < r:
+        return 0
+    if r == 1:
+        return cand.bit_count()
+    total = 0
+    for v in iter_bits(cand):
+        total += _count(later, cand & later[v], r - 1)
+    return total
 
 
 def count_cliques(g: Graph, s: int) -> int:
-    """Number of s-vertex cliques, by forward bitmask expansion along a
-    degeneracy order."""
+    """Number of s-vertex cliques: each clique is expanded once, from its
+    lowest vertex along higher-id neighbours, on bitmasks."""
     if s < 0:
         raise ValueError(f"clique order must be >= 0, got {s}")
-    if s == 0:
-        return 1
-    if s == 1:
-        return g.n
-    later = _later_masks(g)
-
-    def expand(cand: int, r: int) -> int:
-        if r == 0:
-            return 1
-        if cand.bit_count() < r:
-            return 0
-        if r == 1:
-            return cand.bit_count()
-        total = 0
-        for v in iter_bits(cand):
-            total += expand(cand & later[v], r - 1)
-        return total
-
-    return expand(g.full_mask, s)
+    return _count(_later_masks(g), g.full_mask, s)
 
 
 def enumerate_cliques(g: Graph, s: int):
-    """Yield every s-clique as a sorted vertex tuple."""
+    """Yield every s-clique as an increasing vertex tuple, in lexicographic
+    order."""
     if s < 0:
         raise ValueError(f"clique order must be >= 0, got {s}")
-    if s == 0:
-        yield ()
-        return
     later = _later_masks(g)
 
     def expand(cand: int, chosen: tuple[int, ...]):
         if len(chosen) == s:
-            yield tuple(sorted(chosen))
+            yield chosen
             return
         for v in iter_bits(cand):
             yield from expand(cand & later[v], chosen + (v,))
@@ -91,8 +75,11 @@ def count_cliques_touching(g: Graph, s: int, touch) -> int:
         raise ValueError("touch set contains vertices outside the graph")
     if not touch_set:
         return 0
-    rest = g.induced(v for v in range(g.n) if v not in touch_set)
-    return count_cliques(g, s) - count_cliques(rest, s)
+    if s < 0:
+        raise ValueError(f"clique order must be >= 0, got {s}")
+    later = _later_masks(g)
+    rest = g.full_mask & ~sum(1 << v for v in touch_set)
+    return _count(later, g.full_mask, s) - _count(later, rest, s)
 
 
 @dataclass(frozen=True)

@@ -314,11 +314,12 @@ def parse_graph6(text: str) -> Graph:
 
 
 def write_graph6(g: Graph) -> str:
-    if g.n > 62:
-        raise ValueError(f"graph6 writer supports n <= 62 (single-byte header); got n={g.n}")
     mask = to_pair_mask(g)
     nbits = g.n * (g.n - 1) // 2
-    out = [chr(63 + g.n)]
+    if g.n <= 62:
+        out = [chr(63 + g.n)]
+    else:
+        out = ["~"] + [chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)]
     for k in range(0, nbits, 6):
         chunk = 0
         for t in range(6):
@@ -546,17 +547,14 @@ def _canonical_reps(n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def enumerate_graphs(n: int, connected_only: bool = False):
+def enumerate_graphs(n: int):
     """Yield one representative per isomorphism class of n-vertex graphs."""
     if n < 0:
         raise ValueError(f"vertex count must be >= 0, got {n}")
     if n > ENUMERATION_LIMIT:
         raise ResourceLimitError(f"enumeration capped at n <= {ENUMERATION_LIMIT}, got {n}")
     for mask in _canonical_reps(n):
-        g = from_pair_mask(n, mask)
-        if connected_only and not is_connected(g):
-            continue
-        yield g
+        yield from_pair_mask(n, mask)
 
 
 # ---------------------------------------------------------------------------

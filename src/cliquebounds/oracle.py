@@ -281,14 +281,14 @@ def _all_paths_of_length(g: Graph, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def path_proof_claims(n_max: int, s_max: int = 8, k_max: int = 40) -> dict:
+def path_proof_claims(n_max: int) -> dict:
     """Two facts behind the path-form bound.
 
     endpoint_degree: in a connected graph whose longest path length k is not
     matched by a (k+1)-cycle, every longest path with non-adjacent endpoints
     has an endpoint of degree at most floor(k/2).
     ratio_chain: s < 2^(s-1) < prod_{x=0}^{s-2} (k-x)/(floor(k/2)-x) for
-    s in [3, s_max], k in [2s, k_max], exactly in rationals.
+    s in [3, 8], k in [2s, 40], exactly in rationals.
     """
     if n_max > ENUMERATION_LIMIT:
         raise ResourceLimitError(f"claim sweep capped at n <= {ENUMERATION_LIMIT}")
@@ -296,7 +296,7 @@ def path_proof_claims(n_max: int, s_max: int = 8, k_max: int = 40) -> dict:
     graphs_checked = 0
     paths_checked = 0
     for n in range(1, n_max + 1):
-        for g in enumerate_graphs(n, connected_only=True):
+        for g in filter(is_connected, enumerate_graphs(n)):
             w = compute_weights(g)
             k = max(w.p)
             if k == 0:
@@ -317,8 +317,8 @@ def path_proof_claims(n_max: int, s_max: int = 8, k_max: int = 40) -> dict:
                          "degrees": (g.degree(a), g.degree(b))}
                     )
     chain_cells = 0
-    for s in range(3, s_max + 1):
-        for k in range(2 * s, k_max + 1):
+    for s in range(3, 9):
+        for k in range(2 * s, 41):
             chain_cells += 1
             half = k // 2
             prod = Fraction(1)

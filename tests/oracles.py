@@ -10,7 +10,9 @@ block graphs (the only oracle that reaches n = 64). Both return
 ``VertexWeights`` carrying the package's block decomposition of g, so they
 compare equal to ``compute_weights`` field by field; their p and c are
 computed without it. The block decomposition and the block-graph
-recognizers are checked against networkx (``nx_block_decomposition``).
+recognizers are checked against networkx (``nx_block_decomposition``), and
+so are the clique counts past the subset oracle's range
+(``nx_cliques_by_order``).
 The retired enumerator, ``brute_force_reps``, is the oracle for the
 package's canonical augmentation; it canonicalizes with the package's own
 ``canonical_mask``, which is checked against ``permutation_canonical_mask``.
@@ -19,7 +21,7 @@ package's canonical augmentation; it canonicalizes with the package's own
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, takewhile
 from typing import NamedTuple
 
 import networkx as nx
@@ -289,6 +291,15 @@ def dfs_longest_paths_from(g: Graph, v0: int) -> list[tuple[int, ...]]:
     walk([v0], {v0})
     best = max(len(p) for p in found)
     return sorted(p for p in found if len(p) == best)
+
+
+def nx_cliques_by_order(g: Graph, s_max: int) -> list[list[tuple[int, ...]]]:
+    """Entry s lists every s-clique of g (s <= s_max) as an increasing tuple,
+    in lexicographic order, from ``networkx.enumerate_all_cliques``."""
+    by_order: list[list[tuple[int, ...]]] = [[()]] + [[] for _ in range(s_max)]
+    for clique in takewhile(lambda c: len(c) <= s_max, nx.enumerate_all_cliques(_nx_graph(g))):
+        by_order[len(clique)].append(tuple(sorted(clique)))
+    return [sorted(group) for group in by_order]
 
 
 def subset_clique_count(g: Graph, s: int) -> int:

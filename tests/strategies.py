@@ -4,7 +4,7 @@ import random
 
 from hypothesis import strategies as st
 
-from cliquebounds import Graph, from_edges, from_pair_mask
+from cliquebounds import BlockSpec, Graph, from_edges, from_pair_mask, generate_pdbg
 
 
 @st.composite
@@ -47,3 +47,22 @@ def block_glued_graph(rng: random.Random, n_max: int) -> Graph:
                 edges += pairs
     perm = rng.sample(range(n), n)
     return from_edges(n, {tuple(sorted((perm[u], perm[v]))) for u, v in edges})
+
+
+def random_pdbgs():
+    """200 parent-dominated block graphs from random block specs (seed 808),
+    each at most 30 vertices."""
+    rng = random.Random(808)
+    for _ in range(200):
+        orders = [rng.randint(2, 9)]
+        parents = []
+        total = orders[0]
+        for i in range(rng.randint(0, 11)):
+            par = rng.randrange(len(orders))
+            o = rng.randint(2, orders[par])
+            if total + o - 1 > 30:
+                break
+            parents.append(par)
+            orders.append(o)
+            total += o - 1
+        yield generate_pdbg(BlockSpec(tuple(orders), tuple(parents)))

@@ -181,7 +181,7 @@ def test_criterion_7_luo_dominance():
 
 def test_criterion_8_path_proof_claims():
     t0 = time.time()
-    summary = path_proof_claims(7, s_max=8, k_max=40)
+    summary = path_proof_claims(7)
     report(
         "8 longest-path endpoint and ratio-chain claims",
         summary["ok"],

@@ -18,6 +18,7 @@ from cliquebounds import (
     heavy_cycle_set,
     heavy_path_set,
     luo_dominance,
+    parse_graph6,
     path_graph,
     random_graph,
     reduction_invariance,
@@ -146,10 +147,11 @@ class TestCheckTheorem:
         assert json.loads(rep.to_json())["graph6"] == rep.graph6
         assert len(calls) == 3
 
-    def test_no_graph6_past_62_vertices(self):
+    def test_graph6_past_62_vertices(self):
         g = path_graph(63)
         rep = check_theorem(g, 2, 2, compute_weights(g), count_cliques(g, 2))
-        assert rep.graph6 is None and rep.to_json_dict()["graph6"] is None
+        assert rep.graph6.startswith("~??~") and parse_graph6(rep.graph6) == g
+        assert rep.to_json_dict()["graph6"] == rep.graph6
 
 
 class TestRelabeling:

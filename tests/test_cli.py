@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from cliquebounds import cycle_graph, parse_graph6, path_graph, write_graph6
+from cliquebounds import (
+    BlockSpec,
+    cycle_graph,
+    generate_pdbg,
+    parse_graph6,
+    path_graph,
+    write_graph6,
+)
 from cliquebounds.cli import main
 from oracles import bowtie
 
@@ -184,6 +191,11 @@ class TestGenCommand:
         code, out1, _ = run_cli(capsys, ["gen", "--clique-forest", "3x2-5", "--seed", "42"])
         code2, out2, _ = run_cli(capsys, ["gen", "--clique-forest", "3x2-5", "--seed", "42"])
         assert code == code2 == 0 and out1 == out2
+
+    def test_pdbg_past_62_vertices(self, capsys):
+        code, out, err = run_cli(capsys, ["gen", "--pdbg", "33,32"])
+        assert code == 0, err
+        assert parse_graph6(out.strip()) == generate_pdbg(BlockSpec((33, 32)))
 
     def test_invalid_pdbg_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, ["gen", "--pdbg", "2,3"])

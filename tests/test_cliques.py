@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquebounds import (
+    Graph,
     binom,
     complete_graph,
     contribution_table,
@@ -16,8 +17,8 @@ from cliquebounds import (
     enumerate_cliques,
     random_graph,
 )
-from oracles import petersen, subset_clique_count
-from strategies import graphs
+from oracles import nx_cliques_by_order, petersen, subset_clique_count
+from strategies import block_glued_graph, graphs, random_pdbgs
 
 
 class TestBinom:
@@ -88,6 +89,42 @@ class TestCountCliquesTouching:
         touch = set(range(0, g.n, 2))
         rest = g.induced(v for v in range(g.n) if v not in touch)
         assert count_cliques_touching(g, s, touch) == count_cliques(g, s) - count_cliques(rest, s)
+
+
+class TestAgainstNetworkx:
+    """count_cliques, count_cliques_touching and enumerate_cliques for s <= 5
+    against networkx's clique listing, far past the subset oracle's n <= 6."""
+
+    def assert_matches(self, g, rng):
+        touch = {v for v in range(g.n) if rng.random() < 0.3}
+        for s, expected in enumerate(nx_cliques_by_order(g, 5)):
+            assert count_cliques(g, s) == len(expected), (g, s)
+            assert list(enumerate_cliques(g, s)) == expected, (g, s)
+            meeting = sum(1 for c in expected if touch.intersection(c))
+            assert count_cliques_touching(g, s, touch) == meeting, (g, s, touch)
+
+    def test_random_pdbg_specs(self):
+        rng = random.Random(808)
+        for g in random_pdbgs():
+            self.assert_matches(g, rng)
+
+    def test_seeded_block_glued_graphs(self):
+        rng = random.Random(2718)
+        for _ in range(500):
+            self.assert_matches(block_glued_graph(rng, 16), rng)
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(4040)
+        for _ in range(40):
+            n = rng.randint(20, 40)
+            self.assert_matches(random_graph(n, rng.uniform(0.2, 0.6), rng.randrange(1 << 30)), rng)
+
+    def test_touching_never_builds_a_subgraph(self, monkeypatch):
+        def refuse(self, vertices):
+            raise AssertionError("induced subgraph built")
+
+        monkeypatch.setattr(Graph, "induced", refuse)
+        assert count_cliques_touching(complete_graph(6), 3, {0, 1}) == 16
 
 
 class TestContributionTable:

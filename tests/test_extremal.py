@@ -26,26 +26,7 @@ from oracles import (
     nx_is_parent_dominated,
     petersen,
 )
-from strategies import block_glued_graph
-
-
-def random_pdbgs():
-    """200 parent-dominated block graphs from random block specs (seed 808),
-    each at most 30 vertices."""
-    rng = random.Random(808)
-    for _ in range(200):
-        orders = [rng.randint(2, 9)]
-        parents = []
-        total = orders[0]
-        for i in range(rng.randint(0, 11)):
-            par = rng.randrange(len(orders))
-            o = rng.randint(2, orders[par])
-            if total + o - 1 > 30:
-                break
-            parents.append(par)
-            orders.append(o)
-            total += o - 1
-        yield generate_pdbg(BlockSpec(tuple(orders), tuple(parents)))
+from strategies import block_glued_graph, random_pdbgs
 
 
 class TestBlockDecomposition:

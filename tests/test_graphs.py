@@ -89,9 +89,17 @@ class TestGraph6:
     def test_optional_prefix(self):
         assert parse_graph6(">>graph6<<Bw") == complete_graph(3)
 
-    def test_size_guard(self):
-        with pytest.raises(ValueError, match="62"):
-            write_graph6(Graph(63, (0,) * 63))
+    def test_long_form_size_header(self):
+        empty = Graph(63, (0,) * 63)
+        assert write_graph6(empty) == "~??~" + "?" * 326
+        assert parse_graph6(write_graph6(empty)) == empty
+
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_long_form_matches_networkx(self, n):
+        g = path_graph(n)
+        text = write_graph6(g)
+        assert text == nx.to_graph6_bytes(nx.path_graph(n), header=False).decode().strip()
+        assert parse_graph6(text) == g
 
     @pytest.mark.parametrize(
         "bad", ["", "B", "Bww", "B\x1c", "~~~~~"]
@@ -187,10 +195,10 @@ class TestEnumeration:
 
     def test_connected_counts(self):
         for n, expected in enumerate(CONNECTED_COUNTS):
-            assert len(list(enumerate_graphs(n, connected_only=True))) == expected
+            assert len(list(filter(is_connected, enumerate_graphs(n)))) == expected
 
     def test_n3_connected_is_path_and_triangle(self):
-        got = sorted(g.edge_count() for g in enumerate_graphs(3, connected_only=True))
+        got = sorted(g.edge_count() for g in filter(is_connected, enumerate_graphs(3)))
         assert got == [2, 3]
 
     def test_resource_guard(self):

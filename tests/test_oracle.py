@@ -106,8 +106,10 @@ class TestPathProofClaims:
         # s=3, k=6: product (6/3)(5/2) = 5 and 3 < 4 < 5
         prod = Fraction(6, 3) * Fraction(5, 2)
         assert prod == 5
-        summary = path_proof_claims(1, s_max=3, k_max=6)
+        summary = path_proof_claims(1)
         assert summary["ok"]
+        # the fixed grid s in [3, 8], k in [2s, 40] includes (3, 6)
+        assert summary["chain_cells"] == sum(41 - 2 * s for s in range(3, 9))
 
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
