@@ -353,8 +353,10 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphParseError(f"bad edge on line {lineno}: {ln!r}") from None
-        if not (0 <= u < n and 0 <= v < n) or u == v:
+        if not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(f"edge {u} {v} on line {lineno} out of range")
+        if u == v:
+            raise GraphParseError(f"self-loop {u} {v} on line {lineno}")
         edges.append((u, v))
     return from_edges(n, set(tuple(sorted(e)) for e in edges))
 

@@ -47,19 +47,26 @@ def simple_transforms(g: Graph, path: PathSeq) -> list[PathSeq]:
     path was extendable, violating the caller's longest-path certificate).
     """
     _require_path(g, path)
+    return _rotations(g, path)
+
+
+def _rotations(g: Graph, path: PathSeq) -> list[PathSeq]:
+    """``simple_transforms`` of a sequence already known to be a path: a
+    rotation of a path is a path, so the closure validates only its base."""
     k = len(path) - 1
     terminal = path[k]
-    on_path = set(path)
-    for u in g.neighbors(terminal):
-        if u not in on_path:
-            raise ValueError(
-                f"terminal {terminal} has neighbor {u} off the path; not a longest path"
-            )
-    out = []
-    for j in range(k - 1):
-        if g.has_edge(path[j], terminal):
-            out.append(path[: j + 1] + tuple(reversed(path[j + 1 :])))
-    return out
+    row = g.adj[terminal]
+    off = row
+    for v in path:
+        off &= ~(1 << v)
+    if off:
+        u = (off & -off).bit_length() - 1
+        raise ValueError(f"terminal {terminal} has neighbor {u} off the path; not a longest path")
+    return [
+        path[: j + 1] + tuple(reversed(path[j + 1 :]))
+        for j in range(k - 1)
+        if row >> path[j] & 1
+    ]
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,10 @@ def transform_closure(
     """Breadth-first closure of a longest v0-path under single rotations.
 
     Paths are deduplicated by full vertex sequence, not by endpoint: distinct
-    sequences with the same terminal can expose different chords later.
+    sequences with the same terminal can expose different chords later. The
+    base is validated once; each path's terminal is still checked for a
+    neighbor off the path, so a base that is not a longest path raises
+    ValueError.
     """
     _require_path(g, path)
     start = path[0]
@@ -93,7 +103,7 @@ def transform_closure(
         reps[path[-1]] = path
     while queue:
         cur = queue.popleft()
-        for nxt in simple_transforms(g, cur):
+        for nxt in _rotations(g, cur):
             if nxt in seen:
                 continue
             if len(seen) >= budget:

@@ -9,6 +9,16 @@ over the block-cut tree (Hopcroft & Tarjan 1973), at a cost of about
 (cut vertices in B + 2) * 2^|B| per non-clique block B. The block
 decomposition comes from ``graphs`` and is returned on ``VertexWeights``,
 so its readers (the extremal predicate) need not build it again.
+
+``longest_path_from`` gives the lexicographically least longest path from
+a start vertex, which the rotation closure of ``transforms`` starts from:
+one breadth-first search over (vertex set, end) states for its length, then
+one depth-first search with a memo of dead states for the path, which skips
+a state whose end cannot reach enough unused vertices.
+
+The kernels walk vertex sets as bitmasks one low bit at a time
+(``b = m & -m; m ^= b``) and index neighbour rows by that bit, so their
+inner loops make no generator call and no ``bit_length`` call.
 """
 
 from __future__ import annotations
@@ -172,43 +182,50 @@ def _compose(g: Graph, decomp: BlockDecomposition, dp_limit: int) -> VertexWeigh
 def _path_and_cycle_tables(adj, n: int) -> tuple[list[int], list[int]]:
     """p and c of a graph on vertices 0..n-1, by subset DP.
 
-    Two tables over subsets S: endpoints of simple paths spanning exactly S
-    (any start) drive p; endpoints of paths spanning S that start at min(S)
-    detect cycles, closing S into a cycle when some endpoint is adjacent to
-    min(S) and |S| >= 3.
+    Two tables over subsets S, filled in one sweep: endpoints of simple
+    paths spanning exactly S (any start) drive p; endpoints of paths
+    spanning S that start at min(S) detect cycles, closing S into a cycle
+    when some endpoint is adjacent to min(S) and |S| >= 3. Every rooted
+    state is also an any-start state, so one skip test serves both.
     """
     size = 1 << n
-
+    nbr = {1 << v: adj[v] for v in range(n)}
     endp = [0] * size
-    for v in range(n):
-        endp[1 << v] = 1 << v
+    rooted = [0] * size
+    for bit in nbr:
+        endp[bit] = rooted[bit] = bit
     paths = [0] * n
+    cycles = [0] * (n + 1)
     for s_mask in range(1, size):
         ends = endp[s_mask]
         if not ends:
             continue
-        paths[s_mask.bit_count() - 1] |= s_mask
-        for u in iter_bits(ends):
-            ext = adj[u] & ~s_mask
-            for w in iter_bits(ext):
-                endp[s_mask | (1 << w)] |= 1 << w
-
-    rooted = [0] * size
-    for v in range(n):
-        rooted[1 << v] = 1 << v
-    cycles = [0] * (n + 1)
-    for s_mask in range(1, size):
+        count = s_mask.bit_count()
+        paths[count - 1] |= s_mask
+        out = ~s_mask
+        while ends:
+            b = ends & -ends
+            ends ^= b
+            ext = nbr[b] & out
+            while ext:
+                w = ext & -ext
+                ext ^= w
+                endp[s_mask | w] |= w
         ends = rooted[s_mask]
         if not ends:
             continue
         low = s_mask & -s_mask
-        above = ~((low << 1) - 1)
-        if s_mask.bit_count() >= 3 and ends & adj[low.bit_length() - 1]:
-            cycles[s_mask.bit_count()] |= s_mask
-        for u in iter_bits(ends):
-            ext = adj[u] & ~s_mask & above
-            for w in iter_bits(ext):
-                rooted[s_mask | (1 << w)] |= 1 << w
+        if count >= 3 and ends & nbr[low]:
+            cycles[count] |= s_mask
+        out &= -(low << 1)  # a rooted path grows only above its root min(S)
+        while ends:
+            b = ends & -ends
+            ends ^= b
+            ext = nbr[b] & out
+            while ext:
+                w = ext & -ext
+                ext ^= w
+                rooted[s_mask | w] |= w
     return _longest_containing(paths, n, 0), _longest_containing(cycles, n, 2)
 
 
@@ -221,25 +238,36 @@ def _paths_from(adj, n: int, a: int, targets: list[int]) -> tuple[list[int], lis
     or a single edge), so no a-b row keeps its placeholder 0.
     """
     size = 1 << n
+    nbr = {1 << v: adj[v] for v in range(n)}
     reach = [0] * size
     reach[1 << a] = 1 << a
-    target_mask = sum(1 << b for b in targets)
+    target_bits = [1 << b for b in targets]
+    target_mask = sum(target_bits)
     paths = [0] * n
-    to_b = {b: [0] * n for b in targets}
+    to_b = {bit: [0] * n for bit in target_bits}
     for s_mask in range(1 << a, size):
         ends = reach[s_mask]
         if not ends:
             continue
         length = s_mask.bit_count() - 1
         paths[length] |= s_mask
-        for b in iter_bits(ends & target_mask):
+        hit = ends & target_mask
+        while hit:
+            b = hit & -hit
+            hit ^= b
             to_b[b][length] |= s_mask
-        for u in iter_bits(ends):
-            for w in iter_bits(adj[u] & ~s_mask):
-                reach[s_mask | (1 << w)] |= 1 << w
+        out = ~s_mask
+        while ends:
+            b = ends & -ends
+            ends ^= b
+            ext = nbr[b] & out
+            while ext:
+                w = ext & -ext
+                ext ^= w
+                reach[s_mask | w] |= w
     return (
         _longest_containing(paths, n, 0),
-        [_longest_containing(to_b[b], n, 0) for b in targets],
+        [_longest_containing(to_b[bit], n, 0) for bit in target_bits],
     )
 
 
@@ -249,58 +277,99 @@ def _longest_containing(by_length: list[int], n: int, floor: int) -> list[int]:
     sets of the paths with L edges (of the cycles with L vertices)."""
     out = [floor] * n
     for length, mask in enumerate(by_length):
-        for v in iter_bits(mask):
-            out[v] = length
+        while mask:
+            b = mask & -mask
+            mask ^= b
+            out[b.bit_length() - 1] = length
     return out
 
 
 def _max_len_from(adj, start: int, avail: int) -> int:
-    """Longest simple path length starting at ``start`` inside ``avail``."""
+    """Longest simple path length starting at ``start`` inside ``avail``,
+    by breadth-first search over (vertex set, end) states."""
+    nbr = {1 << v: row & avail for v, row in enumerate(adj)}
     cur = {1 << start: 1 << start}
     length = 0
     while True:
         nxt: dict[int, int] = {}
         for s_mask, ends in cur.items():
-            for u in iter_bits(ends):
-                ext = adj[u] & avail & ~s_mask
-                for w in iter_bits(ext):
-                    key = s_mask | (1 << w)
-                    nxt[key] = nxt.get(key, 0) | (1 << w)
+            out = ~s_mask
+            while ends:
+                b = ends & -ends
+                ends ^= b
+                ext = nbr[b] & out
+                while ext:
+                    w = ext & -ext
+                    ext ^= w
+                    key = s_mask | w
+                    nxt[key] = nxt.get(key, 0) | w
         if not nxt:
             return length
         cur = nxt
         length += 1
 
 
+def _reach(nbr: dict[int, int], bit: int, free: int) -> int:
+    """The vertices of ``free`` reachable from the vertex ``bit`` (outside
+    ``free``) through ``free``, as a mask; ``nbr`` maps vertex bits to rows."""
+    seen = frontier = bit
+    while frontier:
+        b = frontier & -frontier
+        frontier ^= b
+        new = nbr[b] & free & ~seen
+        seen |= new
+        frontier |= new
+    return seen ^ bit
+
+
 def longest_path_from(g: Graph, v0: int, dp_limit: int = DEFAULT_DP_LIMIT) -> tuple[int, ...]:
     """A maximum-length simple path starting at v0, lexicographically least.
 
-    Built greedily: at each step take the smallest next vertex from which the
-    remaining graph still admits a completion to full length.
+    One BFS finds the maximum length; then one DFS with a dead-state memo
+    extends the path in increasing vertex order. A (vertex set, end) state
+    fixes the length still to go, so a state with no completion never gets
+    one later, and the first full-length path reached is the
+    lexicographically least. A state from whose end fewer unused vertices
+    are reachable than edges are still to go is skipped without a search.
     """
     # Guarded on n, not per block: the path states multiply across blocks
     # (a chain of 21 K4 blocks has about 4^21 vertex sets of paths from v0).
     _guard(g.n, dp_limit, "n")
     if not 0 <= v0 < g.n:
         raise ValueError(f"start vertex {v0} not in graph")
-    adj = g.adj
-    avail = g.full_mask
-    target = _max_len_from(adj, v0, avail)
-    path = [v0]
-    avail &= ~(1 << v0)
-    remaining = target
-    cur = v0
-    while remaining:
-        for w in iter_bits(adj[cur] & avail):
-            if _max_len_from(adj, w, avail) >= remaining - 1:
-                path.append(w)
-                avail &= ~(1 << w)
-                cur = w
-                remaining -= 1
-                break
-        else:
-            raise AssertionError("greedy completion lost feasibility")
-    return tuple(path)
+    full = g.full_mask
+    target = _max_len_from(g.adj, v0, full)
+    nbr = {1 << v: row for v, row in enumerate(g.adj)}
+    # dead[S]: the ends e for which no path from v0 spanning S and ending
+    # at e extends to the target length
+    dead: dict[int, int] = {}
+    s_mask = 1 << v0
+    path = [s_mask]
+    todo = [nbr[s_mask] & ~s_mask]  # per depth, the next vertices not yet tried
+    while len(path) <= target:
+        cand = todo[-1]
+        if not cand:
+            end = path.pop()
+            todo.pop()
+            if not path:
+                raise AssertionError("no path reaches the length the BFS found")
+            dead[s_mask] = dead.get(s_mask, 0) | end
+            s_mask ^= end
+            continue
+        w = cand & -cand
+        todo[-1] = cand ^ w
+        grown = s_mask | w
+        if dead.get(grown, 0) & w:
+            continue
+        # fewer vertices reachable from w off the path than edges still to
+        # go: dead at once, so a path that strands part of a block leaves
+        # no memo entry behind (a chain of K4 blocks would fill it)
+        if _reach(nbr, w, full & ~grown).bit_count() < target - len(path):
+            continue
+        s_mask = grown
+        path.append(w)
+        todo.append(nbr[w] & ~grown)
+    return tuple(b.bit_length() - 1 for b in path)
 
 
 def compute_weights_block_graph(g: Graph) -> VertexWeights:

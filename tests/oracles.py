@@ -1,12 +1,17 @@
 """Independent reference implementations used only to cross-check the package.
 
-Everything here but two deliberately avoids the package's bitmask DP style:
-paths and cycles come from plain recursive DFS over neighbor lists, clique
-counts from subset enumeration, canonical forms from trying all permutations.
-The two are the package's retired weights algorithms, which its current
-weights are checked against: ``subset_dp_weights``, the whole-graph
-subset DP, and ``tree_dp_block_graph_weights``, the block-cut-tree DP for
-block graphs (the only oracle that reaches n = 64). Both return
+Everything here but the retired algorithms deliberately avoids the
+package's bitmask DP style: paths and cycles come from plain recursive DFS
+over neighbor lists, clique counts from subset enumeration, canonical forms
+from trying all permutations. The package's current weights are checked
+against its retired weights algorithms: ``subset_dp_weights``, the
+whole-graph subset DP (the per-bit loops of ``_path_and_cycle_tables``,
+applied to the whole graph), and ``tree_dp_block_graph_weights``, the
+block-cut-tree DP for block graphs (the only oracle that reaches n = 64).
+The retired per-bit ``_paths_from`` is ``per_bit_paths_from``, and the
+retired longest path, a greedy that runs one breadth-first search
+(``per_bit_max_len_from``) per candidate step, is
+``greedy_longest_path_from``. The two weights oracles return
 ``VertexWeights`` carrying the package's block decomposition of g, so they
 compare equal to ``compute_weights`` field by field; their p and c are
 computed without it. The block decomposition and the block-graph
@@ -291,6 +296,79 @@ def dfs_longest_paths_from(g: Graph, v0: int) -> list[tuple[int, ...]]:
     walk([v0], {v0})
     best = max(len(p) for p in found)
     return sorted(p for p in found if len(p) == best)
+
+
+def per_bit_paths_from(adj, n: int, a: int, targets: list[int]):
+    """The retired ``weights._paths_from``: the same tables, with the set
+    bits of each mask walked by ``iter_bits``."""
+    size = 1 << n
+    reach = [0] * size
+    reach[1 << a] = 1 << a
+    target_mask = sum(1 << b for b in targets)
+    paths = [0] * n
+    to_b = {b: [0] * n for b in targets}
+    for s_mask in range(1 << a, size):
+        ends = reach[s_mask]
+        if not ends:
+            continue
+        length = s_mask.bit_count() - 1
+        paths[length] |= s_mask
+        for b in iter_bits(ends & target_mask):
+            to_b[b][length] |= s_mask
+        for u in iter_bits(ends):
+            for w in iter_bits(adj[u] & ~s_mask):
+                reach[s_mask | (1 << w)] |= 1 << w
+
+    def longest_containing(by_length):
+        out = [0] * n
+        for length, mask in enumerate(by_length):
+            for v in iter_bits(mask):
+                out[v] = length
+        return out
+
+    return longest_containing(paths), [longest_containing(to_b[b]) for b in targets]
+
+
+def per_bit_max_len_from(adj, start: int, avail: int) -> int:
+    """The retired ``weights._max_len_from``: longest simple path length
+    starting at ``start`` inside ``avail``, by breadth-first search."""
+    cur = {1 << start: 1 << start}
+    length = 0
+    while True:
+        nxt: dict[int, int] = {}
+        for s_mask, ends in cur.items():
+            for u in iter_bits(ends):
+                for w in iter_bits(adj[u] & avail & ~s_mask):
+                    key = s_mask | (1 << w)
+                    nxt[key] = nxt.get(key, 0) | (1 << w)
+        if not nxt:
+            return length
+        cur = nxt
+        length += 1
+
+
+def greedy_longest_path_from(g: Graph, v0: int) -> tuple[int, ...]:
+    """The retired ``weights.longest_path_from``: at each step take the
+    smallest next vertex from which the remaining graph still admits a
+    completion to full length, asking one breadth-first search per
+    candidate."""
+    adj = g.adj
+    avail = g.full_mask
+    remaining = per_bit_max_len_from(adj, v0, avail)
+    path = [v0]
+    avail &= ~(1 << v0)
+    cur = v0
+    while remaining:
+        for w in iter_bits(adj[cur] & avail):
+            if per_bit_max_len_from(adj, w, avail) >= remaining - 1:
+                path.append(w)
+                avail &= ~(1 << w)
+                cur = w
+                remaining -= 1
+                break
+        else:
+            raise AssertionError("greedy completion lost feasibility")
+    return tuple(path)
 
 
 def nx_cliques_by_order(g: Graph, s_max: int) -> list[list[tuple[int, ...]]]:

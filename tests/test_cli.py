@@ -62,6 +62,11 @@ class TestWeightsCommand:
         code, _, err = run_cli(capsys, ["weights", str(f)])
         assert code == 2 and "line 5" in err
 
+    def test_self_loop_exits_2_and_is_named(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, ["weights"], stdin="n 3\n0 0\n", monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert err == "error: self-loop 0 0 on line 2\n"
+
     def test_path_19_at_the_default_limit(self, capsys, monkeypatch):
         # every block is a bridge, so no block runs the subset DP
         code, out, err = run_cli(

@@ -158,6 +158,12 @@ class TestEdgeList:
         with pytest.raises(GraphParseError):
             parse_edge_list("n 2\n0 5\n")
 
+    def test_self_loop_is_named(self):
+        with pytest.raises(GraphParseError, match="self-loop 0 0 on line 2$"):
+            parse_edge_list("n 3\n0 0\n")
+        with pytest.raises(GraphParseError, match="self-loop 2 2 on line 4$"):
+            parse_edge_list("n 3\n0 1\n\n2 2\n")
+
     def test_errors_name_the_physical_line(self):
         with pytest.raises(GraphParseError, match="line 4"):
             parse_edge_list("n 3\n\n0 1\nx y\n")

@@ -22,6 +22,7 @@ from cliquebounds import (
     verify_closure_lemmas,
     verify_peel_decomposition,
 )
+from cliquebounds import transforms
 from oracles import bowtie
 
 
@@ -61,6 +62,29 @@ class TestSimpleTransforms:
 
 
 class TestTransformClosure:
+    def test_validates_the_base_path_once(self, monkeypatch):
+        checks = []
+        require = transforms._require_path
+        monkeypatch.setattr(
+            transforms, "_require_path", lambda g, path: checks.append(path) or require(g, path)
+        )
+        g = complete_graph(5)
+        base = longest_path_from(g, 0)
+        tc = transform_closure(g, base)
+        assert len(tc.paths) == 24
+        assert checks == [base]
+        with pytest.raises(ValueError, match="repeated vertex"):
+            transform_closure(g, (0, 1, 0))
+
+    def test_rotated_terminal_with_off_path_neighbor_raises(self):
+        # 0-1-2-3 with chord 1-3 and pendant 2-4: the base's terminal 3 has
+        # every neighbor on the path, but the rotation (0, 1, 3, 2) ends at
+        # 2, whose neighbor 4 is off it; (0, 1, 3, 2, 4) is longer
+        g = from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 3), (2, 4)])
+        assert simple_transforms(g, (0, 1, 2, 3)) == [(0, 1, 3, 2)]
+        with pytest.raises(ValueError, match="terminal 2 has neighbor 4 off the path"):
+            transform_closure(g, (0, 1, 2, 3))
+
     def test_path_graph_trivial(self):
         g = path_graph(5)
         tc = transform_closure(g, (0, 1, 2, 3, 4))

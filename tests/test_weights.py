@@ -20,11 +20,14 @@ from cliquebounds import (
     random_clique_forest,
     random_graph,
 )
-from cliquebounds.weights import _DP_BYTES_PER_SLOT, _path_and_cycle_tables
+from cliquebounds import weights
+from cliquebounds.weights import _DP_BYTES_PER_SLOT, _path_and_cycle_tables, _paths_from
 from oracles import (
     bowtie,
     dfs_longest_paths_from,
     dfs_weights,
+    greedy_longest_path_from,
+    per_bit_paths_from,
     petersen,
     subset_dp_weights,
     tree_dp_block_graph_weights,
@@ -156,6 +159,18 @@ class TestAgainstWholeGraphSubsetDP:
             g = random_graph(n, rng.uniform(0.15, 0.6), rng.randrange(1 << 30))
             assert compute_weights(g) == subset_dp_weights(g), g
 
+    def test_kernels_match_the_per_bit_loops(self):
+        # arbitrary graphs, not only blocks: the kernels take any adjacency
+        rng = random.Random(1414)
+        for _ in range(150):
+            n = rng.randint(1, 10)
+            g = random_graph(n, rng.uniform(0.1, 0.7), rng.randrange(1 << 30))
+            w = subset_dp_weights(g)
+            assert _path_and_cycle_tables(g.adj, n) == (list(w.p), list(w.c)), g
+            a = rng.randrange(n)
+            targets = rng.sample([v for v in range(n) if v != a], rng.randint(0, n - 1))
+            assert _paths_from(g.adj, n, a, targets) == per_bit_paths_from(g.adj, n, a, targets), g
+
     def test_work_scales_with_the_largest_block(self):
         # 63 bridges: far past any whole-graph DP, instant block by block
         w = compute_weights(path_graph(64), dp_limit=64)
@@ -176,13 +191,41 @@ class TestLongestPathFrom:
         path = longest_path_from(cycle_graph(5), 2)
         assert len(path) == 5 and path[0] == 2
 
-    def test_lex_least_against_oracle(self):
-        rng = random.Random(77)
-        for _ in range(40):
-            n = rng.randint(1, 8)
-            g = random_graph(n, rng.uniform(0.2, 0.6), rng.randrange(1 << 30))
-            v0 = rng.randrange(n)
-            assert longest_path_from(g, v0) == dfs_longest_paths_from(g, v0)[0]
+    def test_lex_least_against_oracle(self, reps_by_n, reps7):
+        for g in [g for n in range(1, 7) for g in reps_by_n[n]] + reps7:
+            for v0 in range(g.n):
+                path = longest_path_from(g, v0)
+                assert path == greedy_longest_path_from(g, v0), (g, v0)
+                assert path == dfs_longest_paths_from(g, v0)[0], (g, v0)
+
+    def test_lex_least_on_block_glued_graphs(self):
+        rng = random.Random(2718)
+        for _ in range(500):
+            g = block_glued_graph(rng, 16)
+            path = longest_path_from(g, 0)
+            assert path == greedy_longest_path_from(g, 0), g
+            if g.n <= 8:
+                assert path == dfs_longest_paths_from(g, 0)[0], g
+
+    def test_one_breadth_first_search_per_call(self, monkeypatch):
+        # the retired greedy ran one search per candidate step
+        searches = []
+        bfs = weights._max_len_from
+
+        def counted(*args):
+            searches.append(args)
+            return bfs(*args)
+
+        monkeypatch.setattr(weights, "_max_len_from", counted)
+        rng = random.Random(4)
+        graphs_seen = [complete_graph(6), petersen(), bowtie()]
+        graphs_seen += [block_glued_graph(rng, 12) for _ in range(20)]
+        for g in graphs_seen:
+            searches.clear()
+            path = longest_path_from(g, 0)
+            assert len(searches) == 1, g
+            assert path == greedy_longest_path_from(g, 0), g
+            assert compute_weights(g) == subset_dp_weights(g), g
 
     def test_bad_start(self):
         with pytest.raises(ValueError):
