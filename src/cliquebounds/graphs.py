@@ -55,9 +55,11 @@ class Graph:
                 raise ValueError(f"adjacency row {v} has bits >= n")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            for u in iter_bits(row):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric edge {v}-{u}")
+            while row:
+                b = row & -row
+                row ^= b
+                if not self.adj[b.bit_length() - 1] >> v & 1:
+                    raise ValueError(f"asymmetric edge {v}-{b.bit_length() - 1}")
 
     @property
     def full_mask(self) -> int:

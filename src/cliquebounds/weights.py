@@ -12,9 +12,9 @@ so its readers (the extremal predicate) need not build it again.
 
 ``longest_path_from`` gives the lexicographically least longest path from
 a start vertex, which the rotation closure of ``transforms`` starts from:
-one breadth-first search over (vertex set, end) states for its length, then
-one depth-first search with a memo of dead states for the path, which skips
-a state whose end cannot reach enough unused vertices.
+one branch-and-bound depth-first search that keeps the best path so far,
+memoizes the (vertex set, end) states that cannot beat it, and skips an end
+that cannot reach enough unused vertices to beat it.
 
 The kernels walk vertex sets as bitmasks one low bit at a time
 (``b = m & -m; m ^= b``) and index neighbour rows by that bit, so their
@@ -49,10 +49,10 @@ class VertexWeights:
 _DP_BYTES_PER_SLOT = 40
 
 
-def _guard(size: int, dp_limit: int, what: str):
+def _guard(search: str, what: str, size: int, dp_limit: int):
     if size > dp_limit:
         raise ResourceLimitError(
-            f"subset DP guarded at {what} <= {dp_limit} (got {size}); "
+            f"{search} guarded at {what} <= {dp_limit} (got {size}); "
             "raise dp_limit explicitly"
         )
 
@@ -107,7 +107,7 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
 def _compose(g: Graph, decomp: BlockDecomposition, dp_limit: int) -> VertexWeights:
     """The weights of g from its block decomposition ``decomp``."""
     largest = max((len(b) for b, cl in zip(decomp.blocks, decomp.clique) if not cl), default=0)
-    _guard(largest, dp_limit, "non-clique block order")
+    _guard("subset DP", "non-clique block order", largest, dp_limit)
     _memory_guard(largest)
     cuts_of: list[list[int]] = [[] for _ in decomp.blocks]
     for bi, a in decomp.tree_edges:
@@ -284,31 +284,6 @@ def _longest_containing(by_length: list[int], n: int, floor: int) -> list[int]:
     return out
 
 
-def _max_len_from(adj, start: int, avail: int) -> int:
-    """Longest simple path length starting at ``start`` inside ``avail``,
-    by breadth-first search over (vertex set, end) states."""
-    nbr = {1 << v: row & avail for v, row in enumerate(adj)}
-    cur = {1 << start: 1 << start}
-    length = 0
-    while True:
-        nxt: dict[int, int] = {}
-        for s_mask, ends in cur.items():
-            out = ~s_mask
-            while ends:
-                b = ends & -ends
-                ends ^= b
-                ext = nbr[b] & out
-                while ext:
-                    w = ext & -ext
-                    ext ^= w
-                    key = s_mask | w
-                    nxt[key] = nxt.get(key, 0) | w
-        if not nxt:
-            return length
-        cur = nxt
-        length += 1
-
-
 def _reach(nbr: dict[int, int], bit: int, free: int) -> int:
     """The vertices of ``free`` reachable from the vertex ``bit`` (outside
     ``free``) through ``free``, as a mask; ``nbr`` maps vertex bits to rows."""
@@ -325,34 +300,34 @@ def _reach(nbr: dict[int, int], bit: int, free: int) -> int:
 def longest_path_from(g: Graph, v0: int, dp_limit: int = DEFAULT_DP_LIMIT) -> tuple[int, ...]:
     """A maximum-length simple path starting at v0, lexicographically least.
 
-    One BFS finds the maximum length; then one DFS with a dead-state memo
-    extends the path in increasing vertex order. A (vertex set, end) state
-    fixes the length still to go, so a state with no completion never gets
-    one later, and the first full-length path reached is the
-    lexicographically least. A state from whose end fewer unused vertices
-    are reachable than edges are still to go is skipped without a search.
+    One branch-and-bound DFS extends the path in increasing vertex order and
+    keeps the first path longer than the best so far, so the first path of
+    maximum length, the lexicographically least, is the one kept. A
+    (vertex set, end) state whose subtree is exhausted holds no path longer
+    than the best, which only grows, so it is memoized as dead. A vertex
+    from which fewer unused vertices are reachable than the best path needs
+    is skipped without a search, and the search stops once the best path
+    spans the component of v0.
     """
-    # Guarded on n, not per block: the path states multiply across blocks
-    # (a chain of 21 K4 blocks has about 4^21 vertex sets of paths from v0).
-    _guard(g.n, dp_limit, "n")
+    # Guarded on n: the search is exponential in the worst case.
+    _guard("longest-path search", "n", g.n, dp_limit)
     if not 0 <= v0 < g.n:
         raise ValueError(f"start vertex {v0} not in graph")
     full = g.full_mask
-    target = _max_len_from(g.adj, v0, full)
     nbr = {1 << v: row for v, row in enumerate(g.adj)}
-    # dead[S]: the ends e for which no path from v0 spanning S and ending
-    # at e extends to the target length
-    dead: dict[int, int] = {}
     s_mask = 1 << v0
+    most = _reach(nbr, s_mask, full ^ s_mask).bit_count() + 1
     path = [s_mask]
+    best = path[:]
+    # dead[S]: the ends e for which no path from v0 spanning S and ending
+    # at e extends past the best path
+    dead: dict[int, int] = {}
     todo = [nbr[s_mask] & ~s_mask]  # per depth, the next vertices not yet tried
-    while len(path) <= target:
+    while todo and len(best) < most:
         cand = todo[-1]
         if not cand:
             end = path.pop()
             todo.pop()
-            if not path:
-                raise AssertionError("no path reaches the length the BFS found")
             dead[s_mask] = dead.get(s_mask, 0) | end
             s_mask ^= end
             continue
@@ -361,15 +336,15 @@ def longest_path_from(g: Graph, v0: int, dp_limit: int = DEFAULT_DP_LIMIT) -> tu
         grown = s_mask | w
         if dead.get(grown, 0) & w:
             continue
-        # fewer vertices reachable from w off the path than edges still to
-        # go: dead at once, so a path that strands part of a block leaves
-        # no memo entry behind (a chain of K4 blocks would fill it)
-        if _reach(nbr, w, full & ~grown).bit_count() < target - len(path):
+        # too few vertices reachable from w off the path to beat the best
+        if len(path) + _reach(nbr, w, full & ~grown).bit_count() < len(best):
             continue
         s_mask = grown
         path.append(w)
         todo.append(nbr[w] & ~grown)
-    return tuple(b.bit_length() - 1 for b in path)
+        if len(path) > len(best):
+            best = path[:]
+    return tuple(b.bit_length() - 1 for b in best)
 
 
 def compute_weights_block_graph(g: Graph) -> VertexWeights:

@@ -253,6 +253,17 @@ class TestPeelCommand:
         assert code == 0, err
         assert json.loads(out.strip().splitlines()[-1])["ok"] is True
 
+    def test_path_19_names_the_longest_path_guard(self, capsys, monkeypatch):
+        # the weights of P19 run no subset DP; its longest-path search is guarded on n
+        code, out, err = run_cli(
+            capsys, ["peel"], stdin=write_graph6(path_graph(19)), monkeypatch=monkeypatch
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "resource guard: longest-path search guarded at n <= 18 (got 19); "
+            "raise dp_limit explicitly\n"
+        )
+
     def test_bowtie_verdict(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             capsys, ["peel"], stdin=write_graph6(bowtie()), monkeypatch=monkeypatch

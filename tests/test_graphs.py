@@ -64,6 +64,16 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(2, (0b100, 0b000))
 
+    def test_first_failure_names_the_lowest_row(self):
+        # rows are checked in order, each for bits >= n, a self-loop, then
+        # its asymmetric edges from the lowest neighbour up
+        with pytest.raises(ValueError, match="^asymmetric edge 1-2$"):
+            Graph(4, (0b0010, 0b1101, 0b0000, 0b0000))
+        with pytest.raises(ValueError, match="^adjacency row 1 has bits >= n$"):
+            Graph(3, (0b000, 0b1000, 0b000))
+        with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
+            Graph(3, (0b000, 0b110, 0b000))
+
     def test_induced_relabels(self):
         g = path_graph(4)
         h = g.induced([1, 2, 3])

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cliquebounds import (
+    BlockSpec,
     ClosureBudgetError,
     complete_graph,
     compute_weights,
@@ -12,6 +13,7 @@ from cliquebounds import (
     cycle_graph,
     disjoint_union,
     from_edges,
+    generate_pdbg,
     is_connected,
     longest_path_from,
     path_graph,
@@ -294,3 +296,21 @@ class TestPeel:
             assert u not in all_terms
             for s in (2, 3, 4):
                 assert verify_peel_decomposition(g, trace, s)["ok"]
+
+    def test_chains_past_the_default_limit(self):
+        # chains of clique blocks, where the number of (vertex set, end)
+        # path states from a vertex grows about 4^k over k K4 blocks
+        chains = [(BlockSpec((4,) * 12), 4), (BlockSpec((3,) * 30), 3)]  # n = 37, 61
+        # 8 K4 blocks in a chain, with a pendant vertex on each block: n = 33
+        pendants = BlockSpec((4,) * 8 + (2,) * 8, tuple(range(7)) + tuple(range(8)))
+        for spec, order in chains + [(pendants, None)]:
+            g = generate_pdbg(spec)
+            trace = peel(g, dp_limit=64)
+            for s in (2, 3, 4):
+                assert verify_peel_decomposition(g, trace, s)["ok"], (g.n, s)
+            if order is not None:
+                # the start, vertex 0, is the cut vertex between the first
+                # block and the rest, so a longest path from it covers every
+                # vertex but the first block's other order - 1
+                assert trace.start == 0
+                assert len(trace.stages[0].path) == g.n - (order - 1)

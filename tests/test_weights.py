@@ -1,3 +1,4 @@
+import os
 import random
 import tracemalloc
 
@@ -20,19 +21,19 @@ from cliquebounds import (
     random_clique_forest,
     random_graph,
 )
-from cliquebounds import weights
 from cliquebounds.weights import _DP_BYTES_PER_SLOT, _path_and_cycle_tables, _paths_from
 from oracles import (
     bowtie,
     dfs_longest_paths_from,
     dfs_weights,
     greedy_longest_path_from,
+    per_bit_max_len_from,
     per_bit_paths_from,
     petersen,
     subset_dp_weights,
     tree_dp_block_graph_weights,
 )
-from strategies import block_glued_graph, graphs
+from strategies import block_glued_graph, graphs, random_pdbgs
 
 
 class TestComputeWeights:
@@ -200,32 +201,40 @@ class TestLongestPathFrom:
 
     def test_lex_least_on_block_glued_graphs(self):
         rng = random.Random(2718)
-        for _ in range(500):
-            g = block_glued_graph(rng, 16)
+        glued = [block_glued_graph(rng, 16) for _ in range(500)]
+        rng = random.Random(4)
+        glued += [complete_graph(6), petersen(), bowtie()]
+        glued += [block_glued_graph(rng, 12) for _ in range(20)]
+        for g in glued:
             path = longest_path_from(g, 0)
             assert path == greedy_longest_path_from(g, 0), g
             if g.n <= 8:
                 assert path == dfs_longest_paths_from(g, 0)[0], g
 
-    def test_one_breadth_first_search_per_call(self, monkeypatch):
-        # the retired greedy ran one search per candidate step
-        searches = []
-        bfs = weights._max_len_from
+    def test_lex_least_on_seeded_random_graphs(self):
+        # the 200 graphs of TestAgainstWholeGraphSubsetDP, from every start
+        rng = random.Random(1618)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            g = random_graph(n, rng.uniform(0.15, 0.6), rng.randrange(1 << 30))
+            for v0 in range(n):
+                assert longest_path_from(g, v0) == greedy_longest_path_from(g, v0), (g, v0)
 
-        def counted(*args):
-            searches.append(args)
-            return bfs(*args)
+    @pytest.mark.skipif(
+        not os.environ.get("RUN_SLOW"),
+        reason="the breadth-first oracle takes ~8 s on these graphs; set RUN_SLOW=1",
+    )
+    def test_length_on_random_pdbgs(self):
+        for g in random_pdbgs():
+            path = longest_path_from(g, 0, dp_limit=64)
+            assert len(path) - 1 == per_bit_max_len_from(g.adj, 0, g.full_mask), g
 
-        monkeypatch.setattr(weights, "_max_len_from", counted)
-        rng = random.Random(4)
-        graphs_seen = [complete_graph(6), petersen(), bowtie()]
-        graphs_seen += [block_glued_graph(rng, 12) for _ in range(20)]
-        for g in graphs_seen:
-            searches.clear()
-            path = longest_path_from(g, 0)
-            assert len(searches) == 1, g
-            assert path == greedy_longest_path_from(g, 0), g
-            assert compute_weights(g) == subset_dp_weights(g), g
+    def test_resource_guard_names_the_search(self):
+        # the guard is on n, and this search runs no subset DP
+        guarded = r"^longest-path search guarded at n <= 18 \(got 19\)"
+        with pytest.raises(ResourceLimitError, match=guarded):
+            longest_path_from(path_graph(19), 0)
+        assert longest_path_from(path_graph(19), 0, dp_limit=19) == tuple(range(19))
 
     def test_bad_start(self):
         with pytest.raises(ValueError):
