@@ -9,6 +9,7 @@ both bounds dominate the classical global path/cycle bounds.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,23 +20,24 @@ from .weights import VertexWeights, compute_weights
 
 
 def thm1_rhs(g: Graph, s: int, w: VertexWeights) -> Fraction:
-    """Cycle-form right side. The subtracted term depends only on the maximum
-    weight, so the choice among maximizing vertices is irrelevant."""
+    """Cycle-form right side, summed over the tally of distinct weights. The
+    subtracted term depends only on the maximum weight, so the choice among
+    maximizing vertices is irrelevant: it takes one vertex off that tally."""
     if s < 1:
         raise ValueError(f"clique order must be >= 1, got {s}")
     if g.n == 0:
         return Fraction(0)
-    total = Fraction(0)
-    for v in range(g.n):
-        total += Fraction(binom(w.c[v], s), w.c[v] - 1)
-    return total - Fraction(binom(w.circumference, s), w.circumference - 1)
+    tally = Counter(w.c)
+    tally[w.circumference] -= 1
+    return sum((Fraction(k * binom(c, s), c - 1) for c, k in tally.items()), Fraction(0))
 
 
 def thm2_rhs(g: Graph, s: int, w: VertexWeights) -> Fraction:
-    """Path-form right side, (1/s) sum_v C(p(v), s-1)."""
+    """Path-form right side, (1/s) sum_v C(p(v), s-1), summed over the tally
+    of distinct weights."""
     if s < 1:
         raise ValueError(f"clique order must be >= 1, got {s}")
-    return Fraction(sum(binom(w.p[v], s - 1) for v in range(g.n)), s)
+    return Fraction(sum(k * binom(p, s - 1) for p, k in Counter(w.p).items()), s)
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,8 @@ class BoundReport:
     """One bound evaluation: exact sides, gap, equality flag, the structural
     predicate verdict, and whether the two agree. ``in_scope`` is False only
     for the degenerate cycle-form case s=1 on a single vertex, where the
-    stated right side is an empty sum."""
+    stated right side is an empty sum. ``ok`` is the verdict every checker
+    reads."""
 
     theorem: int
     s: int
@@ -55,6 +58,12 @@ class BoundReport:
     extremal: bool
     consistent: bool
     in_scope: bool = True
+
+    @property
+    def ok(self) -> bool:
+        """The violation rule: in scope, the bound holds and equality holds
+        exactly when the predicate does; out of scope, nothing is claimed."""
+        return not self.in_scope or (self.gap >= 0 and self.consistent)
 
     @property
     def graph6(self) -> str:

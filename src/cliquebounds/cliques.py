@@ -2,7 +2,9 @@
 
 Cliques are expanded on bitmasks in vertex-id order: each one is reached
 exactly once, from its lowest vertex, by repeatedly intersecting with the
-higher-id neighbours of the vertex just added.
+higher-id neighbours of the vertex just added. One iterative expansion
+counts the cliques of every order up to a top order at once, so a caller
+that needs several orders of one graph expands its cliques once.
 
 All bound arithmetic downstream is exact rational (fractions.Fraction);
 equality detection hinges on exact ties, so nothing here ever floats.
@@ -28,27 +30,46 @@ def _later_masks(g: Graph) -> list[int]:
     return [a >> (v + 1) << (v + 1) for v, a in enumerate(g.adj)]
 
 
-def _count(later: list[int], cand: int, r: int) -> int:
-    """Number of r-cliques inside the vertex mask ``cand``, each reached once
-    from its lowest vertex."""
-    if r == 0:
-        return 1
-    if cand.bit_count() < r:
-        return 0
-    if r == 1:
-        return cand.bit_count()
-    total = 0
-    for v in iter_bits(cand):
-        total += _count(later, cand & later[v], r - 1)
-    return total
+def _clique_counts(nbr: dict[int, int], cand: int, top: int) -> list[int]:
+    """[N(K_0), ..., N(K_top)] inside the vertex mask ``cand``, in one
+    expansion; ``nbr`` maps vertex bits to neighbour rows. Each clique is
+    reached once, from its lowest vertex."""
+    counts = [1] + [0] * top
+    if top == 0:
+        return counts
+    counts[1] = cand.bit_count()
+    # (c, k): c holds the vertices that each close one k-clique, all higher
+    # than the clique's other k - 1 vertices
+    stack = [(cand, 1)] if top > 1 else []
+    while stack:
+        c, k = stack.pop()
+        while c:
+            b = c & -c
+            c ^= b
+            # c now holds only vertices above b, so the row needs no masking
+            ext = c & nbr[b]
+            if ext:
+                counts[k + 1] += ext.bit_count()
+                if k + 1 < top:
+                    stack.append((ext, k + 1))
+    return counts
+
+
+def _rows(g: Graph) -> dict[int, int]:
+    return {1 << v: row for v, row in enumerate(g.adj)}
+
+
+def clique_counts(g: Graph, s_max: int) -> list[int]:
+    """The clique profile [N(G, K_0), ..., N(G, K_s_max)], from one
+    expansion of every clique with fewer than s_max vertices."""
+    if s_max < 0:
+        raise ValueError(f"clique order must be >= 0, got {s_max}")
+    return _clique_counts(_rows(g), g.full_mask, s_max)
 
 
 def count_cliques(g: Graph, s: int) -> int:
-    """Number of s-vertex cliques: each clique is expanded once, from its
-    lowest vertex along higher-id neighbours, on bitmasks."""
-    if s < 0:
-        raise ValueError(f"clique order must be >= 0, got {s}")
-    return _count(_later_masks(g), g.full_mask, s)
+    """Number of s-vertex cliques, read from the clique profile."""
+    return clique_counts(g, s)[s]
 
 
 def enumerate_cliques(g: Graph, s: int):
@@ -77,9 +98,9 @@ def count_cliques_touching(g: Graph, s: int, touch) -> int:
         return 0
     if s < 0:
         raise ValueError(f"clique order must be >= 0, got {s}")
-    later = _later_masks(g)
+    nbr = _rows(g)
     rest = g.full_mask & ~sum(1 << v for v in touch_set)
-    return _count(later, g.full_mask, s) - _count(later, rest, s)
+    return _clique_counts(nbr, g.full_mask, s)[s] - _clique_counts(nbr, rest, s)[s]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ every vertex."""
 
 from __future__ import annotations
 
-from .graphs import BlockDecomposition, Graph, block_decomposition, components, iter_bits
+from .graphs import BlockDecomposition, Graph, block_decomposition, iter_bits
 from .weights import VertexWeights
 
 
@@ -48,12 +48,24 @@ def _parent_dominated(d: BlockDecomposition) -> bool:
     return not orders
 
 
-def components_are_cliques(g: Graph) -> bool:
-    for comp in components(g):
-        for v in iter_bits(comp):
-            if (g.adj[v] | (1 << v)) & comp != comp:
+def _components_are_cliques(g: Graph, mask: int) -> bool:
+    """True iff every component of the subgraph induced on the vertex mask
+    ``mask`` is a clique: the two ends of every edge inside ``mask`` have the
+    same closed neighbourhood in it, so each closed neighbourhood is the
+    whole component."""
+    adj = g.adj
+    for v in iter_bits(mask):
+        closed = (adj[v] | (1 << v)) & mask
+        above = mask >> (v + 1) << (v + 1)
+        for u in iter_bits(adj[v] & above):
+            if (adj[u] | (1 << u)) & mask != closed:
                 return False
     return True
+
+
+def components_are_cliques(g: Graph) -> bool:
+    """True iff every connected component of g is a clique."""
+    return _components_are_cliques(g, g.full_mask)
 
 
 def is_hamiltonian(g: Graph, w: VertexWeights) -> bool:
@@ -78,7 +90,8 @@ def extremal_predicate(g: Graph, s: int, theorem: int, w: VertexWeights) -> bool
     c = 2 convention. Bound 1, s >= 2: the subgraph induced on the heavy set
     {c(v) >= s} is a parent-dominated block graph. Bound 2 (path form):
     always true at s = 1; for s >= 2 the components induced on {p(v) >= s-1}
-    must all be cliques.
+    must all be cliques, decided on that vertex mask without building the
+    subgraph.
     """
     if s < 1:
         raise ValueError(f"clique order must be >= 1, got {s}")
@@ -92,5 +105,6 @@ def extremal_predicate(g: Graph, s: int, theorem: int, w: VertexWeights) -> bool
     if theorem == 2:
         if s == 1:
             return True
-        return components_are_cliques(g.induced(heavy_path_set(g, s, w)))
+        heavy = sum(1 << v for v, pv in enumerate(w.p) if pv >= s - 1)
+        return _components_are_cliques(g, heavy)
     raise ValueError(f"theorem must be 1 or 2, got {theorem}")

@@ -6,10 +6,11 @@ claims. Every check is integer or rational with zero tolerance."""
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 
-from .bounds import check_theorem, luo_dominance
-from .cliques import binom, contribution_upper_bound, count_cliques
+from .bounds import BoundReport, check_theorem, luo_dominance
+from .cliques import binom, clique_counts, contribution_upper_bound
 from .graphs import (
     ENUMERATION_LIMIT,
     Graph,
@@ -26,27 +27,28 @@ from .transforms import peel, verify_closure_lemmas, verify_peel_decomposition
 from .weights import compute_weights
 
 
-def _verdict_tuple(g: Graph) -> tuple:
+def _reports(g: Graph, s_max: int) -> Iterator[BoundReport]:
+    """Both bounds at every s <= s_max, from one weights computation and one
+    clique expansion of g."""
     w = compute_weights(g)
-    out = []
-    for s in range(1, 6):
-        lhs = count_cliques(g, s)
+    counts = clique_counts(g, s_max)
+    for s in range(1, s_max + 1):
         for theorem in (1, 2):
-            rep = check_theorem(g, s, theorem, w, lhs)
-            out.append((rep.equality, rep.extremal, rep.gap >= 0 or not rep.in_scope))
-    return tuple(out)
+            yield check_theorem(g, s, theorem, w, counts[s])
 
 
 def exhaustive_verify(n_max: int, s_max: int) -> dict:
     """Both bounds, inequality and equality-iff-predicate, over every
-    isomorphism class with 1..n_max vertices and every s <= s_max.
+    isomorphism class with 1..n_max vertices and every 1 <= s <= s_max.
 
-    Any violation is reported with its graph6 witness. The lone degenerate
-    input (cycle form, s=1, single vertex) is counted separately, not as a
-    violation.
+    Any report that is not ``ok`` is a violation, listed with its graph6
+    witness. The lone degenerate input (cycle form, s=1, single vertex) is
+    counted separately, not as a violation.
     """
     if n_max < 0:
         raise ValueError(f"vertex count must be >= 0, got {n_max}")
+    if s_max < 1:
+        raise ValueError(f"clique order must be >= 1, got {s_max}")
     if n_max > ENUMERATION_LIMIT:
         raise ResourceLimitError(f"exhaustive sweep capped at n <= {ENUMERATION_LIMIT}")
     violations: list[dict] = []
@@ -57,28 +59,19 @@ def exhaustive_verify(n_max: int, s_max: int) -> dict:
         counts[n] = 0
         for g in enumerate_graphs(n):
             counts[n] += 1
-            w = compute_weights(g)
-            for s in range(1, s_max + 1):
-                lhs = count_cliques(g, s)
-                for theorem in (1, 2):
-                    rep = check_theorem(g, s, theorem, w, lhs)
-                    if not rep.in_scope:
-                        degenerate += 1
-                        continue
-                    if rep.gap < 0:
-                        violations.append(
-                            {"kind": "inequality", "graph6": rep.graph6, "n": n,
-                             "s": s, "theorem": theorem, "gap": str(rep.gap)}
-                        )
-                    if not rep.consistent:
-                        violations.append(
-                            {"kind": "consistency", "graph6": rep.graph6, "n": n,
-                             "s": s, "theorem": theorem, "equality": rep.equality,
-                             "extremal": rep.extremal}
-                        )
-                    if rep.equality:
-                        key = f"n={n},s={s},thm={theorem}"
-                        equalities[key] = equalities.get(key, 0) + 1
+            for rep in _reports(g, s_max):
+                if not rep.in_scope:
+                    degenerate += 1
+                    continue
+                if not rep.ok:
+                    violations.append(
+                        {"graph6": rep.graph6, "n": n, "s": rep.s, "theorem": rep.theorem,
+                         "gap": str(rep.gap), "equality": rep.equality,
+                         "extremal": rep.extremal}
+                    )
+                if rep.equality:
+                    key = f"n={n},s={rep.s},thm={rep.theorem}"
+                    equalities[key] = equalities.get(key, 0) + 1
     return {
         "n_max": n_max,
         "s_max": s_max,
@@ -97,8 +90,9 @@ def labeled_crosscheck(n: int) -> dict:
     the canonical run.
 
     Guards the enumerator two ways: the canonical forms of all labeled graphs
-    must be exactly the representative set, and each labeled graph's verdict
-    tuple must equal its representative's.
+    must be exactly the representative set, and each labeled graph's
+    verdicts (clique count, right side and predicate per report) must equal
+    its representative's.
     """
     if n > 6:
         raise ResourceLimitError(f"labeled sweep capped at n <= 6, got {n}")
@@ -107,7 +101,7 @@ def labeled_crosscheck(n: int) -> dict:
     for g in enumerate_graphs(n):
         mask = to_pair_mask(g)
         rep_masks.add(mask)
-        rep_verdicts[mask] = _verdict_tuple(g)
+        rep_verdicts[mask] = tuple((r.lhs, r.rhs, r.extremal) for r in _reports(g, 5))
     violations: list[dict] = []
     mismatches: list[dict] = []
     seen_canon = set()
@@ -119,13 +113,11 @@ def labeled_crosscheck(n: int) -> dict:
         if canon not in rep_verdicts:
             mismatches.append({"kind": "missing_representative", "mask": mask, "canon": canon})
             continue
-        verdict = _verdict_tuple(g)
-        if verdict != rep_verdicts[canon]:
+        reports = list(_reports(g, 5))
+        if tuple((r.lhs, r.rhs, r.extremal) for r in reports) != rep_verdicts[canon]:
             mismatches.append({"kind": "verdict_disagreement", "graph6": write_graph6(g)})
-        if any(not ineq for _, _, ineq in verdict):
-            violations.append({"kind": "inequality", "graph6": write_graph6(g)})
-        if any(eq != ex for eq, ex, _ in verdict):
-            violations.append({"kind": "consistency", "graph6": write_graph6(g)})
+        if not all(r.ok for r in reports):
+            violations.append({"kind": "violation", "graph6": write_graph6(g)})
     if seen_canon != rep_masks:
         mismatches.append(
             {"kind": "class_set_mismatch",

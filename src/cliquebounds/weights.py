@@ -14,7 +14,8 @@ so its readers (the extremal predicate) need not build it again.
 a start vertex, which the rotation closure of ``transforms`` starts from:
 one branch-and-bound depth-first search that keeps the best path so far,
 memoizes the (vertex set, end) states that cannot beat it, and skips an end
-that cannot reach enough unused vertices to beat it.
+that cannot reach enough unused vertices to beat it. It stops with
+ResourceLimitError after a fixed number of candidate tries.
 
 The kernels walk vertex sets as bitmasks one low bit at a time
 (``b = m & -m; m ^= b``) and index neighbour rows by that bit, so their
@@ -30,6 +31,11 @@ from typing import NamedTuple
 from .graphs import BlockDecomposition, Graph, ResourceLimitError, block_decomposition, iter_bits
 
 DEFAULT_DP_LIMIT = 18
+# Candidate extensions one longest-path search may try before it gives up.
+# The largest search in the tests tries about 5,000; a chain of 12 K5
+# blocks with a pendant vertex on each (n = 61) tries about 1.05 million,
+# in about 12 s on a 2-CPU machine.
+PATH_SEARCH_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -307,7 +313,8 @@ def longest_path_from(g: Graph, v0: int, dp_limit: int = DEFAULT_DP_LIMIT) -> tu
     than the best, which only grows, so it is memoized as dead. A vertex
     from which fewer unused vertices are reachable than the best path needs
     is skipped without a search, and the search stops once the best path
-    spans the component of v0.
+    spans the component of v0. A search that tries more than
+    ``PATH_SEARCH_BUDGET`` candidates raises ResourceLimitError.
     """
     # Guarded on n: the search is exponential in the worst case.
     _guard("longest-path search", "n", g.n, dp_limit)
@@ -323,6 +330,7 @@ def longest_path_from(g: Graph, v0: int, dp_limit: int = DEFAULT_DP_LIMIT) -> tu
     # at e extends past the best path
     dead: dict[int, int] = {}
     todo = [nbr[s_mask] & ~s_mask]  # per depth, the next vertices not yet tried
+    tries = 0
     while todo and len(best) < most:
         cand = todo[-1]
         if not cand:
@@ -331,6 +339,13 @@ def longest_path_from(g: Graph, v0: int, dp_limit: int = DEFAULT_DP_LIMIT) -> tu
             dead[s_mask] = dead.get(s_mask, 0) | end
             s_mask ^= end
             continue
+        # every candidate counts, pruned or not: its reach test dominates
+        tries += 1
+        if tries > PATH_SEARCH_BUDGET:
+            raise ResourceLimitError(
+                f"longest-path search from vertex {v0} gave up after "
+                f"{PATH_SEARCH_BUDGET} candidate tries"
+            )
         w = cand & -cand
         todo[-1] = cand ^ w
         grown = s_mask | w

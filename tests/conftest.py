@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -7,6 +8,18 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import cliquebounds
 from cliquebounds import enumerate_graphs
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow(why): skipped unless RUN_SLOW is set; ``why`` says what takes the time"
+    )
+
+
+def pytest_runtest_setup(item):
+    marker = item.get_closest_marker("slow")
+    if marker is not None and not os.environ.get("RUN_SLOW"):
+        pytest.skip(f"{marker.args[0]}; set RUN_SLOW=1")
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,10 @@ compare equal to ``compute_weights`` field by field; their p and c are
 computed without it. The block decomposition and the block-graph
 recognizers are checked against networkx (``nx_block_decomposition``), and
 so are the clique counts past the subset oracle's range
-(``nx_cliques_by_order``).
+(``nx_cliques_by_order``) and the clique-component test
+(``nx_components_are_cliques``). The right sides, which the package sums
+over a tally of distinct weights, are checked against their retired
+per-vertex ``Fraction`` sums (``per_vertex_thm1_rhs``, ``per_vertex_thm2_rhs``).
 The retired enumerator, ``brute_force_reps``, is the oracle for the
 package's canonical augmentation; it canonicalizes with the package's own
 ``canonical_mask``, which is checked against ``permutation_canonical_mask``.
@@ -25,13 +28,14 @@ package's canonical augmentation; it canonicalizes with the package's own
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, takewhile
 from typing import NamedTuple
 
 import networkx as nx
 
-from cliquebounds import Graph, block_decomposition, canonical_mask, from_pair_mask
+from cliquebounds import Graph, binom, block_decomposition, canonical_mask, from_pair_mask
 from cliquebounds.graphs import iter_bits
 from cliquebounds.weights import VertexWeights
 
@@ -378,6 +382,27 @@ def nx_cliques_by_order(g: Graph, s_max: int) -> list[list[tuple[int, ...]]]:
     for clique in takewhile(lambda c: len(c) <= s_max, nx.enumerate_all_cliques(_nx_graph(g))):
         by_order[len(clique)].append(tuple(sorted(clique)))
     return [sorted(group) for group in by_order]
+
+
+def nx_components_are_cliques(g: Graph) -> bool:
+    h = _nx_graph(g)
+    return all(_nx_is_clique(h, comp) for comp in nx.connected_components(h))
+
+
+def per_vertex_thm1_rhs(g: Graph, s: int, w: VertexWeights) -> Fraction:
+    """sum_v C(c(v), s)/(c(v)-1), less the same term at the circumference,
+    one ``Fraction`` per vertex."""
+    if g.n == 0:
+        return Fraction(0)
+    total = Fraction(0)
+    for v in range(g.n):
+        total += Fraction(binom(w.c[v], s), w.c[v] - 1)
+    return total - Fraction(binom(w.circumference, s), w.circumference - 1)
+
+
+def per_vertex_thm2_rhs(g: Graph, s: int, w: VertexWeights) -> Fraction:
+    """sum_v C(p(v), s-1)/s, one ``Fraction`` per vertex."""
+    return sum((Fraction(binom(w.p[v], s - 1), s) for v in range(g.n)), Fraction(0))
 
 
 def subset_clique_count(g: Graph, s: int) -> int:

@@ -1,5 +1,6 @@
 """Acceptance battery. One test per criterion, every comparison exact
 (integer or rational, zero tolerance), one PASS line printed per criterion.
+Criterion 1 also runs at n <= 8, behind the ``slow`` marker.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines and
 timings.
@@ -7,6 +8,8 @@ timings.
 
 import random
 import time
+
+import pytest
 
 from cliquebounds import (
     BlockSpec,
@@ -44,6 +47,20 @@ def test_criterion_1_exhaustive_theorem_verification():
     ok = summary["ok"] and summary["graphs_total"] == 1252
     report(
         "1 exhaustive n<=7 s<=5",
+        ok,
+        t0,
+        f"graphs={summary['graphs_total']} violations={len(summary['violations'])} "
+        f"witnesses={[v['graph6'] for v in summary['violations'][:3]]}",
+    )
+
+
+@pytest.mark.slow("enumerating and checking the 13,598 classes takes ~22 s")
+def test_criterion_1_exhaustive_theorem_verification_n8():
+    t0 = time.time()
+    summary = exhaustive_verify(8, 5)
+    ok = summary["ok"] and summary["graphs_total"] == 13598
+    report(
+        "1 exhaustive n<=8 s<=5",
         ok,
         t0,
         f"graphs={summary['graphs_total']} violations={len(summary['violations'])} "

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquebounds import (
+    BoundReport,
     binom,
     check_theorem,
     complete_graph,
@@ -26,8 +27,8 @@ from cliquebounds import (
     thm2_rhs,
     write_graph6,
 )
-from oracles import bowtie, petersen
-from strategies import graphs
+from oracles import bowtie, per_vertex_thm1_rhs, per_vertex_thm2_rhs, petersen
+from strategies import graphs, random_pdbgs
 
 
 class TestThm1Rhs:
@@ -83,6 +84,32 @@ class TestThm2Rhs:
             assert thm2_rhs(g, s, w) == alt
 
 
+class TestRightSidesAgainstPerVertexSums:
+    """Both right sides, summed over a tally of distinct weights, against the
+    per-vertex Fraction sums."""
+
+    @staticmethod
+    def assert_matches(g):
+        w = compute_weights(g)
+        for s in range(1, 7):
+            assert thm1_rhs(g, s, w) == per_vertex_thm1_rhs(g, s, w), (g, s)
+            assert thm2_rhs(g, s, w) == per_vertex_thm2_rhs(g, s, w), (g, s)
+
+    def test_every_class_up_to_7(self, reps_by_n, reps7):
+        for g in [g for n in range(7) for g in reps_by_n[n]] + reps7:
+            self.assert_matches(g)
+
+    def test_seeded_random_graphs_up_to_13_vertices(self):
+        rng = random.Random(987654321)
+        for _ in range(60):
+            n = rng.randint(8, 13)
+            self.assert_matches(random_graph(n, rng.uniform(0.1, 0.8), rng.randrange(1 << 30)))
+
+    def test_random_pdbg_specs(self):
+        for g in random_pdbgs():
+            self.assert_matches(g)
+
+
 class TestHeavySets:
     def test_s2_cycle_heavy_is_everything(self):
         g = path_graph(4)
@@ -136,6 +163,21 @@ class TestCheckTheorem:
     def test_rejects_bad_theorem(self):
         with pytest.raises(ValueError):
             check_theorem(bowtie(), 2, 3, compute_weights(bowtie()), count_cliques(bowtie(), 2))
+
+    def test_ok_is_the_violation_rule(self):
+        g = bowtie()
+
+        def report(gap, equality, extremal, in_scope=True):
+            consistent = equality == extremal or not in_scope
+            return BoundReport(1, 2, g, 6, 6 + gap, Fraction(gap), equality, extremal,
+                               consistent, in_scope)
+
+        assert report(0, True, True).ok
+        assert report(1, False, False).ok
+        assert not report(0, True, False).ok
+        assert not report(1, False, True).ok
+        assert not report(-1, False, False).ok
+        assert report(-1, False, True, in_scope=False).ok
 
     def test_graph6_written_only_when_read(self, count_calls):
         g = bowtie()

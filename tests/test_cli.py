@@ -12,8 +12,10 @@ from cliquebounds import (
     generate_pdbg,
     parse_graph6,
     path_graph,
+    random_graph,
     write_graph6,
 )
+from cliquebounds import bounds, weights
 from cliquebounds.cli import main
 from oracles import bowtie
 
@@ -130,6 +132,16 @@ class TestCheckCommand:
         )
         assert code == 2
 
+    def test_tight_bound_without_its_predicate_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "extremal_predicate", lambda g, s, theorem, w: False)
+        code, out, _ = run_cli(
+            capsys, ["check", "--theorem", "1", "--s", "2"], stdin=write_graph6(bowtie()),
+            monkeypatch=monkeypatch,
+        )
+        rep = json.loads(out)
+        assert rep["equality"] and not rep["consistent"]
+        assert code == 1
+
 
 class TestSweepCommand:
     def test_n4(self, capsys):
@@ -210,6 +222,12 @@ class TestGenCommand:
         code, out, _ = run_cli(capsys, ["gen", "--pdbg", "4,3,2", "--self-check"])
         assert code == 0
 
+    def test_self_check_fails_a_tight_bound_without_its_predicate(self, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "extremal_predicate", lambda g, s, theorem, w: False)
+        code, _, err = run_cli(capsys, ["gen", "--pdbg", "4,3,2", "--self-check"])
+        assert code == 1
+        assert json.loads(err) == {"self_check": "failed", "s": 2, "gap": "0", "extremal": False}
+
     def test_self_check_past_the_dp_limit(self, capsys):
         code, out, err = run_cli(capsys, ["gen", "--pdbg", "30,20", "--self-check"])
         assert code == 0, err
@@ -262,6 +280,17 @@ class TestPeelCommand:
         assert err == (
             "resource guard: longest-path search guarded at n <= 18 (got 19); "
             "raise dp_limit explicitly\n"
+        )
+
+    def test_path_search_budget_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(weights, "PATH_SEARCH_BUDGET", 10)
+        code, out, err = run_cli(
+            capsys, ["peel"], stdin=write_graph6(random_graph(12, 0.3, 5)), monkeypatch=monkeypatch
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "resource guard: longest-path search from vertex 1 gave up after "
+            "10 candidate tries\n"
         )
 
     def test_bowtie_verdict(self, capsys, monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cliquebounds import (
     Graph,
     binom,
+    clique_counts,
     complete_graph,
     contribution_table,
     contribution_upper_bound,
@@ -50,6 +51,13 @@ class TestCountCliques:
     def test_negative_order(self):
         with pytest.raises(ValueError):
             count_cliques(cycle_graph(3), -1)
+        with pytest.raises(ValueError):
+            clique_counts(cycle_graph(3), -1)
+
+    def test_profile_has_every_order_up_to_the_top(self):
+        assert clique_counts(cycle_graph(4), 0) == [1]
+        assert clique_counts(cycle_graph(4), 1) == [1, 4]
+        assert clique_counts(complete_graph(4), 6) == [1, 4, 6, 4, 1, 0, 0]
 
     @pytest.mark.parametrize("n", range(13))
     def test_complete_graph_binomials(self, n):
@@ -60,8 +68,9 @@ class TestCountCliques:
     def test_exhaustive_against_subset_oracle(self, reps_by_n):
         for n in range(7):
             for g in reps_by_n[n]:
+                profile = clique_counts(g, 5)
                 for s in range(6):
-                    assert count_cliques(g, s) == subset_clique_count(g, s)
+                    assert count_cliques(g, s) == subset_clique_count(g, s) == profile[s]
 
     def test_enumeration_matches_count(self):
         rng = random.Random(2)
@@ -92,12 +101,15 @@ class TestCountCliquesTouching:
 
 
 class TestAgainstNetworkx:
-    """count_cliques, count_cliques_touching and enumerate_cliques for s <= 5
-    against networkx's clique listing, far past the subset oracle's n <= 6."""
+    """clique_counts, count_cliques, count_cliques_touching and
+    enumerate_cliques for s <= 5 against networkx's clique listing, far past
+    the subset oracle's n <= 6."""
 
     def assert_matches(self, g, rng):
         touch = {v for v in range(g.n) if rng.random() < 0.3}
-        for s, expected in enumerate(nx_cliques_by_order(g, 5)):
+        by_order = nx_cliques_by_order(g, 5)
+        assert clique_counts(g, 5) == [len(expected) for expected in by_order], g
+        for s, expected in enumerate(by_order):
             assert count_cliques(g, s) == len(expected), (g, s)
             assert list(enumerate_cliques(g, s)) == expected, (g, s)
             meeting = sum(1 for c in expected if touch.intersection(c))

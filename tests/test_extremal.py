@@ -2,6 +2,7 @@ import random
 
 from cliquebounds import (
     BlockSpec,
+    Graph,
     block_decomposition,
     complete_graph,
     components_are_cliques,
@@ -12,6 +13,7 @@ from cliquebounds import (
     from_edges,
     generate_pdbg,
     heavy_cycle_set,
+    heavy_path_set,
     is_block_graph,
     is_connected,
     is_hamiltonian,
@@ -22,6 +24,7 @@ from cliquebounds import (
 from oracles import (
     bowtie,
     nx_block_decomposition,
+    nx_components_are_cliques,
     nx_is_block_graph,
     nx_is_parent_dominated,
     petersen,
@@ -187,6 +190,17 @@ class TestExtremalPredicate:
             extremal_predicate(g, 2, 1, w)
         assert calls == []
 
+    def test_path_form_never_builds_a_subgraph(self, reps7, monkeypatch):
+        weights = [compute_weights(g) for g in reps7]
+
+        def refuse(self, vertices):
+            raise AssertionError("induced subgraph built")
+
+        monkeypatch.setattr(Graph, "induced", refuse)
+        for g, w in zip(reps7, weights):
+            for s in range(2, 6):
+                extremal_predicate(g, s, 2, w)
+
     def test_smaller_heavy_set_decomposes_its_subgraph(self, count_calls):
         # K4 with a pendant vertex: at s = 3 the heavy set is the K4
         g = from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
@@ -197,8 +211,9 @@ class TestExtremalPredicate:
 
 
 class TestAgainstNetworkx:
-    """Blocks, cut vertices, clique flags, component counts and both
-    block-graph recognizers against the networkx oracle."""
+    """Blocks, cut vertices, clique flags, component counts, both
+    block-graph recognizers, the clique-component test and both
+    heavy-set predicates against the networkx oracle."""
 
     @staticmethod
     def assert_matches(g):
@@ -213,6 +228,7 @@ class TestAgainstNetworkx:
         ], g
         assert is_block_graph(g) == nx_is_block_graph(g), g
         assert is_parent_dominated(g) == nx_is_parent_dominated(g), g
+        assert components_are_cliques(g) == nx_components_are_cliques(g), g
 
     def test_every_class_up_to_7(self, reps_by_n, reps7):
         parent_dominated = 0
@@ -223,12 +239,19 @@ class TestAgainstNetworkx:
             for s in range(2, 6):
                 heavy = g.induced(heavy_cycle_set(g, s, w))
                 assert extremal_predicate(g, s, 1, w) == nx_is_parent_dominated(heavy), (g, s)
+                heavy = g.induced(heavy_path_set(g, s, w))
+                assert extremal_predicate(g, s, 2, w) == nx_components_are_cliques(heavy), (g, s)
         assert parent_dominated > 50
 
     def test_seeded_block_glued_graphs(self):
         rng = random.Random(2718)
         for _ in range(500):
-            self.assert_matches(block_glued_graph(rng, 16))
+            g = block_glued_graph(rng, 16)
+            self.assert_matches(g)
+            w = compute_weights(g)
+            for s in range(2, 6):
+                heavy = g.induced(heavy_path_set(g, s, w))
+                assert extremal_predicate(g, s, 2, w) == nx_components_are_cliques(heavy), (g, s)
 
     def test_random_pdbg_specs(self):
         for g in random_pdbgs():

@@ -1,5 +1,4 @@
 import hashlib
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -232,19 +231,14 @@ class TestEnumeration:
     def test_n7_matches_brute_force_digest(self, reps7):
         assert reps_sha256(reps7) == REPS_SHA256[7]
 
-    @pytest.mark.skipif(
-        not os.environ.get("RUN_SLOW"), reason="n=8 enumeration takes ~10 s; set RUN_SLOW=1"
-    )
+    @pytest.mark.slow("n=8 enumeration takes ~10 s")
     def test_n8_enumeration(self):
         reps = list(enumerate_graphs(8))
         assert len(reps) == 12346  # OEIS A000088
         assert sum(map(is_connected, reps)) == 11117  # OEIS A001349
         assert reps_sha256(reps) == REPS_SHA256[8]
 
-    @pytest.mark.skipif(
-        not os.environ.get("RUN_SLOW"),
-        reason="weights of all n=8 classes take ~25 s; set RUN_SLOW=1",
-    )
+    @pytest.mark.slow("weights of all n=8 classes take ~25 s")
     def test_n8_boundary(self):
         reps = list(enumerate_graphs(8))
         for g in reps[::97]:

@@ -1,9 +1,8 @@
-import os
-
 import pytest
 
 from cliquebounds import (
     ResourceLimitError,
+    bounds,
     exhaustive_verify,
     identity_grid,
     labeled_crosscheck,
@@ -45,6 +44,31 @@ class TestExhaustiveVerify:
         with pytest.raises(ValueError, match="vertex count"):
             exhaustive_verify(-1, 3)
 
+    def test_vacuous_s_rejected(self):
+        # with no clique order there is nothing to check, so no verdict
+        for s_max in (0, -1):
+            with pytest.raises(ValueError, match="clique order"):
+                exhaustive_verify(4, s_max)
+
+    def test_equality_without_its_predicate_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(bounds, "extremal_predicate", lambda g, s, theorem, w: False)
+        summary = exhaustive_verify(3, 2)
+        assert not summary["ok"]
+        assert summary["violations"][0] == {
+            "graph6": "@", "n": 1, "s": 1, "theorem": 2, "gap": "0",
+            "equality": True, "extremal": False,
+        }
+        assert all(v["equality"] and not v["extremal"] for v in summary["violations"])
+        assert labeled_crosscheck(3)["violations"]
+
+    def test_one_clique_expansion_per_class(self, count_calls):
+        expansions = count_calls("clique_counts")
+        single = count_calls("count_cliques")
+        summary = exhaustive_verify(5, 4)
+        assert len(expansions) == summary["graphs_total"] == 52
+        assert all(s_max == 4 for _, s_max in expansions)
+        assert single == []
+
 
 class TestLabeledCrosscheck:
     def test_n4(self):
@@ -61,9 +85,7 @@ class TestLabeledCrosscheck:
         with pytest.raises(ResourceLimitError):
             labeled_crosscheck(7)
 
-    @pytest.mark.skipif(
-        not os.environ.get("RUN_SLOW"), reason="32,768 labeled graphs take ~37 s; set RUN_SLOW=1"
-    )
+    @pytest.mark.slow("32,768 labeled graphs take ~37 s")
     def test_n6(self):
         summary = labeled_crosscheck(6)
         assert summary["labeled_total"] == 32768

@@ -1,4 +1,3 @@
-import os
 import random
 import tracemalloc
 
@@ -21,6 +20,7 @@ from cliquebounds import (
     random_clique_forest,
     random_graph,
 )
+from cliquebounds import weights
 from cliquebounds.weights import _DP_BYTES_PER_SLOT, _path_and_cycle_tables, _paths_from
 from oracles import (
     bowtie,
@@ -220,10 +220,7 @@ class TestLongestPathFrom:
             for v0 in range(n):
                 assert longest_path_from(g, v0) == greedy_longest_path_from(g, v0), (g, v0)
 
-    @pytest.mark.skipif(
-        not os.environ.get("RUN_SLOW"),
-        reason="the breadth-first oracle takes ~8 s on these graphs; set RUN_SLOW=1",
-    )
+    @pytest.mark.slow("the breadth-first oracle takes ~8 s on these graphs")
     def test_length_on_random_pdbgs(self):
         for g in random_pdbgs():
             path = longest_path_from(g, 0, dp_limit=64)
@@ -239,6 +236,14 @@ class TestLongestPathFrom:
     def test_bad_start(self):
         with pytest.raises(ValueError):
             longest_path_from(path_graph(2), 5)
+
+    def test_step_budget_names_the_count(self, monkeypatch):
+        g = random_graph(30, 0.2, 2)
+        monkeypatch.setattr(weights, "PATH_SEARCH_BUDGET", 1000)
+        with pytest.raises(ResourceLimitError, match=r"gave up after 1000 candidate tries"):
+            longest_path_from(g, 0, dp_limit=64)
+        # a search within the budget is unchanged
+        assert longest_path_from(complete_graph(6), 0) == tuple(range(6))
 
 
 class TestBlockGraphShortcut:
