@@ -68,7 +68,10 @@ def clique_counts(g: Graph, s_max: int) -> list[int]:
 
 
 def count_cliques(g: Graph, s: int) -> int:
-    """Number of s-vertex cliques, read from the clique profile."""
+    """Number of s-vertex cliques, read from the clique profile; 0 when
+    s > n, without building a profile of s + 1 slots."""
+    if s > g.n:
+        return 0
     return clique_counts(g, s)[s]
 
 
@@ -90,7 +93,8 @@ def enumerate_cliques(g: Graph, s: int):
 
 
 def count_cliques_touching(g: Graph, s: int, touch) -> int:
-    """Count s-cliques meeting the vertex set ``touch`` at least once."""
+    """Count s-cliques meeting the vertex set ``touch`` at least once; 0
+    when s > n, like ``count_cliques``."""
     touch_set = set(touch)
     if any(not 0 <= v < g.n for v in touch_set):
         raise ValueError("touch set contains vertices outside the graph")
@@ -98,6 +102,8 @@ def count_cliques_touching(g: Graph, s: int, touch) -> int:
         return 0
     if s < 0:
         raise ValueError(f"clique order must be >= 0, got {s}")
+    if s > g.n:
+        return 0
     nbr = _rows(g)
     rest = g.full_mask & ~sum(1 << v for v in touch_set)
     return _clique_counts(nbr, g.full_mask, s)[s] - _clique_counts(nbr, rest, s)[s]

@@ -13,6 +13,7 @@ from .bounds import BoundReport, check_theorem, luo_dominance
 from .cliques import binom, clique_counts, contribution_upper_bound
 from .graphs import (
     ENUMERATION_LIMIT,
+    MAX_VERTICES,
     Graph,
     ResourceLimitError,
     canonical_mask,
@@ -51,6 +52,10 @@ def exhaustive_verify(n_max: int, s_max: int) -> dict:
         raise ValueError(f"clique order must be >= 1, got {s_max}")
     if n_max > ENUMERATION_LIMIT:
         raise ResourceLimitError(f"exhaustive sweep capped at n <= {ENUMERATION_LIMIT}")
+    # no graph the package can hold has a clique of more than MAX_VERTICES
+    # vertices, and each order costs a pass over every class
+    if s_max > MAX_VERTICES:
+        raise ResourceLimitError(f"exhaustive sweep capped at s <= {MAX_VERTICES}, got {s_max}")
     violations: list[dict] = []
     counts: dict[int, int] = {}
     equalities: dict[str, int] = {}

@@ -2,11 +2,15 @@
 
 p(v) is the number of edges on the longest simple path containing v.
 c(v) is the length of the longest cycle containing v, or 2 when v lies on
-no cycle. Both come from subset dynamic programming over (vertex set,
-endpoint) states, run once per biconnected block that is not a clique; a
-clique block's tables are closed-form. The per-block tables are composed
-over the block-cut tree (Hopcroft & Tarjan 1973), at a cost of about
-(cut vertices in B + 2) * 2^|B| per non-clique block B. The block
+no cycle. Per biconnected block, a clique block's tables are closed-form,
+and so are those of a block with a Hamiltonian cycle, which one memoized
+depth-first search certifies: every vertex of such a block B lies on a
+cycle of |B| vertices and on a path of |B| - 1 edges. Any other block runs
+subset dynamic programming over (vertex set, endpoint) states. The
+per-block tables are composed over the block-cut tree (Hopcroft & Tarjan
+1973), at a cost of about (cut vertices in B + 2) * 2^|B| per non-clique
+block B without a Hamiltonian cycle; a Hamiltonian block runs the DP of
+paths from a cut vertex only for its pairs of cut vertices. The block
 decomposition comes from ``graphs`` and is returned on ``VertexWeights``,
 so its readers (the extremal predicate) need not build it again.
 
@@ -96,16 +100,20 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
 
     Per block B of the block decomposition, relabeled to 0..|B|-1, a clique
     block gets its tables in closed form (every path table |B| - 1, c = |B|
-    from three vertices on) and any other block runs the subset DP; the
-    per-block tables are composed over the block-cut tree. Every cycle lies
-    inside one block, so c(v) is the best cycle through v in a block
-    containing v. A simple path meets the blocks along a path of the
-    block-cut tree, so p(v) is the best, over the blocks B containing v, of
-    a path inside B, or of a path in B from a cut vertex a (or between cut
-    vertices a and b) extended by the longest arm that leaves B through a
-    (and through b). A DP block costs about (cut vertices in B + 2) * 2^|B|
-    steps, so the guard is on the largest non-clique block, and on the
-    memory its tables need.
+    from three vertices on). Any other block first searches for a
+    Hamiltonian cycle; when one exists, p and c in B and the paths from
+    each cut vertex are closed-form too (|B| - 1 and |B|), and only the
+    paths between two cut vertices run a DP. A block without one runs the
+    subset DP. The per-block tables are composed over the block-cut tree.
+    Every cycle lies inside one block, so c(v) is the best cycle through v
+    in a block containing v. A simple path meets the blocks along a path of
+    the block-cut tree, so p(v) is the best, over the blocks B containing
+    v, of a path inside B, or of a path in B from a cut vertex a (or
+    between cut vertices a and b) extended by the longest arm that leaves B
+    through a (and through b). A block without a Hamiltonian cycle costs about (cut
+    vertices in B + 2) * 2^|B| steps, so the guard is on the largest
+    non-clique block, and on the memory its tables need; both run before
+    the search.
     """
     return _compose(g, block_decomposition(g), dp_limit)
 
@@ -133,10 +141,20 @@ def _compose(g: Graph, decomp: BlockDecomposition, dp_limit: int) -> VertexWeigh
                 pair.update(((a, b), p_in) for b in cuts_of[bi] if b != a)
         else:
             adj = [sum(1 << local[u] for u in iter_bits(g.adj[v]) if u in local) for v in local]
-            p_in, c_in = _path_and_cycle_tables(adj, len(local))
+            size = len(local)
+            hamiltonian = _has_hamiltonian_cycle(adj, size)
+            if hamiltonian:
+                # the cycle is a longest cycle through every vertex, and a
+                # Hamiltonian path leaves from any vertex along it
+                p_in, c_in = [size - 1] * size, [size] * size
+            else:
+                p_in, c_in = _path_and_cycle_tables(adj, size)
             for k, a in enumerate(cuts_of[bi]):
                 later = cuts_of[bi][k + 1:]
-                start[a], rows = _paths_from(adj, len(local), local[a], [local[b] for b in later])
+                if hamiltonian and not later:
+                    start[a] = p_in
+                    continue
+                start[a], rows = _paths_from(adj, size, local[a], [local[b] for b in later])
                 for b, row in zip(later, rows):
                     pair[(a, b)] = pair[(b, a)] = row
         tables.append(_BlockTables(local, p_in, c_in, start, pair))
@@ -183,6 +201,70 @@ def _compose(g: Graph, decomp: BlockDecomposition, dp_limit: int) -> VertexWeigh
             p[v] = max(p[v], best)
             c[v] = max(c[v], t.c[i])
     return VertexWeights(tuple(p), tuple(c), max(c, default=0), decomp)
+
+
+def _has_hamiltonian_cycle(adj, n: int) -> bool:
+    """Whether the graph on vertices 0..n-1 (n >= 3) has a spanning cycle.
+
+    An iterative DFS grows a path from vertex 0 in increasing vertex order
+    and closes it when it spans every vertex and ends next to vertex 0. A
+    (vertex set, end) state whose subtree is exhausted, or that fails a
+    prune, cannot be completed whatever path led to it, so it is memoized
+    as dead. A state is pruned when no unused vertex is left next to vertex
+    0 to close the cycle, when some unused vertex is not reachable from the
+    end through unused vertices, or when the unused vertices hold too many
+    of a fixed independent set I: the rest of the cycle runs from the end
+    through the k unused vertices back to vertex 0, and no two vertices of
+    I are consecutive on it, so at most (k + 1 - [end in I] - [0 in I]) / 2
+    of them fit. I is built greedily in increasing degree, which catches
+    the larger side of an unbalanced bipartite block at the first step.
+    """
+    nbr = {1 << v: adj[v] for v in range(n)}
+    full = (1 << n) - 1
+    indep = 0
+    avail = full
+    for v in sorted(range(n), key=lambda u: adj[u].bit_count()):
+        if avail >> v & 1:
+            indep |= 1 << v
+            avail &= ~adj[v]
+    home = nbr[1]
+    # k + 1 - [0 in I] is this minus len(path), where k = n - 1 - len(path)
+    slack = n - (indep & 1)
+    s_mask = 1
+    path = [1]
+    # dead[S]: the ends e for which no path from 0 spanning S and ending at
+    # e closes into a spanning cycle
+    dead: dict[int, int] = {}
+    todo = [home]  # per depth, the next vertices not yet tried
+    while todo:
+        cand = todo[-1]
+        if not cand:
+            end = path.pop()
+            todo.pop()
+            dead[s_mask] = dead.get(s_mask, 0) | end
+            s_mask ^= end
+            continue
+        w = cand & -cand
+        todo[-1] = cand ^ w
+        grown = s_mask | w
+        if dead.get(grown, 0) & w:
+            continue
+        free = full ^ grown
+        if not free:
+            if w & home:
+                return True
+            continue
+        if (
+            not home & free
+            or 2 * (free & indep).bit_count() > slack - len(path) - (1 if w & indep else 0)
+            or _reach(nbr, w, free) != free
+        ):
+            dead[grown] = dead.get(grown, 0) | w
+            continue
+        s_mask = grown
+        path.append(w)
+        todo.append(nbr[w] & free)
+    return False
 
 
 def _path_and_cycle_tables(adj, n: int) -> tuple[list[int], list[int]]:

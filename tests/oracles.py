@@ -3,7 +3,8 @@
 Everything here but the retired algorithms deliberately avoids the
 package's bitmask DP style: paths and cycles come from plain recursive DFS
 over neighbor lists, clique counts from subset enumeration, canonical forms
-from trying all permutations. The package's current weights are checked
+and Hamiltonian cycles (``permutation_hamiltonian_cycle``) from trying all
+permutations. The package's current weights are checked
 against its retired weights algorithms: ``subset_dp_weights``, the
 whole-graph subset DP (the per-bit loops of ``_path_and_cycle_tables``,
 applied to the whole graph), and ``tree_dp_block_graph_weights``, the
@@ -413,6 +414,19 @@ def subset_clique_count(g: Graph, s: int) -> int:
         if all(g.has_edge(u, v) for u, v in combinations(combo, 2)):
             total += 1
     return total
+
+
+def permutation_hamiltonian_cycle(g: Graph) -> bool:
+    """Whether g has a spanning cycle, by trying every order of the
+    vertices 1..n-1 after vertex 0 (n <= 8; false for n < 3)."""
+    if g.n > 8:
+        raise ValueError(f"permutation oracle capped at n <= 8, got {g.n}")
+    if g.n < 3:
+        return False
+    return any(
+        all(g.has_edge(u, v) for u, v in zip((0,) + order, order + (0,)))
+        for order in permutations(range(1, g.n))
+    )
 
 
 def permutation_canonical_mask(g: Graph) -> int:

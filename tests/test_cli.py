@@ -185,6 +185,11 @@ class TestSweepCommand:
         assert code == 2
         assert "resource" in err
 
+    def test_s_guard_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, ["sweep", "--n", "7", "--s", "1000000"])
+        assert code == 2 and out == ""
+        assert err == "resource guard: exhaustive sweep capped at s <= 64, got 1000000\n"
+
 
 class TestGenCommand:
     def test_pdbg_bowtie(self, capsys):

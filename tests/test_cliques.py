@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,18 @@ class TestCountCliques:
             count_cliques(cycle_graph(3), -1)
         with pytest.raises(ValueError):
             clique_counts(cycle_graph(3), -1)
+
+    def test_order_past_n_builds_no_profile(self):
+        tracemalloc.start()
+        try:
+            assert count_cliques(complete_graph(3), 10**6) == 0
+            assert count_cliques_touching(complete_graph(3), 10**6, [0]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert count_cliques(complete_graph(3), 4) == 0
+        assert count_cliques(complete_graph(3), 3) == 1
 
     def test_profile_has_every_order_up_to_the_top(self):
         assert clique_counts(cycle_graph(4), 0) == [1]

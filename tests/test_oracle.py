@@ -8,6 +8,7 @@ from cliquebounds import (
     labeled_crosscheck,
     path_proof_claims,
 )
+from cliquebounds.graphs import MAX_VERTICES
 
 
 class TestExhaustiveVerify:
@@ -39,6 +40,13 @@ class TestExhaustiveVerify:
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
             exhaustive_verify(9, 2)
+
+    def test_s_guard(self):
+        # no graph of at most MAX_VERTICES vertices has a larger clique
+        with pytest.raises(ResourceLimitError, match=r"capped at s <= 64, got 65"):
+            exhaustive_verify(3, MAX_VERTICES + 1)
+        summary = exhaustive_verify(3, MAX_VERTICES)
+        assert summary["ok"] and summary["graphs_total"] == 7
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError, match="vertex count"):

@@ -21,7 +21,12 @@ from cliquebounds import (
     random_graph,
 )
 from cliquebounds import weights
-from cliquebounds.weights import _DP_BYTES_PER_SLOT, _path_and_cycle_tables, _paths_from
+from cliquebounds.weights import (
+    _DP_BYTES_PER_SLOT,
+    _has_hamiltonian_cycle,
+    _path_and_cycle_tables,
+    _paths_from,
+)
 from oracles import (
     bowtie,
     dfs_longest_paths_from,
@@ -29,6 +34,7 @@ from oracles import (
     greedy_longest_path_from,
     per_bit_max_len_from,
     per_bit_paths_from,
+    permutation_hamiltonian_cycle,
     petersen,
     subset_dp_weights,
     tree_dp_block_graph_weights,
@@ -155,10 +161,20 @@ class TestAgainstWholeGraphSubsetDP:
 
     def test_seeded_random_graphs(self):
         rng = random.Random(1618)
+        spanning = 0
         for _ in range(200):
             n = rng.randint(1, 12)
             g = random_graph(n, rng.uniform(0.15, 0.6), rng.randrange(1 << 30))
-            assert compute_weights(g) == subset_dp_weights(g), g
+            w = subset_dp_weights(g)
+            assert compute_weights(g) == w, g
+            if n >= 3:
+                # the cycle search takes any adjacency, connected or not
+                found = _has_hamiltonian_cycle(g.adj, n)
+                assert found == (w.circumference == n), g
+                if n <= 8:
+                    assert found == permutation_hamiltonian_cycle(g), g
+                spanning += found
+        assert spanning > 30
 
     def test_kernels_match_the_per_bit_loops(self):
         # arbitrary graphs, not only blocks: the kernels take any adjacency
@@ -179,6 +195,87 @@ class TestAgainstWholeGraphSubsetDP:
         g = generate_pdbg(BlockSpec((4,) * 21))
         assert g.n == 64
         assert compute_weights(g) == tree_dp_block_graph_weights(g)
+
+
+def complete_bipartite(a: int, b: int):
+    return from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def with_pendants(g, at):
+    """g with one new pendant vertex hung on each vertex of ``at``."""
+    return from_edges(g.n + len(at), g.edges() + [(v, g.n + k) for k, v in enumerate(at)])
+
+
+def cube():
+    return from_edges(8, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit])
+
+
+def chorded_c8():
+    return from_edges(8, cycle_graph(8).edges() + [(0, 4), (2, 6), (1, 5)])
+
+
+def theta():
+    # two vertices joined by three internally disjoint paths: no spanning cycle
+    return from_edges(6, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1)])
+
+
+class TestHamiltonianCycleCertificate:
+    """A non-clique block with a spanning cycle takes its p and c from that
+    cycle and skips the subset DP; its pair rows still come from the DP."""
+
+    def test_search_matches_the_permutation_oracle(self, reps_by_n, reps7):
+        checked = 0
+        for g in [g for n in range(3, 7) for g in reps_by_n[n]] + reps7:
+            decomp = block_decomposition(g)
+            if len(decomp.blocks) != 1 or len(decomp.blocks[0]) != g.n:
+                continue  # not 2-connected
+            checked += 1
+            assert _has_hamiltonian_cycle(g.adj, g.n) == permutation_hamiltonian_cycle(g), g
+        assert checked > 500
+
+    def test_unbalanced_bipartite_blocks(self):
+        # the larger side is an independent set of more than half the
+        # vertices; either side may hold vertex 0
+        assert not _has_hamiltonian_cycle(complete_bipartite(8, 10).adj, 18)
+        assert not _has_hamiltonian_cycle(complete_bipartite(10, 8).adj, 18)
+        assert _has_hamiltonian_cycle(complete_bipartite(9, 9).adj, 18)
+
+    @pytest.fixture
+    def dp_calls(self, monkeypatch):
+        calls = []
+
+        def counted(adj, n):
+            calls.append(n)
+            return _path_and_cycle_tables(adj, n)
+
+        monkeypatch.setattr(weights, "_path_and_cycle_tables", counted)
+        return calls
+
+    def test_hamiltonian_blocks_skip_the_dp(self, dp_calls):
+        w = compute_weights(complete_bipartite(9, 9))
+        assert w.p == (17,) * 18 and w.c == (18,) * 18
+        for g in (cube(), chorded_c8()):
+            assert compute_weights(g) == subset_dp_weights(g), g
+        assert dp_calls == []
+
+    def test_other_blocks_run_the_dp(self, dp_calls):
+        for g in (petersen(), complete_bipartite(3, 5), theta()):
+            assert compute_weights(g) == subset_dp_weights(g), g
+        assert dp_calls == [10, 8, 6]
+
+    def test_pair_rows_of_hamiltonian_blocks(self, dp_calls, monkeypatch):
+        paths_from = []
+
+        def counted(adj, n, a, targets):
+            paths_from.append((a, targets))
+            return _paths_from(adj, n, a, targets)
+
+        monkeypatch.setattr(weights, "_paths_from", counted)
+        for g in (with_pendants(cycle_graph(6), [0, 3]), with_pendants(cycle_graph(8), [0, 2, 5])):
+            assert compute_weights(g) == subset_dp_weights(g), g
+        # the last cut vertex of each block needs no row of its own
+        assert paths_from == [(0, [3]), (0, [2, 5]), (2, [5])]
+        assert dp_calls == []
 
 
 class TestLongestPathFrom:
