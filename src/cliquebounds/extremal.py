@@ -2,7 +2,7 @@
 block graphs, parent-dominated block graphs, clique components,
 Hamiltonicity. They read the block decomposition from ``graphs``; the
 theorem-1 predicate reads the one on ``VertexWeights`` when the heavy set is
-every vertex."""
+every vertex, and decomposes the heavy vertex mask of g otherwise."""
 
 from __future__ import annotations
 
@@ -90,18 +90,18 @@ def extremal_predicate(g: Graph, s: int, theorem: int, w: VertexWeights) -> bool
     c = 2 convention. Bound 1, s >= 2: the subgraph induced on the heavy set
     {c(v) >= s} is a parent-dominated block graph. Bound 2 (path form):
     always true at s = 1; for s >= 2 the components induced on {p(v) >= s-1}
-    must all be cliques, decided on that vertex mask without building the
-    subgraph.
+    must all be cliques. Both are decided on the heavy vertex mask without
+    building the subgraph.
     """
     if s < 1:
         raise ValueError(f"clique order must be >= 1, got {s}")
     if theorem == 1:
         if s == 1:
             return all(cv == g.n for cv in w.c)
-        heavy = heavy_cycle_set(g, s, w)
-        if len(heavy) == g.n:
+        heavy = sum(1 << v for v, cv in enumerate(w.c) if cv >= s)
+        if heavy == g.full_mask:
             return _parent_dominated(w.decomposition)
-        return is_parent_dominated(g.induced(heavy))
+        return heavy & (heavy - 1) == 0 or _parent_dominated(block_decomposition(g, heavy))
     if theorem == 2:
         if s == 1:
             return True

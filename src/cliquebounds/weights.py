@@ -4,8 +4,9 @@ p(v) is the number of edges on the longest simple path containing v.
 c(v) is the length of the longest cycle containing v, or 2 when v lies on
 no cycle. Per biconnected block, a clique block's tables are closed-form,
 and so are those of a block with a Hamiltonian cycle, which one memoized
-depth-first search certifies: every vertex of such a block B lies on a
-cycle of |B| vertices and on a path of |B| - 1 edges. Any other block runs
+depth-first search certifies within 2^(|B|-2) + |B|^3 candidate tries:
+every vertex of such a block B lies on a cycle of |B| vertices and on a
+path of |B| - 1 edges. Any other block, or one the search gives up on, runs
 subset dynamic programming over (vertex set, endpoint) states. The
 per-block tables are composed over the block-cut tree (Hopcroft & Tarjan
 1973), at a cost of about (cut vertices in B + 2) * 2^|B| per non-clique
@@ -101,7 +102,7 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
     Per block B of the block decomposition, relabeled to 0..|B|-1, a clique
     block gets its tables in closed form (every path table |B| - 1, c = |B|
     from three vertices on). Any other block first searches for a
-    Hamiltonian cycle; when one exists, p and c in B and the paths from
+    Hamiltonian cycle; when it finds one, p and c in B and the paths from
     each cut vertex are closed-form too (|B| - 1 and |B|), and only the
     paths between two cut vertices run a DP. A block without one runs the
     subset DP. The per-block tables are composed over the block-cut tree.
@@ -204,7 +205,11 @@ def _compose(g: Graph, decomp: BlockDecomposition, dp_limit: int) -> VertexWeigh
 
 
 def _has_hamiltonian_cycle(adj, n: int) -> bool:
-    """Whether the graph on vertices 0..n-1 (n >= 3) has a spanning cycle.
+    """Whether a search finds a spanning cycle of the graph on vertices
+    0..n-1 (n >= 3) within 2^(n-2) + n^3 candidate tries. False when there
+    is none or the tries run out; the caller then runs the exact DP, which
+    costs several times 2^n steps, so the weights are exact either way and
+    a failed search adds at most a fraction of the DP's time.
 
     An iterative DFS grows a path from vertex 0 in increasing vertex order
     and closes it when it spans every vertex and ends next to vertex 0. A
@@ -236,6 +241,7 @@ def _has_hamiltonian_cycle(adj, n: int) -> bool:
     # e closes into a spanning cycle
     dead: dict[int, int] = {}
     todo = [home]  # per depth, the next vertices not yet tried
+    tries = (1 << (n - 2)) + n**3
     while todo:
         cand = todo[-1]
         if not cand:
@@ -244,6 +250,9 @@ def _has_hamiltonian_cycle(adj, n: int) -> bool:
             dead[s_mask] = dead.get(s_mask, 0) | end
             s_mask ^= end
             continue
+        if not tries:
+            return False
+        tries -= 1
         w = cand & -cand
         todo[-1] = cand ^ w
         grown = s_mask | w

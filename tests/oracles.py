@@ -24,7 +24,9 @@ over a tally of distinct weights, are checked against their retired
 per-vertex ``Fraction`` sums (``per_vertex_thm1_rhs``, ``per_vertex_thm2_rhs``).
 The retired enumerator, ``brute_force_reps``, is the oracle for the
 package's canonical augmentation; it canonicalizes with the package's own
-``canonical_mask``, which is checked against ``permutation_canonical_mask``.
+``canonical_mask``, which is checked against ``permutation_canonical_mask``
+and against the retired labeling search that kept every tied partial
+labeling (``tied_labeling_search``), which reaches n = 12.
 """
 
 from __future__ import annotations
@@ -445,6 +447,46 @@ def permutation_canonical_mask(g: Graph) -> int:
     if not best:
         return 0
     return sum(b << k for k, b in enumerate(best))
+
+
+def tied_labeling_search(n: int, adj) -> tuple[int, list[tuple[int, ...]]]:
+    """The package's retired canonical labeling: the lex-minimal pair-order
+    mask, found by keeping every partial labeling whose next adjacency
+    column ties the least one (of two twins only the first), and those
+    labelings, each listing the vertex at every position."""
+    states: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    mask = 0
+    bit = 0
+    for pos in range(n):
+        best_col = None
+        chosen: list[tuple[tuple[int, ...], int]] = []
+        for placed, used in states:
+            cands: dict[int, list[int]] = {}
+            for v in range(n):
+                if used >> v & 1:
+                    continue
+                col = 0
+                for w in placed:
+                    col = (col << 1) | (adj[v] >> w & 1)
+                cands.setdefault(col, []).append(v)
+            col = min(cands)
+            if best_col is None or col < best_col:
+                best_col = col
+                chosen = []
+            if col == best_col:
+                reps: list[int] = []
+                for v in cands[col]:
+                    bv = 1 << v
+                    if any((adj[v] ^ adj[w]) & ~(bv | (1 << w)) == 0 for w in reps):
+                        continue
+                    reps.append(v)
+                    chosen.append((placed + (v,), used | bv))
+        states = chosen
+        for t in range(pos):
+            if best_col >> (pos - 1 - t) & 1:
+                mask |= 1 << (bit + t)
+        bit += pos
+    return mask, [placed for placed, _ in states]
 
 
 @lru_cache(maxsize=None)

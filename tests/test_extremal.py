@@ -200,6 +200,7 @@ class TestExtremalPredicate:
         for g, w in zip(reps7, weights):
             for s in range(2, 6):
                 extremal_predicate(g, s, 2, w)
+                extremal_predicate(g, s, 1, w)
 
     def test_smaller_heavy_set_decomposes_its_subgraph(self, count_calls):
         # K4 with a pendant vertex: at s = 3 the heavy set is the K4
@@ -207,7 +208,7 @@ class TestExtremalPredicate:
         w = compute_weights(g)
         calls = count_calls("block_decomposition")
         assert extremal_predicate(g, 3, 1, w)
-        assert calls == [(complete_graph(4),)]
+        assert calls == [(g, 0b01111)]
 
 
 class TestAgainstNetworkx:
@@ -250,6 +251,8 @@ class TestAgainstNetworkx:
             self.assert_matches(g)
             w = compute_weights(g)
             for s in range(2, 6):
+                heavy = g.induced(heavy_cycle_set(g, s, w))
+                assert extremal_predicate(g, s, 1, w) == nx_is_parent_dominated(heavy), (g, s)
                 heavy = g.induced(heavy_path_set(g, s, w))
                 assert extremal_predicate(g, s, 2, w) == nx_components_are_cliques(heavy), (g, s)
 

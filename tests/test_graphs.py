@@ -1,9 +1,12 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 
 import networkx as nx
+from networkx.algorithms.isomorphism import GraphMatcher
+
 from cliquebounds import (
     BlockSpec,
     Graph,
@@ -28,11 +31,14 @@ from cliquebounds import (
     to_pair_mask,
     write_graph6,
 )
+from cliquebounds.graphs import _canonical_search
 from oracles import (
     brute_force_reps,
     decode_graph6_bitstring,
     permutation_canonical_mask,
+    petersen,
     subset_dp_weights,
+    tied_labeling_search,
 )
 from strategies import graphs
 
@@ -231,14 +237,14 @@ class TestEnumeration:
     def test_n7_matches_brute_force_digest(self, reps7):
         assert reps_sha256(reps7) == REPS_SHA256[7]
 
-    @pytest.mark.slow("n=8 enumeration takes ~10 s")
+    @pytest.mark.slow("n=8 enumeration takes ~2 s")
     def test_n8_enumeration(self):
         reps = list(enumerate_graphs(8))
         assert len(reps) == 12346  # OEIS A000088
         assert sum(map(is_connected, reps)) == 11117  # OEIS A001349
         assert reps_sha256(reps) == REPS_SHA256[8]
 
-    @pytest.mark.slow("weights of all n=8 classes take ~25 s")
+    @pytest.mark.slow("weights of all n=8 classes take ~12 s")
     def test_n8_boundary(self):
         reps = list(enumerate_graphs(8))
         for g in reps[::97]:
@@ -279,6 +285,83 @@ class TestEnumeration:
     def test_canonical_mask_guard(self):
         with pytest.raises(ResourceLimitError, match="canonical labeling"):
             canonical_mask(cycle_graph(9))
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def group_order(n: int, gens) -> int:
+    """Elements of the permutation group that ``gens`` generate."""
+    seen = {tuple(range(n))}
+    todo = list(seen)
+    while todo:
+        p = todo.pop()
+        for gen in gens:
+            q = tuple(gen[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return len(seen)
+
+
+def automorphism_count(g: Graph) -> int:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+
+
+def cube() -> Graph:
+    return from_edges(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+
+
+NAMED = {
+    "C8": cycle_graph(8),
+    "C10": cycle_graph(10),
+    "C12": cycle_graph(12),
+    "Q3": cube(),
+    "K4,4": from_edges(8, [(i, 4 + j) for i in range(4) for j in range(4)]),
+    "Petersen": petersen(),
+}
+
+
+class TestCellSearchAgainstTiedLabelings:
+    """The ordered-cell search behind ``canonical_mask`` against the retired
+    search that kept every tied labeling, and its automorphism generators
+    against networkx."""
+
+    @staticmethod
+    def assert_matches(g: Graph):
+        mask, order, gens = _canonical_search(g.n, g.adj)
+        assert mask == tied_labeling_search(g.n, g.adj)[0], g
+        at = {v: i for i, v in enumerate(order)}
+        assert to_pair_mask(from_edges(g.n, [(at[u], at[v]) for u, v in g.edges()])) == mask, g
+        for perm in gens:
+            assert all(g.has_edge(perm[u], perm[v]) for u, v in g.edges()), (g, perm)
+        return gens
+
+    def test_every_class_up_to_7_relabeled(self, reps_by_n, reps7):
+        rng = random.Random(7)
+        for g in [g for n in range(7) for g in reps_by_n[n]] + reps7:
+            self.assert_matches(relabeled(g, rng))
+
+    def test_seeded_random_graphs_up_to_10(self):
+        rng = random.Random(1998)
+        for _ in range(2000):
+            self.assert_matches(random_graph(rng.randint(0, 10), rng.random(), rng.randrange(1 << 30)))
+
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_named_graphs(self, name):
+        g = NAMED[name]
+        assert group_order(g.n, self.assert_matches(g)) == automorphism_count(g)
+
+    def test_generators_close_to_the_automorphism_group(self, reps_by_n):
+        for n in range(7):
+            for g in reps_by_n[n]:
+                assert group_order(n, _canonical_search(n, g.adj)[2]) == automorphism_count(g), g
 
 
 class TestRandomGraph:

@@ -26,6 +26,7 @@ from cliquebounds.weights import (
     _has_hamiltonian_cycle,
     _path_and_cycle_tables,
     _paths_from,
+    _reach,
 )
 from oracles import (
     bowtie,
@@ -239,6 +240,22 @@ class TestHamiltonianCycleCertificate:
         assert not _has_hamiltonian_cycle(complete_bipartite(8, 10).adj, 18)
         assert not _has_hamiltonian_cycle(complete_bipartite(10, 8).adj, 18)
         assert _has_hamiltonian_cycle(complete_bipartite(9, 9).adj, 18)
+
+    def test_search_gives_up_after_its_tries(self, monkeypatch):
+        # K8,10 with an edge inside the larger side has no spanning cycle,
+        # and no prune sees why: the whole search makes 109,387 reachability
+        # checks, one per candidate try that passes the cheaper prunes. It
+        # stops after 2^16 + 18^3 tries and leaves the block to the DP.
+        g = from_edges(18, complete_bipartite(8, 10).edges() + [(8, 9)])
+        checks = []
+
+        def counted(nbr, bit, free):
+            checks.append(bit)
+            return _reach(nbr, bit, free)
+
+        monkeypatch.setattr(weights, "_reach", counted)
+        assert not _has_hamiltonian_cycle(g.adj, 18)
+        assert 0 < len(checks) <= (1 << 16) + 18**3
 
     @pytest.fixture
     def dp_calls(self, monkeypatch):
