@@ -90,15 +90,20 @@ class BoundReport:
         return json.dumps(self.to_json_dict())
 
 
-def check_theorem(g: Graph, s: int, theorem: int, w: VertexWeights, lhs: int) -> BoundReport:
+def check_theorem(
+    g: Graph, s: int, theorem: int, w: VertexWeights, lhs: int, extremal: bool | None = None
+) -> BoundReport:
     """Evaluate one bound on g from its weights ``w`` and its s-clique count
-    ``lhs``, both computed once by the caller for every theorem it checks."""
+    ``lhs``, both computed once by the caller for every theorem it checks.
+    ``extremal`` is the predicate's verdict when the caller has already
+    decided it on the same heavy set; by default it is decided here."""
     if theorem not in (1, 2):
         raise ValueError(f"theorem must be 1 or 2, got {theorem}")
     rhs = thm1_rhs(g, s, w) if theorem == 1 else thm2_rhs(g, s, w)
     gap = rhs - lhs
     in_scope = not (theorem == 1 and s == 1 and g.n == 1)
-    extremal = extremal_predicate(g, s, theorem, w)
+    if extremal is None:
+        extremal = extremal_predicate(g, s, theorem, w)
     equality = gap == 0
     consistent = (equality == extremal) if in_scope else True
     return BoundReport(theorem, s, g, lhs, rhs, gap, equality, extremal, consistent, in_scope)

@@ -116,9 +116,11 @@ def from_pair_mask(n: int, mask: int) -> Graph:
 
 
 def to_pair_mask(g: Graph) -> int:
+    """The edge bitmask in column-major pair order: column j is the low j
+    bits of row j."""
     mask = 0
-    for u, v in g.edges():
-        mask |= 1 << pair_index(u, v)
+    for j, row in enumerate(g.adj):
+        mask |= (row & ((1 << j) - 1)) << pair_index(0, j)
     return mask
 
 
@@ -191,79 +193,87 @@ class BlockDecomposition:
 
 
 def block_decomposition(g: Graph, mask: int | None = None) -> BlockDecomposition:
-    """Single-pass depth-first decomposition with an edge stack, of the
-    subgraph induced on the vertex bitmask ``mask`` (all of g by default) in
-    g's own vertex ids; a vertex outside the mask is in no block."""
-    n = g.n
+    """Hopcroft-Tarjan decomposition on vertex bitmasks, of the subgraph
+    induced on the vertex bitmask ``mask`` (all of g by default) in g's own
+    vertex ids; a vertex outside the mask is in no block.
+
+    One iterative DFS descends to the least unvisited neighbour. A frame
+    holds its vertex bit, its untried neighbours as a row, its low point,
+    and the vertices of its subtree in no block yet (its part of the vertex
+    stack). A vertex's visited neighbours at discovery are its ancestors,
+    so its low point starts as their least discovery time (the parent's
+    never fails the block test). A finished child whose low point does not
+    reach above its parent closes a block: its pending vertices and the
+    parent. Blocks stay masks until the pass ends.
+    """
     mask = g.full_mask if mask is None else mask & g.full_mask
-    adj = [row & mask for row in g.adj]
-    disc = [-1] * n
-    low = [0] * n
-    blocks: list[frozenset[int]] = []
-    stack: list[tuple[int, int]] = []
-    timer = 0
-
-    def pop_block(u: int, v: int):
-        verts: set[int] = set()
-        while True:
-            a, b = stack.pop()
-            verts.add(a)
-            verts.add(b)
-            if (a, b) == (u, v):
-                break
-        blocks.append(frozenset(verts))
-
-    def dfs(root: int):
-        nonlocal timer
-        disc[root] = low[root] = timer
-        timer += 1
-        work = [(root, -1, iter_bits(adj[root]))]
+    nbr = {1 << v: row & mask for v, row in enumerate(g.adj) if mask >> v & 1}
+    disc: dict[int, int] = {}
+    masks: list[int] = []
+    seen = 0
+    rest = mask
+    while rest:
+        root = rest & -rest
+        seen |= root
+        low = disc[root] = len(disc)
+        if not nbr[root]:
+            masks.append(root)
+        # frames: [vertex bit, untried neighbours, low point, pending vertices]
+        work = [[root, nbr[root], low, root]]
         while work:
-            u, parent, it = work[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((u, w))
-                    work.append((w, u, iter_bits(adj[w])))
-                    advanced = True
-                    break
-                if disc[w] < disc[u]:
-                    stack.append((u, w))
-                    if low[u] > disc[w]:
-                        low[u] = disc[w]
-            if advanced:
+            top = work[-1]
+            untried = top[1] & ~seen
+            if untried:
+                w = untried & -untried
+                top[1] = untried ^ w
+                seen |= w
+                low = disc[w] = len(disc)
+                back = nbr[w] & seen
+                while back:
+                    b = back & -back
+                    back ^= b
+                    if disc[b] < low:
+                        low = disc[b]
+                work.append([w, nbr[w] & ~seen, low, w])
                 continue
             work.pop()
             if work:
-                pu = work[-1][0]
-                if low[pu] > low[u]:
-                    low[pu] = low[u]
-                if low[u] >= disc[pu]:
-                    pop_block(pu, u)
+                parent = work[-1]
+                if top[2] >= disc[parent[0]]:
+                    masks.append(top[3] | parent[0])
+                else:
+                    parent[3] |= top[3]
+                    if top[2] < parent[2]:
+                        parent[2] = top[2]
+        rest &= ~seen
 
-    for v in iter_bits(mask):
-        if disc[v] == -1:
-            if not adj[v]:
-                blocks.append(frozenset({v}))
-            else:
-                dfs(v)
-
-    blocks_at: list[list[int]] = [[] for _ in range(n)]
+    once = cuts = 0
+    for bmask in masks:
+        cuts |= once & bmask
+        once |= bmask
+    blocks: list[frozenset[int]] = []
+    blocks_at: list[list[int]] = [[] for _ in range(g.n)]
     clique = []
-    for bi, blk in enumerate(blocks):
-        bmask = 0
-        for v in blk:
+    tree = []
+    for bi, bmask in enumerate(masks):
+        verts = []
+        is_clique = True
+        m = bmask
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            verts.append(v)
             blocks_at[v].append(bi)
-            bmask |= 1 << v
-        clique.append(all((adj[v] | (1 << v)) & bmask == bmask for v in blk))
-    cuts = frozenset(v for v in range(n) if len(blocks_at[v]) > 1)
-    tree = tuple((bi, v) for bi, blk in enumerate(blocks) for v in sorted(blk) if v in cuts)
+            if b & cuts:
+                tree.append((bi, v))
+            if is_clique and (nbr[b] | b) & bmask != bmask:
+                is_clique = False
+        blocks.append(frozenset(verts))
+        clique.append(is_clique)
     return BlockDecomposition(
-        tuple(blocks), cuts, tree, tuple(clique), tuple(map(tuple, blocks_at))
+        tuple(blocks), frozenset(v for _, v in tree), tuple(tree), tuple(clique),
+        tuple(map(tuple, blocks_at)),
     )
 
 
@@ -320,20 +330,18 @@ def parse_graph6(text: str) -> Graph:
     return from_pair_mask(n, mask)
 
 
+# the graph6 character of six pair bits read low bit first
+_G6_CHUNK = tuple(chr(63 + int(f"{c:06b}"[::-1], 2)) for c in range(64))
+
+
 def write_graph6(g: Graph) -> str:
     mask = to_pair_mask(g)
-    nbits = g.n * (g.n - 1) // 2
     if g.n <= 62:
-        out = [chr(63 + g.n)]
+        head = chr(63 + g.n)
     else:
-        out = ["~"] + [chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)]
-    for k in range(0, nbits, 6):
-        chunk = 0
-        for t in range(6):
-            if k + t < nbits and mask >> (k + t) & 1:
-                chunk |= 1 << (5 - t)
-        out.append(chr(63 + chunk))
-    return "".join(out)
+        head = "~" + "".join(chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0))
+    nbits = g.n * (g.n - 1) // 2
+    return head + "".join(_G6_CHUNK[mask >> k & 63] for k in range(0, nbits, 6))
 
 
 def parse_edge_list(text: str) -> Graph:

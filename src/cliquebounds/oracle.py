@@ -30,12 +30,20 @@ from .weights import compute_weights
 
 def _reports(g: Graph, s_max: int) -> Iterator[BoundReport]:
     """Both bounds at every s <= s_max, from one weights computation and one
-    clique expansion of g."""
+    clique expansion of g. The theorem-1 predicate is decided once per
+    distinct heavy set {c(v) >= s}, s >= 2: it shrinks from s - 1 to s only
+    when some c(v) equals s - 1."""
     w = compute_weights(g)
     counts = clique_counts(g, s_max)
+    cycle_weights = set(w.c)
+    extremal = None
     for s in range(1, s_max + 1):
-        for theorem in (1, 2):
-            yield check_theorem(g, s, theorem, w, counts[s])
+        if s < 3 or s - 1 in cycle_weights:
+            extremal = None
+        cycle_form = check_theorem(g, s, 1, w, counts[s], extremal)
+        extremal = cycle_form.extremal
+        yield cycle_form
+        yield check_theorem(g, s, 2, w, counts[s])
 
 
 def exhaustive_verify(n_max: int, s_max: int) -> dict:

@@ -2,16 +2,17 @@
 
 p(v) is the number of edges on the longest simple path containing v.
 c(v) is the length of the longest cycle containing v, or 2 when v lies on
-no cycle. Per biconnected block, a clique block's tables are closed-form,
-and so are those of a block with a Hamiltonian cycle, which one memoized
-depth-first search certifies within 2^(|B|-2) + |B|^3 candidate tries:
-every vertex of such a block B lies on a cycle of |B| vertices and on a
-path of |B| - 1 edges. Any other block, or one the search gives up on, runs
-subset dynamic programming over (vertex set, endpoint) states. The
-per-block tables are composed over the block-cut tree (Hopcroft & Tarjan
-1973), at a cost of about (cut vertices in B + 2) * 2^|B| per non-clique
-block B without a Hamiltonian cycle; a Hamiltonian block runs the DP of
-paths from a cut vertex only for its pairs of cut vertices. The block
+no cycle. Per biconnected block, a clique block B is one number, its
+order, and costs O(cut vertices in B). A block with a Hamiltonian cycle,
+which one memoized depth-first search certifies within 2^(|B|-2) + |B|^3
+candidate tries, has closed-form tables: every vertex of such a block B
+lies on a cycle of |B| vertices and on a path of |B| - 1 edges. Any other
+block, or one the search gives up on, runs subset dynamic programming over
+(vertex set, endpoint) states. The per-block tables are composed over the
+block-cut tree (Hopcroft & Tarjan 1973), at a cost of about (cut vertices
+in B + 2) * 2^|B| per non-clique block B without a Hamiltonian cycle; a
+Hamiltonian block runs the DP of paths from a cut vertex only for its
+pairs of cut vertices. The block
 decomposition comes from ``graphs`` and is returned on ``VertexWeights``,
 so its readers (the extremal predicate) need not build it again.
 
@@ -33,7 +34,7 @@ import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graphs import BlockDecomposition, Graph, ResourceLimitError, block_decomposition, iter_bits
+from .graphs import BlockDecomposition, Graph, ResourceLimitError, block_decomposition
 
 DEFAULT_DP_LIMIT = 18
 # Candidate extensions one longest-path search may try before it gives up.
@@ -84,7 +85,7 @@ def _memory_guard(size: int):
 
 
 class _BlockTables(NamedTuple):
-    """Per-vertex tables of one block, indexed by the block's local labels
+    """Per-vertex tables of one non-clique block, indexed by its local labels
     (its vertices in sorted order)."""
 
     local: dict[int, int]
@@ -99,22 +100,25 @@ class _BlockTables(NamedTuple):
 def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights:
     """Exact p(v) and c(v) for every vertex.
 
-    Per block B of the block decomposition, relabeled to 0..|B|-1, a clique
-    block gets its tables in closed form (every path table |B| - 1, c = |B|
-    from three vertices on). Any other block first searches for a
-    Hamiltonian cycle; when it finds one, p and c in B and the paths from
-    each cut vertex are closed-form too (|B| - 1 and |B|), and only the
-    paths between two cut vertices run a DP. A block without one runs the
-    subset DP. The per-block tables are composed over the block-cut tree.
+    A clique block B keeps no tables: a path in it from, or between, any
+    of its vertices has |B| - 1 edges, so a path into B from cut vertex a
+    takes the longest arm at another cut vertex, and every vertex of B gets
+    |B| - 1 plus the two longest arms at distinct cut vertices of B, in
+    O(its cut vertices). Any other block, relabeled to 0..|B|-1, first
+    searches for a Hamiltonian cycle; when it finds one, p and c in B and
+    the paths from each cut vertex are closed-form (|B| - 1 and |B|), and
+    only the paths between two cut vertices run a DP. A block without one
+    runs the subset DP. The per-block tables are composed over the
+    block-cut tree.
     Every cycle lies inside one block, so c(v) is the best cycle through v
     in a block containing v. A simple path meets the blocks along a path of
     the block-cut tree, so p(v) is the best, over the blocks B containing
     v, of a path inside B, or of a path in B from a cut vertex a (or
     between cut vertices a and b) extended by the longest arm that leaves B
-    through a (and through b). A block without a Hamiltonian cycle costs about (cut
-    vertices in B + 2) * 2^|B| steps, so the guard is on the largest
-    non-clique block, and on the memory its tables need; both run before
-    the search.
+    through a (and through b). A block without a Hamiltonian cycle costs
+    about (cut vertices in B + 2) * 2^|B| steps, so the guard is on the
+    largest non-clique block, and on the memory its tables need; both run
+    before the search.
     """
     return _compose(g, block_decomposition(g), dp_limit)
 
@@ -128,42 +132,41 @@ def _compose(g: Graph, decomp: BlockDecomposition, dp_limit: int) -> VertexWeigh
     for bi, a in decomp.tree_edges:
         cuts_of[bi].append(a)
 
-    tables: list[_BlockTables] = []
+    # a clique block keeps only its order
+    tables: list[_BlockTables | int] = []
     for bi, blk in enumerate(decomp.blocks):
-        local = {v: i for i, v in enumerate(sorted(blk))}
+        if decomp.clique[bi]:
+            tables.append(len(blk))
+            continue
+        order = sorted(blk)
+        local = {v: i for i, v in enumerate(order)}
         start: dict[int, list[int]] = {}
         pair: dict[tuple[int, int], list[int]] = {}
-        if decomp.clique[bi]:
-            # a Hamiltonian path starts at, or joins, any vertices of a clique
-            size = len(local)
-            p_in, c_in = [size - 1] * size, [size if size >= 3 else 2] * size
-            for a in cuts_of[bi]:
-                start[a] = p_in
-                pair.update(((a, b), p_in) for b in cuts_of[bi] if b != a)
+        adj = [sum(1 << i for i, u in enumerate(order) if g.adj[v] >> u & 1) for v in order]
+        size = len(local)
+        hamiltonian = _has_hamiltonian_cycle(adj, size)
+        if hamiltonian:
+            # the cycle is a longest cycle through every vertex, and a
+            # Hamiltonian path leaves from any vertex along it
+            p_in, c_in = [size - 1] * size, [size] * size
         else:
-            adj = [sum(1 << local[u] for u in iter_bits(g.adj[v]) if u in local) for v in local]
-            size = len(local)
-            hamiltonian = _has_hamiltonian_cycle(adj, size)
-            if hamiltonian:
-                # the cycle is a longest cycle through every vertex, and a
-                # Hamiltonian path leaves from any vertex along it
-                p_in, c_in = [size - 1] * size, [size] * size
-            else:
-                p_in, c_in = _path_and_cycle_tables(adj, size)
-            for k, a in enumerate(cuts_of[bi]):
-                later = cuts_of[bi][k + 1:]
-                if hamiltonian and not later:
-                    start[a] = p_in
-                    continue
-                start[a], rows = _paths_from(adj, size, local[a], [local[b] for b in later])
-                for b, row in zip(later, rows):
-                    pair[(a, b)] = pair[(b, a)] = row
+            p_in, c_in = _path_and_cycle_tables(adj, size)
+        for k, a in enumerate(cuts_of[bi]):
+            later = cuts_of[bi][k + 1:]
+            if hamiltonian and not later:
+                start[a] = p_in
+                continue
+            start[a], rows = _paths_from(adj, size, local[a], [local[b] for b in later])
+            for b, row in zip(later, rows):
+                pair[(a, b)] = pair[(b, a)] = row
         tables.append(_BlockTables(local, p_in, c_in, start, pair))
 
     def down(a: int, bi: int) -> int:
         """Longest path from cut vertex a into block bi, continuing through
         bi's other cut vertices away from a."""
         t = tables[bi]
+        if type(t) is int:
+            return t - 1 + max([arm[(b, bi)] for b in cuts_of[bi] if b != a], default=0)
         i = t.local[a]
         through = [t.pair[(a, b)][i] + arm[(b, bi)] for b in cuts_of[bi] if b != a]
         return max([t.start[a][i]] + through)
@@ -193,6 +196,18 @@ def _compose(g: Graph, decomp: BlockDecomposition, dp_limit: int) -> VertexWeigh
     p = [0] * g.n
     c = [2] * g.n
     for bi, t in enumerate(tables):
+        if type(t) is int:
+            # every vertex of a clique block lies on a path through it that
+            # joins the two longest arms at distinct cut vertices, and on a
+            # cycle of t vertices when t >= 3 (c starts at 2)
+            arms = sorted([arm[(a, bi)] for a in cuts_of[bi]], reverse=True)
+            best = t - 1 + sum(arms[:2])
+            for v in decomp.blocks[bi]:
+                if p[v] < best:
+                    p[v] = best
+                if c[v] < t:
+                    c[v] = t
+            continue
         for v, i in t.local.items():
             best = max(
                 [t.p[i]]

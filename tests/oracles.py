@@ -15,9 +15,10 @@ retired longest path, a greedy that runs one breadth-first search
 ``greedy_longest_path_from``. The two weights oracles return
 ``VertexWeights`` carrying the package's block decomposition of g, so they
 compare equal to ``compute_weights`` field by field; their p and c are
-computed without it. The block decomposition and the block-graph
-recognizers are checked against networkx (``nx_block_decomposition``), and
-so are the clique counts past the subset oracle's range
+computed without it. The block decomposition is checked field for field
+against the retired edge-stack pass (``edge_stack_block_decomposition``);
+it and the block-graph recognizers are also checked against networkx
+(``nx_block_decomposition``), and so are the clique counts past the subset oracle's range
 (``nx_cliques_by_order``) and the clique-component test
 (``nx_components_are_cliques``). The right sides, which the package sums
 over a tally of distinct weights, are checked against their retired
@@ -38,7 +39,14 @@ from typing import NamedTuple
 
 import networkx as nx
 
-from cliquebounds import Graph, binom, block_decomposition, canonical_mask, from_pair_mask
+from cliquebounds import (
+    BlockDecomposition,
+    Graph,
+    binom,
+    block_decomposition,
+    canonical_mask,
+    from_pair_mask,
+)
 from cliquebounds.graphs import iter_bits
 from cliquebounds.weights import VertexWeights
 
@@ -210,6 +218,83 @@ def tree_dp_block_graph_weights(g: Graph) -> VertexWeights:
     for v in range(g.n):
         p[v] = max(best_through[bi] for bi in blocks_at[v])
     return VertexWeights(tuple(p), tuple(c), max(c), decomp)
+
+
+def edge_stack_block_decomposition(g: Graph, mask: int | None = None) -> BlockDecomposition:
+    """The retired ``block_decomposition``: single-pass depth-first
+    decomposition with an edge stack, of the subgraph induced on the vertex
+    bitmask ``mask`` (all of g by default) in g's own vertex ids."""
+    n = g.n
+    mask = g.full_mask if mask is None else mask & g.full_mask
+    adj = [row & mask for row in g.adj]
+    disc = [-1] * n
+    low = [0] * n
+    blocks: list[frozenset[int]] = []
+    stack: list[tuple[int, int]] = []
+    timer = 0
+
+    def pop_block(u: int, v: int):
+        verts: set[int] = set()
+        while True:
+            a, b = stack.pop()
+            verts.add(a)
+            verts.add(b)
+            if (a, b) == (u, v):
+                break
+        blocks.append(frozenset(verts))
+
+    def dfs(root: int):
+        nonlocal timer
+        disc[root] = low[root] = timer
+        timer += 1
+        work = [(root, -1, iter_bits(adj[root]))]
+        while work:
+            u, parent, it = work[-1]
+            advanced = False
+            for w in it:
+                if w == parent:
+                    continue
+                if disc[w] == -1:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((u, w))
+                    work.append((w, u, iter_bits(adj[w])))
+                    advanced = True
+                    break
+                if disc[w] < disc[u]:
+                    stack.append((u, w))
+                    if low[u] > disc[w]:
+                        low[u] = disc[w]
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pu = work[-1][0]
+                if low[pu] > low[u]:
+                    low[pu] = low[u]
+                if low[u] >= disc[pu]:
+                    pop_block(pu, u)
+
+    for v in iter_bits(mask):
+        if disc[v] == -1:
+            if not adj[v]:
+                blocks.append(frozenset({v}))
+            else:
+                dfs(v)
+
+    blocks_at: list[list[int]] = [[] for _ in range(n)]
+    clique = []
+    for bi, blk in enumerate(blocks):
+        bmask = 0
+        for v in blk:
+            blocks_at[v].append(bi)
+            bmask |= 1 << v
+        clique.append(all((adj[v] | (1 << v)) & bmask == bmask for v in blk))
+    cuts = frozenset(v for v in range(n) if len(blocks_at[v]) > 1)
+    tree = tuple((bi, v) for bi, blk in enumerate(blocks) for v in sorted(blk) if v in cuts)
+    return BlockDecomposition(
+        tuple(blocks), cuts, tree, tuple(clique), tuple(map(tuple, blocks_at))
+    )
 
 
 class NxBlocks(NamedTuple):
@@ -506,9 +591,14 @@ def brute_force_reps(n: int) -> tuple[int, ...]:
 
 
 def decode_graph6_bitstring(line: str) -> tuple[int, set[tuple[int, int]]]:
-    """Alternate graph6 decoder working on an explicit bit string."""
+    """Alternate graph6 decoder working on an explicit bit string; reads
+    the short size header and the 4-byte long form."""
     data = line.strip()
-    n = ord(data[0]) - 63
+    if data[0] == "~":
+        n = int("".join(format(ord(ch) - 63, "06b") for ch in data[1:4]), 2)
+        data = data[3:]
+    else:
+        n = ord(data[0]) - 63
     bit_stream = "".join(format(ord(ch) - 63, "06b") for ch in data[1:])
     edges = set()
     idx = 0

@@ -8,6 +8,7 @@ import pytest
 
 from cliquebounds import (
     BlockSpec,
+    complete_graph,
     cycle_graph,
     generate_pdbg,
     parse_graph6,
@@ -131,6 +132,16 @@ class TestCheckCommand:
             capsys, ["check", "--theorem", "2", "--s", "0"], stdin="Bw", monkeypatch=monkeypatch
         )
         assert code == 2
+
+    def test_clique_count_past_its_budget_exits_2(self, capsys, monkeypatch):
+        # K40 has about 4.8e11 cliques below order 20; the count stops at
+        # its budget, after about a second
+        code, out, err = run_cli(
+            capsys, ["check", "--theorem", "2", "--s", "20"],
+            stdin=write_graph6(complete_graph(40)), monkeypatch=monkeypatch,
+        )
+        assert code == 2 and out == ""
+        assert err == "resource guard: clique counting gave up after 2000000 extensions\n"
 
     def test_tight_bound_without_its_predicate_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(bounds, "extremal_predicate", lambda g, s, theorem, w: False)

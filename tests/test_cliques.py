@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cliquebounds import (
     Graph,
+    ResourceLimitError,
     binom,
     clique_counts,
     complete_graph,
@@ -19,6 +20,7 @@ from cliquebounds import (
     enumerate_cliques,
     random_graph,
 )
+from cliquebounds import cliques
 from oracles import nx_cliques_by_order, petersen, subset_clique_count
 from strategies import block_glued_graph, graphs, random_pdbgs
 
@@ -71,6 +73,17 @@ class TestCountCliques:
         assert clique_counts(cycle_graph(4), 0) == [1]
         assert clique_counts(cycle_graph(4), 1) == [1, 4]
         assert clique_counts(complete_graph(4), 6) == [1, 4, 6, 4, 1, 0, 0]
+
+    def test_expansion_budget_names_the_count(self, monkeypatch):
+        # below the top order, every clique of K8 tries its extensions once
+        spent = sum(binom(8, k) for k in range(1, 5))
+        monkeypatch.setattr(cliques, "CLIQUE_EXPANSION_BUDGET", spent)
+        assert clique_counts(complete_graph(8), 5) == [binom(8, k) for k in range(6)]
+        monkeypatch.setattr(cliques, "CLIQUE_EXPANSION_BUDGET", spent - 1)
+        with pytest.raises(ResourceLimitError, match=f"gave up after {spent - 1} extensions"):
+            clique_counts(complete_graph(8), 5)
+        with pytest.raises(ResourceLimitError):
+            count_cliques_touching(complete_graph(8), 5, [0])
 
     @pytest.mark.parametrize("n", range(13))
     def test_complete_graph_binomials(self, n):

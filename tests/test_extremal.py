@@ -1,6 +1,7 @@
 import random
 
 from cliquebounds import (
+    BlockDecomposition,
     BlockSpec,
     Graph,
     block_decomposition,
@@ -23,6 +24,7 @@ from cliquebounds import (
 )
 from oracles import (
     bowtie,
+    edge_stack_block_decomposition,
     nx_block_decomposition,
     nx_components_are_cliques,
     nx_is_block_graph,
@@ -95,6 +97,50 @@ class TestBlockDecomposition:
                             stack.append(nb)
             # acyclic iff edges = nodes - components
             assert len(d.tree_edges) == nodes - comps
+
+
+def _mapped_back(d: BlockDecomposition, ids: list[int], n: int) -> BlockDecomposition:
+    """A decomposition of g.induced(ids) in the ids of g (n vertices)."""
+    blocks_at: list[tuple[int, ...]] = [()] * n
+    for i, v in enumerate(ids):
+        blocks_at[v] = d.blocks_at[i]
+    return BlockDecomposition(
+        tuple(frozenset(ids[i] for i in b) for b in d.blocks),
+        frozenset(ids[i] for i in d.cut_vertices),
+        tuple((bi, ids[i]) for bi, i in d.tree_edges),
+        d.clique,
+        tuple(blocks_at),
+    )
+
+
+class TestAgainstEdgeStackPass:
+    """The vertex-mask pass against the retired edge-stack pass, field for
+    field with block order, on the whole graph and on a vertex mask."""
+
+    @staticmethod
+    def assert_matches(g, mask):
+        assert block_decomposition(g) == edge_stack_block_decomposition(g), g
+        d = block_decomposition(g, mask)
+        assert d == edge_stack_block_decomposition(g, mask), (g, mask)
+        ids = [v for v in range(g.n) if mask >> v & 1]
+        assert d == _mapped_back(block_decomposition(g.induced(ids)), ids, g.n), (g, mask)
+
+    def test_every_class_up_to_7(self, reps_by_n, reps7):
+        rng = random.Random(1973)
+        for g in [g for n in range(7) for g in reps_by_n[n]] + reps7:
+            self.assert_matches(g, rng.randrange(1 << g.n))
+
+    def test_seeded_random_graphs_up_to_30(self):
+        rng = random.Random(1974)
+        for _ in range(2000):
+            n = rng.randint(1, 30)
+            g = random_graph(n, rng.uniform(0.02, 0.5), rng.randrange(1 << 30))
+            self.assert_matches(g, rng.randrange(1 << n))
+
+    def test_bits_past_n_are_ignored(self):
+        g = bowtie()
+        assert block_decomposition(g, ~0) == block_decomposition(g)
+        assert block_decomposition(g, 1 << 7) == block_decomposition(Graph(5, (0,) * 5), 0)
 
 
 class TestRecognizers:

@@ -150,8 +150,12 @@ class TestGraph6:
             assert set(theirs.edges()) == set(g.edges())
             assert theirs.number_of_nodes() == g.n
 
-    def test_agrees_with_bitstring_decoder(self, reps_by_n):
-        for g in reps_by_n[5]:
+    def test_agrees_with_bitstring_decoder(self, reps_by_n, reps7):
+        rng = random.Random(63)
+        long_form = [
+            random_graph(n, p, rng.randrange(1 << 30)) for n in (63, 64) for p in (0.1, 0.5, 0.9)
+        ]
+        for g in [g for reps in reps_by_n.values() for g in reps] + reps7 + long_form:
             n, edges = decode_graph6_bitstring(write_graph6(g))
             assert n == g.n and edges == set(g.edges())
 

@@ -3,9 +3,12 @@ import pytest
 from cliquebounds import (
     ResourceLimitError,
     bounds,
+    compute_weights,
     exhaustive_verify,
+    extremal_predicate,
     identity_grid,
     labeled_crosscheck,
+    oracle,
     path_proof_claims,
 )
 from cliquebounds.graphs import MAX_VERTICES
@@ -68,6 +71,18 @@ class TestExhaustiveVerify:
         }
         assert all(v["equality"] and not v["extremal"] for v in summary["violations"])
         assert labeled_crosscheck(3)["violations"]
+
+    def test_cycle_form_predicate_once_per_heavy_set(self, count_calls):
+        decompositions = count_calls("block_decomposition")
+        exhaustive_verify(6, 6)
+        masked = [call for call in decompositions if len(call) == 2]
+        assert masked and len(masked) == len(set(masked))
+
+    def test_shared_cycle_form_verdicts_match_fresh_ones(self, reps_by_n, reps7):
+        for g in [g for reps in reps_by_n.values() for g in reps] + reps7:
+            w = compute_weights(g)
+            for rep in oracle._reports(g, 6):
+                assert rep.extremal == extremal_predicate(g, rep.s, rep.theorem, w), (g, rep.s)
 
     def test_one_clique_expansion_per_class(self, count_calls):
         expansions = count_calls("clique_counts")
