@@ -1,17 +1,21 @@
-"""Exact-rational evaluation of the two vertex-localized clique bounds.
+"""Exact evaluation of the two vertex-localized clique bounds.
 
 Bound 1 (cycle form):  N(G, K_s) <= sum_v C(c(v), s)/(c(v)-1) minus one term
 taken at the circumference. Bound 2 (path form):  N(G, K_s) <=
 (1/s) sum_v C(p(v), s-1). Equality classes are recognized structurally and
 both bounds dominate the classical global path/cycle bounds.
+
+Each right side is an integer numerator over a common denominator, so
+every verdict is decided in integers; ``Fraction`` is built only when a
+report's right side or gap is read.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 
 from .cliques import binom, count_cliques
 from .extremal import extremal_predicate, heavy_cycle_set, heavy_path_set
@@ -19,51 +23,87 @@ from .graphs import Graph, write_graph6
 from .weights import VertexWeights, compute_weights
 
 
-def thm1_rhs(g: Graph, s: int, w: VertexWeights) -> Fraction:
-    """Cycle-form right side, summed over the tally of distinct weights. The
-    subtracted term depends only on the maximum weight, so the choice among
-    maximizing vertices is irrelevant: it takes one vertex off that tally."""
+class RightSides:
+    """Both right sides of one graph at every s as (numerator, denominator),
+    from one tally of its distinct weights: k vertices of weight p add
+    k C(p, s-1) over s, and k of weight c add k C(c, s) (L/(c-1)) over L,
+    the lcm of the c - 1. The cycle form's subtracted term depends only on
+    the maximum weight, so it takes one vertex off that weight's count."""
+
+    __slots__ = ("paths", "cycles", "lcm")
+
+    def __init__(self, g: Graph, w: VertexWeights):
+        self.paths = [(p, w.p.count(p)) for p in set(w.p)]
+        cycles = {c: w.c.count(c) for c in set(w.c)}
+        if g.n:
+            cycles[w.circumference] -= 1
+        self.lcm = lcm(*(c - 1 for c, k in cycles.items() if k))
+        self.cycles = [(c, k * (self.lcm // (c - 1))) for c, k in cycles.items() if k]
+
+    def cycle_form(self, s: int) -> tuple[int, int]:
+        return sum(k * comb(c, s) for c, k in self.cycles), self.lcm
+
+    def path_form(self, s: int) -> tuple[int, int]:
+        return sum(k * comb(p, s - 1) for p, k in self.paths), s
+
+
+def _require_order(s: int):
     if s < 1:
         raise ValueError(f"clique order must be >= 1, got {s}")
-    if g.n == 0:
-        return Fraction(0)
-    tally = Counter(w.c)
-    tally[w.circumference] -= 1
-    return sum((Fraction(k * binom(c, s), c - 1) for c, k in tally.items()), Fraction(0))
+
+
+def thm1_rhs(g: Graph, s: int, w: VertexWeights) -> Fraction:
+    """Cycle-form right side, sum_v C(c(v), s)/(c(v)-1) less the term at the
+    circumference; 0 on the empty graph."""
+    _require_order(s)
+    return Fraction(*RightSides(g, w).cycle_form(s))
 
 
 def thm2_rhs(g: Graph, s: int, w: VertexWeights) -> Fraction:
-    """Path-form right side, (1/s) sum_v C(p(v), s-1), summed over the tally
-    of distinct weights."""
-    if s < 1:
-        raise ValueError(f"clique order must be >= 1, got {s}")
-    return Fraction(sum(k * binom(p, s - 1) for p, k in Counter(w.p).items()), s)
+    """Path-form right side, (1/s) sum_v C(p(v), s-1)."""
+    _require_order(s)
+    return Fraction(*RightSides(g, w).path_form(s))
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One bound evaluation: exact sides, gap, equality flag, the structural
-    predicate verdict, and whether the two agree. ``in_scope`` is False only
-    for the degenerate cycle-form case s=1 on a single vertex, where the
-    stated right side is an empty sum. ``ok`` is the verdict every checker
-    reads."""
+    """One bound evaluation: the s-clique count, the right side
+    ``rhs_num / rhs_den`` (not reduced), the structural predicate's verdict,
+    and from them the equality flag and whether the two agree. ``in_scope``
+    is False only for the degenerate cycle-form case s=1 on a single vertex,
+    where the stated right side is an empty sum. ``ok`` is the verdict every
+    checker reads."""
 
     theorem: int
     s: int
     graph: Graph
     lhs: int
-    rhs: Fraction
-    gap: Fraction
-    equality: bool
+    rhs_num: int
+    rhs_den: int
     extremal: bool
-    consistent: bool
     in_scope: bool = True
+
+    @property
+    def equality(self) -> bool:
+        return self.rhs_num == self.lhs * self.rhs_den
+
+    @property
+    def consistent(self) -> bool:
+        return not self.in_scope or self.equality == self.extremal
 
     @property
     def ok(self) -> bool:
         """The violation rule: in scope, the bound holds and equality holds
         exactly when the predicate does; out of scope, nothing is claimed."""
-        return not self.in_scope or (self.gap >= 0 and self.consistent)
+        return not self.in_scope or (self.rhs_num >= self.lhs * self.rhs_den and self.consistent)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.rhs_num, self.rhs_den)
+
+    @property
+    def gap(self) -> Fraction:
+        return self.rhs - self.lhs
 
     @property
     def graph6(self) -> str:
@@ -71,13 +111,14 @@ class BoundReport:
         return write_graph6(self.graph)
 
     def to_json_dict(self) -> dict:
+        rhs = self.rhs
         out = {
             "theorem": self.theorem,
             "s": self.s,
             "graph6": self.graph6,
             "lhs": self.lhs,
-            "rhs_num": self.rhs.numerator,
-            "rhs_den": self.rhs.denominator,
+            "rhs_num": rhs.numerator,
+            "rhs_den": rhs.denominator,
             "equality": self.equality,
             "extremal": self.extremal,
             "consistent": self.consistent,
@@ -91,22 +132,24 @@ class BoundReport:
 
 
 def check_theorem(
-    g: Graph, s: int, theorem: int, w: VertexWeights, lhs: int, extremal: bool | None = None
+    g: Graph, s: int, theorem: int, w: VertexWeights, lhs: int,
+    extremal: bool | None = None, sides: RightSides | None = None,
 ) -> BoundReport:
     """Evaluate one bound on g from its weights ``w`` and its s-clique count
     ``lhs``, both computed once by the caller for every theorem it checks.
     ``extremal`` is the predicate's verdict when the caller has already
-    decided it on the same heavy set; by default it is decided here."""
+    decided it on the same heavy set; by default it is decided here.
+    ``sides`` is ``RightSides(g, w)`` when the caller has already built it."""
     if theorem not in (1, 2):
         raise ValueError(f"theorem must be 1 or 2, got {theorem}")
-    rhs = thm1_rhs(g, s, w) if theorem == 1 else thm2_rhs(g, s, w)
-    gap = rhs - lhs
-    in_scope = not (theorem == 1 and s == 1 and g.n == 1)
+    _require_order(s)
+    if sides is None:
+        sides = RightSides(g, w)
+    num, den = sides.cycle_form(s) if theorem == 1 else sides.path_form(s)
     if extremal is None:
         extremal = extremal_predicate(g, s, theorem, w)
-    equality = gap == 0
-    consistent = (equality == extremal) if in_scope else True
-    return BoundReport(theorem, s, g, lhs, rhs, gap, equality, extremal, consistent, in_scope)
+    return BoundReport(theorem, s, g, lhs, num, den, extremal,
+                       not (theorem == 1 and s == 1 and g.n == 1))
 
 
 def reduction_invariance(g: Graph, s: int, theorem: int, w: VertexWeights) -> dict:

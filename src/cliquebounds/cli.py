@@ -156,7 +156,8 @@ def cmd_peel(args) -> int:
                         }
                     )
                 )
-        verdicts = {s: verify_peel_decomposition(g, trace, s)["ok"] for s in (2, 3, 4)}
+        reports = verify_peel_decomposition(g, trace, (2, 3, 4))
+        verdicts = {s: rep["ok"] for s, rep in reports.items()}
         ok = all(verdicts.values())
         print(json.dumps({"stages": len(trace.stages), "identity": verdicts, "ok": ok}))
         if not ok:

@@ -6,8 +6,10 @@ higher-id neighbours of the vertex just added. One iterative expansion
 counts the cliques of every order up to a top order at once, so a caller
 that needs several orders of one graph expands its cliques once.
 
-All bound arithmetic downstream is exact rational (fractions.Fraction);
-equality detection hinges on exact ties, so nothing here ever floats.
+All bound arithmetic downstream is exact: the verdicts compare integer
+numerators over common denominators, and the contribution shares below are
+``fractions.Fraction``. Equality detection hinges on exact ties, so nothing
+here ever floats.
 """
 
 from __future__ import annotations
@@ -72,12 +74,13 @@ def _rows(g: Graph) -> dict[int, int]:
     return {1 << v: row for v, row in enumerate(g.adj)}
 
 
-def clique_counts(g: Graph, s_max: int) -> list[int]:
-    """The clique profile [N(G, K_0), ..., N(G, K_s_max)], from one
-    expansion of every clique with fewer than s_max vertices."""
+def clique_counts(g: Graph, s_max: int, mask: int | None = None) -> list[int]:
+    """The clique profile [N(G, K_0), ..., N(G, K_s_max)] of g, or of the
+    subgraph induced on the vertex mask ``mask``, from one expansion of
+    every clique with fewer than s_max vertices."""
     if s_max < 0:
         raise ValueError(f"clique order must be >= 0, got {s_max}")
-    return _clique_counts(_rows(g), g.full_mask, s_max)
+    return _clique_counts(_rows(g), g.full_mask if mask is None else mask, s_max)
 
 
 def count_cliques(g: Graph, s: int) -> int:

@@ -125,14 +125,19 @@ def to_pair_mask(g: Graph) -> int:
 
 
 def _adj_from_mask(n: int, mask: int) -> list[int]:
+    """Adjacency rows from a column-major pair mask: column j, the next j
+    bits, is the low part of row j, and each of its bits i sets bit j of
+    row i."""
     rows = [0] * n
-    bit = 0
-    for j in range(n):
-        for i in range(j):
-            if mask >> bit & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            bit += 1
+    for j in range(1, n):
+        col = mask & ((1 << j) - 1)
+        mask >>= j
+        rows[j] = col
+        bit = 1 << j
+        while col:
+            low = col & -col
+            col ^= low
+            rows[low.bit_length() - 1] |= bit
     return rows
 
 
@@ -282,6 +287,11 @@ def block_decomposition(g: Graph, mask: int | None = None) -> BlockDecomposition
 # ---------------------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+# six pair bits, read low bit first, as the value of a graph6 character less
+# 63: reversing six bits is its own inverse, so the one table serves both ways
+_G6_BITS = bytes(int(f"{c:06b}"[::-1], 2) for c in range(64))
+# the graph6 character of six pair bits read low bit first
+_G6_CHUNK = tuple(chr(63 + _G6_BITS[c]) for c in range(64))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -291,9 +301,9 @@ def parse_graph6(text: str) -> Graph:
     if not line:
         raise GraphParseError("empty graph6 input")
     data = line.encode("ascii", errors="replace")
-    for off, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise GraphParseError(f"out-of-range graph6 byte at offset {off}")
+    if min(data) < 63 or max(data) > 126:
+        off = next(off for off, byte in enumerate(data) if not 63 <= byte <= 126)
+        raise GraphParseError(f"out-of-range graph6 byte at offset {off}")
     if data[0] == 126:
         if len(data) < 4:
             raise GraphParseError("truncated long-form size header at offset 1")
@@ -316,22 +326,12 @@ def parse_graph6(text: str) -> Graph:
     if have > need:
         raise GraphParseError(f"trailing garbage at offset {body_start + need}")
     mask = 0
-    bit = 0
-    for k in range(need):
-        chunk = data[body_start + k] - 63
-        for t in range(6):
-            if bit >= nbits:
-                if chunk >> (5 - t) & 1:
-                    raise GraphParseError(f"nonzero padding bits at offset {body_start + k}")
-                continue
-            if chunk >> (5 - t) & 1:
-                mask |= 1 << bit
-            bit += 1
+    for byte in reversed(data[body_start:]):
+        mask = mask << 6 | _G6_BITS[byte - 63]
+    if mask >> nbits:
+        # need >= 1 here, and padding lives only in the last body byte
+        raise GraphParseError(f"nonzero padding bits at offset {body_start + need - 1}")
     return from_pair_mask(n, mask)
-
-
-# the graph6 character of six pair bits read low bit first
-_G6_CHUNK = tuple(chr(63 + int(f"{c:06b}"[::-1], 2)) for c in range(64))
 
 
 def write_graph6(g: Graph) -> str:

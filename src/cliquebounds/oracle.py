@@ -9,7 +9,7 @@ import random
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .bounds import BoundReport, check_theorem, luo_dominance
+from .bounds import BoundReport, RightSides, check_theorem, luo_dominance
 from .cliques import binom, clique_counts, contribution_upper_bound
 from .graphs import (
     ENUMERATION_LIMIT,
@@ -29,21 +29,26 @@ from .weights import compute_weights
 
 
 def _reports(g: Graph, s_max: int) -> Iterator[BoundReport]:
-    """Both bounds at every s <= s_max, from one weights computation and one
-    clique expansion of g. The theorem-1 predicate is decided once per
-    distinct heavy set {c(v) >= s}, s >= 2: it shrinks from s - 1 to s only
-    when some c(v) equals s - 1."""
+    """Both bounds at every s <= s_max, from one weights computation, one
+    clique expansion and one tally of the weights of g. Each predicate is
+    decided once per distinct heavy set, s >= 2: {c(v) >= s} shrinks from
+    s - 1 to s only when some c(v) equals s - 1, and {p(v) >= s - 1} only
+    when some p(v) equals s - 2."""
     w = compute_weights(g)
     counts = clique_counts(g, s_max)
-    cycle_weights = set(w.c)
-    extremal = None
+    sides = RightSides(g, w)
+    cycle_weights, path_weights = set(w.c), set(w.p)
+    cycle_extremal = path_extremal = None
     for s in range(1, s_max + 1):
         if s < 3 or s - 1 in cycle_weights:
-            extremal = None
-        cycle_form = check_theorem(g, s, 1, w, counts[s], extremal)
-        extremal = cycle_form.extremal
+            cycle_extremal = None
+        if s < 3 or s - 2 in path_weights:
+            path_extremal = None
+        cycle_form = check_theorem(g, s, 1, w, counts[s], cycle_extremal, sides)
+        path_form = check_theorem(g, s, 2, w, counts[s], path_extremal, sides)
+        cycle_extremal, path_extremal = cycle_form.extremal, path_form.extremal
         yield cycle_form
-        yield check_theorem(g, s, 2, w, counts[s])
+        yield path_form
 
 
 def exhaustive_verify(n_max: int, s_max: int) -> dict:
@@ -173,7 +178,7 @@ def closure_and_peel_lemmas() -> dict:
         stage0 = trace.stages[0]
         if not (
             verify_closure_lemmas(g, stage0.closure, stage0.weights)["ok"]
-            and all(verify_peel_decomposition(g, trace, s)["ok"] for s in (2, 3, 4))
+            and all(rep["ok"] for rep in verify_peel_decomposition(g, trace, (2, 3, 4)).values())
         ):
             failures.append(write_graph6(g))
     return {"graphs_checked": checked, "failures": failures, "ok": not failures}

@@ -21,8 +21,13 @@ it and the block-graph recognizers are also checked against networkx
 (``nx_block_decomposition``), and so are the clique counts past the subset oracle's range
 (``nx_cliques_by_order``) and the clique-component test
 (``nx_components_are_cliques``). The right sides, which the package sums
-over a tally of distinct weights, are checked against their retired
-per-vertex ``Fraction`` sums (``per_vertex_thm1_rhs``, ``per_vertex_thm2_rhs``).
+as integer numerators over a common denominator from a tally of distinct
+weights, are checked against the paper's formulas summed per vertex in
+``Fraction`` (``per_vertex_thm1_rhs``, ``per_vertex_thm2_rhs``), and every
+report's verdict against the violation rule decided on that ``Fraction``
+gap (``per_vertex_verdict``). The graph6 decoder, which reads each payload
+byte through a table and each column of the pair mask as one slice, is
+checked against the retired per-bit decoder (``per_bit_parse_graph6``).
 The retired enumerator, ``brute_force_reps``, is the oracle for the
 package's canonical augmentation; it canonicalizes with the package's own
 ``canonical_mask``, which is checked against ``permutation_canonical_mask``
@@ -42,12 +47,13 @@ import networkx as nx
 from cliquebounds import (
     BlockDecomposition,
     Graph,
+    GraphParseError,
     binom,
     block_decomposition,
     canonical_mask,
     from_pair_mask,
 )
-from cliquebounds.graphs import iter_bits
+from cliquebounds.graphs import MAX_VERTICES, iter_bits
 from cliquebounds.weights import VertexWeights
 
 
@@ -493,6 +499,18 @@ def per_vertex_thm2_rhs(g: Graph, s: int, w: VertexWeights) -> Fraction:
     return sum((Fraction(binom(w.p[v], s - 1), s) for v in range(g.n)), Fraction(0))
 
 
+def per_vertex_verdict(
+    g: Graph, s: int, theorem: int, w: VertexWeights, lhs: int, extremal: bool
+) -> tuple[Fraction, Fraction, bool, bool]:
+    """(rhs, gap, equality, ok) of one bound: the right side by the paper's
+    formula, one ``Fraction`` per vertex, and the violation rule decided on
+    the ``Fraction`` gap."""
+    rhs = per_vertex_thm1_rhs(g, s, w) if theorem == 1 else per_vertex_thm2_rhs(g, s, w)
+    gap = rhs - lhs
+    in_scope = not (theorem == 1 and s == 1 and g.n == 1)
+    return rhs, gap, gap == 0, not in_scope or (gap >= 0 and (gap == 0) == extremal)
+
+
 def subset_clique_count(g: Graph, s: int) -> int:
     if s == 0:
         return 1
@@ -608,6 +626,63 @@ def decode_graph6_bitstring(line: str) -> tuple[int, set[tuple[int, int]]]:
                 edges.add((i, j))
             idx += 1
     return n, edges
+
+
+def per_bit_parse_graph6(text: str) -> Graph:
+    """The retired graph6 decoder: every payload byte read six bits at a
+    time, every vertex pair set bit by bit. Same validation and the same
+    ``GraphParseError`` messages as ``parse_graph6``."""
+    line = text.strip()
+    if line.startswith(">>graph6<<"):
+        line = line[len(">>graph6<<"):]
+    if not line:
+        raise GraphParseError("empty graph6 input")
+    data = line.encode("ascii", errors="replace")
+    for off, byte in enumerate(data):
+        if not 63 <= byte <= 126:
+            raise GraphParseError(f"out-of-range graph6 byte at offset {off}")
+    if data[0] == 126:
+        if len(data) < 4:
+            raise GraphParseError("truncated long-form size header at offset 1")
+        if data[1] == 126:
+            raise GraphParseError("8-byte size header at offset 1 exceeds supported range")
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        body_start = 4
+    else:
+        n = data[0] - 63
+        body_start = 1
+    if n > MAX_VERTICES:
+        raise GraphParseError(f"graph6 header declares n={n}, limit is {MAX_VERTICES}")
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    have = len(data) - body_start
+    if have < need:
+        raise GraphParseError(
+            f"truncated graph6 payload at offset {len(data)} (need {need} body bytes, got {have})"
+        )
+    if have > need:
+        raise GraphParseError(f"trailing garbage at offset {body_start + need}")
+    mask = 0
+    bit = 0
+    for k in range(need):
+        chunk = data[body_start + k] - 63
+        for t in range(6):
+            if bit >= nbits:
+                if chunk >> (5 - t) & 1:
+                    raise GraphParseError(f"nonzero padding bits at offset {body_start + k}")
+                continue
+            if chunk >> (5 - t) & 1:
+                mask |= 1 << bit
+            bit += 1
+    rows = [0] * n
+    bit = 0
+    for j in range(n):
+        for i in range(j):
+            if mask >> bit & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            bit += 1
+    return Graph(n, tuple(rows))
 
 
 def petersen() -> Graph:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquebounds import (
+    BlockSpec,
     BoundReport,
     binom,
     check_theorem,
@@ -15,19 +16,29 @@ from cliquebounds import (
     count_cliques,
     cycle_graph,
     disjoint_union,
+    exhaustive_verify,
     from_edges,
+    generate_pdbg,
     heavy_cycle_set,
     heavy_path_set,
     luo_dominance,
     parse_graph6,
     path_graph,
+    random_clique_forest,
     random_graph,
     reduction_invariance,
     thm1_rhs,
     thm2_rhs,
     write_graph6,
 )
-from oracles import bowtie, per_vertex_thm1_rhs, per_vertex_thm2_rhs, petersen
+from cliquebounds import bounds, oracle
+from oracles import (
+    bowtie,
+    per_vertex_thm1_rhs,
+    per_vertex_thm2_rhs,
+    per_vertex_verdict,
+    petersen,
+)
 from strategies import graphs, random_pdbgs
 
 
@@ -85,15 +96,19 @@ class TestThm2Rhs:
 
 
 class TestRightSidesAgainstPerVertexSums:
-    """Both right sides, summed over a tally of distinct weights, against the
-    per-vertex Fraction sums."""
+    """Both right sides, and the rhs, gap, equality and ok of every report
+    of the verdict pass, against the paper's formulas summed per vertex in
+    Fraction."""
 
     @staticmethod
     def assert_matches(g):
         w = compute_weights(g)
-        for s in range(1, 7):
+        for s in range(1, 8):
             assert thm1_rhs(g, s, w) == per_vertex_thm1_rhs(g, s, w), (g, s)
             assert thm2_rhs(g, s, w) == per_vertex_thm2_rhs(g, s, w), (g, s)
+        for rep in oracle._reports(g, 7):
+            expected = per_vertex_verdict(g, rep.s, rep.theorem, w, rep.lhs, rep.extremal)
+            assert (rep.rhs, rep.gap, rep.equality, rep.ok) == expected, (g, rep.s, rep.theorem)
 
     def test_every_class_up_to_7(self, reps_by_n, reps7):
         for g in [g for n in range(7) for g in reps_by_n[n]] + reps7:
@@ -101,13 +116,41 @@ class TestRightSidesAgainstPerVertexSums:
 
     def test_seeded_random_graphs_up_to_13_vertices(self):
         rng = random.Random(987654321)
-        for _ in range(60):
-            n = rng.randint(8, 13)
+        for _ in range(300):
+            n = rng.randint(1, 13)
             self.assert_matches(random_graph(n, rng.uniform(0.1, 0.8), rng.randrange(1 << 30)))
 
     def test_random_pdbg_specs(self):
         for g in random_pdbgs():
             self.assert_matches(g)
+
+    def test_block_graphs_up_to_64_vertices(self):
+        # blocks of orders 2..9 put up to eight distinct c(v) - 1 in the
+        # cycle form's common denominator (lcm 840)
+        rng = random.Random(6464)
+        for _ in range(12):
+            orders = [rng.randint(2, 9) for _ in range(rng.randint(6, 12))]
+            while sum(orders) - len(orders) + 1 > 64:
+                orders.pop()
+            orders.sort(reverse=True)
+            parents = tuple(rng.randrange(i) for i in range(1, len(orders)))
+            self.assert_matches(generate_pdbg(BlockSpec(tuple(orders), parents)))
+            self.assert_matches(random_clique_forest(rng.randint(4, 7), 1, 9, rng.randrange(1 << 30)))
+
+    def test_verdicts_build_no_fraction(self, monkeypatch):
+        built = []
+
+        class CountedFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "Fraction", CountedFraction)
+        assert exhaustive_verify(6, 5)["ok"]
+        assert built == []
+        g = bowtie()
+        assert check_theorem(g, 2, 1, compute_weights(g), count_cliques(g, 2)).rhs == 6
+        assert built
 
 
 class TestHeavySets:
@@ -167,17 +210,19 @@ class TestCheckTheorem:
     def test_ok_is_the_violation_rule(self):
         g = bowtie()
 
-        def report(gap, equality, extremal, in_scope=True):
-            consistent = equality == extremal or not in_scope
-            return BoundReport(1, 2, g, 6, 6 + gap, Fraction(gap), equality, extremal,
-                               consistent, in_scope)
+        def report(rhs_num, extremal, in_scope=True):
+            # 6 triangles against the right side rhs_num / 3
+            return BoundReport(1, 2, g, 6, rhs_num, 3, extremal, in_scope)
 
-        assert report(0, True, True).ok
-        assert report(1, False, False).ok
-        assert not report(0, True, False).ok
-        assert not report(1, False, True).ok
-        assert not report(-1, False, False).ok
-        assert report(-1, False, True, in_scope=False).ok
+        tight = report(18, True)
+        assert tight.ok and tight.equality and tight.consistent and tight.gap == 0
+        above = report(19, False)
+        assert above.ok and not above.equality and above.gap == Fraction(1, 3)
+        assert not report(18, False).ok and not report(18, False).consistent
+        assert not report(19, True).ok and not report(19, True).consistent
+        below = report(17, False)
+        assert not below.ok and below.consistent and below.gap == Fraction(-1, 3)
+        assert report(17, True, in_scope=False).ok
 
     def test_graph6_written_only_when_read(self, count_calls):
         g = bowtie()

@@ -35,6 +35,7 @@ from cliquebounds.graphs import _canonical_search
 from oracles import (
     brute_force_reps,
     decode_graph6_bitstring,
+    per_bit_parse_graph6,
     permutation_canonical_mask,
     petersen,
     subset_dp_weights,
@@ -158,6 +159,42 @@ class TestGraph6:
         for g in [g for reps in reps_by_n.values() for g in reps] + reps7 + long_form:
             n, edges = decode_graph6_bitstring(write_graph6(g))
             assert n == g.n and edges == set(g.edges())
+
+    def test_agrees_with_per_bit_decoder(self, reps_by_n, reps7):
+        rng = random.Random(6406)
+        seeded = [
+            random_graph(rng.randint(0, 64), rng.random(), rng.randrange(1 << 30))
+            for _ in range(300)
+        ]
+        for g in [g for reps in reps_by_n.values() for g in reps] + reps7 + seeded:
+            line = write_graph6(g)
+            assert parse_graph6(line) == per_bit_parse_graph6(line) == g
+
+    def test_errors_agree_with_per_bit_decoder(self):
+        def outcome(parse, line):
+            try:
+                return parse(line)
+            except GraphParseError as exc:
+                return str(exc)
+
+        # truncated, extended and corrupted lines, short and long form:
+        # every message and offset, and every graph parsed, must match
+        rng = random.Random(6407)
+        lines = ["", "B", "Bww", "B\x1c", "~~~~~", "Bx", "C~", ">>graph6<<", "~??", "A\u00e9"]
+        for _ in range(300):
+            n = rng.randint(0, 64)
+            line = write_graph6(random_graph(n, rng.random(), rng.randrange(1 << 30)))
+            k = rng.randrange(len(line))
+            lines += [
+                line[:k],
+                line + chr(rng.randint(63, 126)),
+                line[:-1] + chr(rng.randint(63, 126)),
+                line[:k] + chr(rng.randint(0, 200)) + line[k + 1:],
+            ]
+        outcomes = [outcome(parse_graph6, line) for line in lines]
+        assert outcomes == [outcome(per_bit_parse_graph6, line) for line in lines]
+        assert sum(isinstance(o, Graph) for o in outcomes) > 100
+        assert sum("padding" in o for o in outcomes if isinstance(o, str)) > 100
 
     @given(graphs())
     def test_roundtrip_property(self, g):

@@ -78,6 +78,15 @@ class TestExhaustiveVerify:
         masked = [call for call in decompositions if len(call) == 2]
         assert masked and len(masked) == len(set(masked))
 
+    def test_path_form_predicate_once_per_heavy_set(self, count_calls):
+        decided = count_calls("extremal_predicate")
+        exhaustive_verify(6, 6)
+        masks = [
+            (g, sum(1 << v for v, pv in enumerate(w.p) if pv >= s - 1))
+            for g, s, theorem, w in decided if theorem == 2 and s >= 2
+        ]
+        assert masks and len(masks) == len(set(masks))
+
     def test_shared_cycle_form_verdicts_match_fresh_ones(self, reps_by_n, reps7):
         for g in [g for reps in reps_by_n.values() for g in reps] + reps7:
             w = compute_weights(g)

@@ -275,6 +275,33 @@ class TestPeel:
             assert not rep["ok"]
             assert {"check": "stage0_is_input"} in rep["failures"]
 
+    def test_orders_in_one_pass_match_each_order_alone(self):
+        rng = random.Random(2468)
+        for _ in range(40):
+            g = random_graph(rng.randint(1, 10), rng.uniform(0.2, 0.7), rng.randrange(1 << 30))
+            trace = peel(g)
+            repeated = dataclasses.replace(trace, stages=trace.stages + trace.stages[-1:])
+            for t in (trace, repeated, dataclasses.replace(trace, stages=trace.stages[1:])):
+                reports = verify_peel_decomposition(g, t, (2, 3, 4))
+                assert reports == {s: verify_peel_decomposition(g, t, s) for s in (2, 3, 4)}
+            if trace.stages[-1].terminals:
+                # the repeated stage's terminals are peeled twice, and its
+                # cliques counted twice at every order it has
+                failures = verify_peel_decomposition(g, repeated, (2, 3))[2]["failures"]
+                assert failures[0]["check"] == "terminals_disjoint"
+                assert failures[-1]["check"] == "clique_split"
+
+    def test_one_pair_of_expansions_per_stage(self, count_calls):
+        g = generate_pdbg(BlockSpec((4, 4, 3, 3, 2), (0, 0, 1, 2)))
+        trace = peel(g)
+        calls = count_calls("clique_counts")
+        reports = verify_peel_decomposition(g, trace, (2, 3, 4))
+        assert all(rep["ok"] for rep in reports.values())
+        assert len(calls) == 2 * sum(1 for st in trace.stages if st.terminals) + 1
+        assert all(call[1] == 4 for call in calls)
+        with pytest.raises(ValueError, match="clique order"):
+            verify_peel_decomposition(g, trace, (3, -1))
+
     def test_trace_deterministic(self):
         rng = random.Random(92)
         for _ in range(15):
