@@ -11,7 +11,7 @@ Exit codes: 0 all checks consistent, 1 mathematical inconsistency found,
 from __future__ import annotations
 
 import argparse
-import contextlib
+import io
 import json
 import sys
 from collections.abc import Iterator
@@ -30,7 +30,7 @@ from .graphs import (
     write_graph6,
 )
 from .oracle import exhaustive_verify
-from .transforms import ClosureBudgetError, peel, verify_peel_decomposition
+from .transforms import peel, verify_peel_decomposition
 from .weights import DEFAULT_DP_LIMIT, compute_weights, compute_weights_block_graph
 
 EXIT_OK = 0
@@ -42,9 +42,12 @@ def _read_graphs(source: str) -> Iterator[Graph]:
     """Yield the input's graphs one line at a time, so reports for earlier
     lines are out before a bad line stops the run: one graph6 string per
     line, or a single edge-list graph when the first nonblank line is its
-    ``n <count>`` header. A parse error names its 1-based line."""
-    opened = contextlib.nullcontext(sys.stdin) if source == "-" else open(source, encoding="ascii")
-    with opened as fh:
+    ``n <count>`` header. A parse error names its 1-based line. stdin and a
+    file are decoded alike, one character per byte, a non-ASCII byte as a
+    lone surrogate that no parser accepts."""
+    raw = sys.stdin.buffer if source == "-" else open(source, "rb")
+    fh = io.TextIOWrapper(raw, encoding="ascii", errors="surrogateescape")
+    try:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -58,6 +61,11 @@ def _read_graphs(source: str) -> Iterator[Graph]:
             except GraphParseError as exc:
                 raise GraphParseError(f"line {lineno}: {exc}") from None
             yield g
+    finally:
+        if source == "-":
+            fh.detach()  # stdin stays open
+        else:
+            fh.close()
 
 
 def cmd_weights(args) -> int:
@@ -218,7 +226,7 @@ def main(argv=None) -> int:
     except (GraphParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ResourceLimitError, ClosureBudgetError) as exc:
+    except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -151,30 +151,23 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def components(g: Graph) -> list[int]:
-    """Connected components as vertex bitmasks, ordered by least vertex."""
-    seen = 0
-    out = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
-            comp |= nxt
-        out.append(comp)
-        seen |= comp
-    return out
+def reachable(nbr: dict[int, int], bit: int, free: int) -> int:
+    """The vertices of ``free`` reachable from the vertex ``bit`` (outside
+    ``free``) through ``free``, as a mask; ``nbr`` maps vertex bits to rows."""
+    seen = frontier = bit
+    while frontier:
+        b = frontier & -frontier
+        frontier ^= b
+        new = nbr[b] & free & ~seen
+        seen |= new
+        frontier |= new
+    return seen ^ bit
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return len(components(g)) == 1
+    """Whether a walk from vertex 0 reaches every vertex; True when n = 0."""
+    rest = g.full_mask ^ 1
+    return g.n == 0 or reachable({1 << v: row for v, row in enumerate(g.adj)}, 1, rest) == rest
 
 
 @dataclass(frozen=True)
@@ -300,10 +293,10 @@ def parse_graph6(text: str) -> Graph:
         line = line[len(_G6_HEADER):]
     if not line:
         raise GraphParseError("empty graph6 input")
-    data = line.encode("ascii", errors="replace")
-    if min(data) < 63 or max(data) > 126:
-        off = next(off for off, byte in enumerate(data) if not 63 <= byte <= 126)
+    if min(line) < "?" or max(line) > "~":
+        off = next(off for off, ch in enumerate(line) if not "?" <= ch <= "~")
         raise GraphParseError(f"out-of-range graph6 byte at offset {off}")
+    data = line.encode("ascii")
     if data[0] == 126:
         if len(data) < 4:
             raise GraphParseError("truncated long-form size header at offset 1")
@@ -596,31 +589,24 @@ def _vertex_orbit(v: int, gens) -> int:
     return orbit
 
 
-# Aut(G) generators of the classes of the newest enumerated level, in their
-# canonical labels, keyed by level and then mask, packed as the bytes of
-# their images in a row; a class with the trivial group has no entry. The
-# next level reads them as its parents' groups and drops them, so no class
-# is labeled twice.
-_carried_groups: dict[int, dict[int, bytes]] = {}
-
-
 @lru_cache(maxsize=None)
-def _canonical_reps(n: int) -> tuple[int, ...]:
+def _canonical_reps(n: int) -> tuple[tuple[int, ...], dict[int, bytes]]:
     """Canonical masks of the n-vertex classes, sorted, by canonical
     augmentation (McKay, "Isomorph-free exhaustive generation", J.
-    Algorithms 26, 1998). Each (n-1)-vertex representative gets a new vertex
-    n-1 once per Aut-orbit of neighbourhoods; the child is kept only if n-1
-    lies in the orbit of its canonical deletion vertex: the last vertex, in
-    canonical order, of maximal (degree, sorted neighbour degrees). So every
-    class is reached from exactly one parent, through one neighbourhood.
-    A kept child's generators, conjugated into its canonical labels, are
-    carried to level n + 1 as that parent's group."""
+    Algorithms 26, 1998), with their automorphism groups. Each (n-1)-vertex
+    representative gets a new vertex n-1 once per Aut-orbit of
+    neighbourhoods; the child is kept only if n-1 lies in the orbit of its
+    canonical deletion vertex: the last vertex, in canonical order, of
+    maximal (degree, sorted neighbour degrees). So every class is reached
+    from exactly one parent, through one neighbourhood. A kept child's
+    generators, conjugated into its canonical labels, are packed as the
+    bytes of their images in a row under its mask (no entry for the trivial
+    group), and level n + 1 reads them as its parents' groups, so no class
+    is labeled twice; the top level has no next level and packs none."""
     if n == 0:
-        _carried_groups[0] = {}
-        return (0,)
+        return (0,), {}
     last = n - 1
-    parents = _canonical_reps(last)
-    groups = _carried_groups[last]
+    parents, groups = _canonical_reps(last)
     carry: dict[int, bytes] = {}
     out = []
     for parent in parents:
@@ -648,10 +634,7 @@ def _canonical_reps(n: int) -> tuple[int, ...]:
                     for i, u in enumerate(order):
                         at[u] = i
                     carry[mask] = bytes(at[perm[u]] for perm in child_gens for u in order)
-    del _carried_groups[last]
-    if n < ENUMERATION_LIMIT:
-        _carried_groups[n] = carry
-    return tuple(sorted(out))
+    return tuple(sorted(out)), carry
 
 
 def enumerate_graphs(n: int):
@@ -660,7 +643,7 @@ def enumerate_graphs(n: int):
         raise ValueError(f"vertex count must be >= 0, got {n}")
     if n > ENUMERATION_LIMIT:
         raise ResourceLimitError(f"enumeration capped at n <= {ENUMERATION_LIMIT}, got {n}")
-    for mask in _canonical_reps(n):
+    for mask in _canonical_reps(n)[0]:
         yield from_pair_mask(n, mask)
 
 

@@ -15,16 +15,14 @@ from collections import deque
 from dataclasses import dataclass
 
 from .cliques import clique_counts
-from .graphs import Graph
+from .graphs import Graph, ResourceLimitError
 from .weights import DEFAULT_DP_LIMIT, VertexWeights, compute_weights, longest_path_from
 
 PathSeq = tuple[int, ...]
 
-DEFAULT_CLOSURE_BUDGET = 1_000_000
-
-
-class ClosureBudgetError(RuntimeError):
-    """Rotation closure exceeded its path-state budget."""
+# Paths one rotation closure may hold before it gives up. A terminal clique
+# block K_k has (k-1)! of them, so this caps peeling at k of about 10.
+CLOSURE_BUDGET = 1_000_000
 
 
 def _require_path(g: Graph, path: PathSeq):
@@ -82,16 +80,15 @@ class TransformClosure:
     s_sets: dict[int, frozenset[int]]
 
 
-def transform_closure(
-    g: Graph, path: PathSeq, budget: int = DEFAULT_CLOSURE_BUDGET
-) -> TransformClosure:
+def transform_closure(g: Graph, path: PathSeq) -> TransformClosure:
     """Breadth-first closure of a longest v0-path under single rotations.
 
     Paths are deduplicated by full vertex sequence, not by endpoint: distinct
     sequences with the same terminal can expose different chords later. The
     base is validated once; each path's terminal is still checked for a
     neighbor off the path, so a base that is not a longest path raises
-    ValueError.
+    ValueError. A closure past ``CLOSURE_BUDGET`` paths raises
+    ResourceLimitError.
     """
     _require_path(g, path)
     start = path[0]
@@ -106,9 +103,9 @@ def transform_closure(
         for nxt in _rotations(g, cur):
             if nxt in seen:
                 continue
-            if len(seen) >= budget:
-                raise ClosureBudgetError(
-                    f"rotation closure exceeded budget of {budget} paths"
+            if len(seen) >= CLOSURE_BUDGET:
+                raise ResourceLimitError(
+                    f"rotation closure exceeded budget of {CLOSURE_BUDGET} paths"
                 )
             seen.add(nxt)
             order.append(nxt)

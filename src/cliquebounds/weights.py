@@ -34,7 +34,7 @@ import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graphs import BlockDecomposition, Graph, ResourceLimitError, block_decomposition
+from .graphs import BlockDecomposition, Graph, ResourceLimitError, block_decomposition, reachable
 
 DEFAULT_DP_LIMIT = 18
 # Candidate extensions one longest-path search may try before it gives up.
@@ -281,7 +281,7 @@ def _has_hamiltonian_cycle(adj, n: int) -> bool:
         if (
             not home & free
             or 2 * (free & indep).bit_count() > slack - len(path) - (1 if w & indep else 0)
-            or _reach(nbr, w, free) != free
+            or reachable(nbr, w, free) != free
         ):
             dead[grown] = dead.get(grown, 0) | w
             continue
@@ -396,19 +396,6 @@ def _longest_containing(by_length: list[int], n: int, floor: int) -> list[int]:
     return out
 
 
-def _reach(nbr: dict[int, int], bit: int, free: int) -> int:
-    """The vertices of ``free`` reachable from the vertex ``bit`` (outside
-    ``free``) through ``free``, as a mask; ``nbr`` maps vertex bits to rows."""
-    seen = frontier = bit
-    while frontier:
-        b = frontier & -frontier
-        frontier ^= b
-        new = nbr[b] & free & ~seen
-        seen |= new
-        frontier |= new
-    return seen ^ bit
-
-
 def longest_path_from(g: Graph, v0: int, dp_limit: int = DEFAULT_DP_LIMIT) -> tuple[int, ...]:
     """A maximum-length simple path starting at v0, lexicographically least.
 
@@ -429,7 +416,7 @@ def longest_path_from(g: Graph, v0: int, dp_limit: int = DEFAULT_DP_LIMIT) -> tu
     full = g.full_mask
     nbr = {1 << v: row for v, row in enumerate(g.adj)}
     s_mask = 1 << v0
-    most = _reach(nbr, s_mask, full ^ s_mask).bit_count() + 1
+    most = reachable(nbr, s_mask, full ^ s_mask).bit_count() + 1
     path = [s_mask]
     best = path[:]
     # dead[S]: the ends e for which no path from v0 spanning S and ending
@@ -458,7 +445,7 @@ def longest_path_from(g: Graph, v0: int, dp_limit: int = DEFAULT_DP_LIMIT) -> tu
         if dead.get(grown, 0) & w:
             continue
         # too few vertices reachable from w off the path to beat the best
-        if len(path) + _reach(nbr, w, full & ~grown).bit_count() < len(best):
+        if len(path) + reachable(nbr, w, full & ~grown).bit_count() < len(best):
             continue
         s_mask = grown
         path.append(w)

@@ -637,10 +637,10 @@ def per_bit_parse_graph6(text: str) -> Graph:
         line = line[len(">>graph6<<"):]
     if not line:
         raise GraphParseError("empty graph6 input")
-    data = line.encode("ascii", errors="replace")
-    for off, byte in enumerate(data):
-        if not 63 <= byte <= 126:
+    for off, ch in enumerate(line):
+        if not 63 <= ord(ch) <= 126:
             raise GraphParseError(f"out-of-range graph6 byte at offset {off}")
+    data = line.encode("ascii")
     if data[0] == 126:
         if len(data) < 4:
             raise GraphParseError("truncated long-form size header at offset 1")

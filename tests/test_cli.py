@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -16,17 +17,17 @@ from cliquebounds import (
     random_graph,
     write_graph6,
 )
-from cliquebounds import bounds, weights
+from cliquebounds import bounds, transforms, weights
 from cliquebounds.cli import main
 from oracles import bowtie
 
 
 def run_cli(capsys, args, stdin=None, monkeypatch=None):
+    """Run ``main(args)``; ``stdin``, text or bytes, is what the process
+    reads on its standard input, byte for byte."""
     if stdin is not None:
-        import io
-        import sys
-
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        data = stdin if isinstance(stdin, bytes) else stdin.encode()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
@@ -117,6 +118,20 @@ class TestCheckCommand:
         )
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("line", [b"B\xff\n", b"B\xc3\xa9\n"], ids=["0xff", "utf8"])
+    def test_non_ascii_byte_is_refused_alike_from_stdin_and_file(
+        self, capsys, monkeypatch, tmp_path, line
+    ):
+        # a non-ASCII byte is out of range, never read as "?"; the offset counts bytes
+        f = tmp_path / "g6.txt"
+        f.write_bytes(line)
+        args = ["check", "--theorem", "1", "--s", "2"]
+        for result in (
+            run_cli(capsys, args, stdin=line, monkeypatch=monkeypatch),
+            run_cli(capsys, args + [str(f)]),
+        ):
+            assert result == (2, "", "error: line 1: out-of-range graph6 byte at offset 1\n")
 
     def test_bad_line_after_a_good_one_keeps_its_report(self, capsys, tmp_path):
         f = tmp_path / "g6.txt"
@@ -308,6 +323,15 @@ class TestPeelCommand:
             "resource guard: longest-path search from vertex 1 gave up after "
             "10 candidate tries\n"
         )
+
+    def test_closure_budget_exits_2(self, capsys, monkeypatch):
+        # the closure of K8 holds 7! paths
+        monkeypatch.setattr(transforms, "CLOSURE_BUDGET", 10)
+        code, out, err = run_cli(
+            capsys, ["peel"], stdin=write_graph6(complete_graph(8)), monkeypatch=monkeypatch
+        )
+        assert code == 2 and out == ""
+        assert err == "resource guard: rotation closure exceeded budget of 10 paths\n"
 
     def test_bowtie_verdict(self, capsys, monkeypatch):
         code, out, _ = run_cli(

@@ -31,7 +31,7 @@ from cliquebounds import (
     to_pair_mask,
     write_graph6,
 )
-from cliquebounds.graphs import _canonical_search
+from cliquebounds.graphs import _canonical_reps, _canonical_search
 from oracles import (
     brute_force_reps,
     decode_graph6_bitstring,
@@ -404,6 +404,17 @@ class TestCellSearchAgainstTiedLabelings:
             for g in reps_by_n[n]:
                 assert group_order(n, _canonical_search(n, g.adj)[2]) == automorphism_count(g), g
 
+    def test_carried_generators_are_the_automorphism_group(self, reps_by_n):
+        # the conjugated generators that the next level reads as its parents' groups
+        for n in range(1, 7):
+            groups = _canonical_reps(n)[1]
+            for g in reps_by_n[n]:
+                packed = groups.get(to_pair_mask(g), b"")
+                gens = [packed[i:i + n] for i in range(0, len(packed), n)]
+                for perm in gens:
+                    assert all(g.has_edge(perm[u], perm[v]) for u, v in g.edges()), (g, perm)
+                assert group_order(n, gens) == automorphism_count(g), g
+
 
 class TestRandomGraph:
     def test_extreme_probabilities(self):
@@ -479,3 +490,15 @@ def test_is_connected_conventions():
     assert is_connected(Graph(0, ()))
     assert is_connected(complete_graph(1))
     assert not is_connected(disjoint_union(complete_graph(2), complete_graph(2)))
+
+
+def test_is_connected_agrees_with_networkx():
+    rng = random.Random(4914)
+    verdicts = []
+    for _ in range(500):
+        g = random_graph(rng.randint(1, 64), rng.uniform(0.0, 0.2), rng.randrange(1 << 30))
+        h = nx.empty_graph(g.n)
+        h.add_edges_from(g.edges())
+        verdicts.append(is_connected(g))
+        assert verdicts[-1] == nx.is_connected(h), write_graph6(g)
+    assert 100 < sum(verdicts) < 400

@@ -5,7 +5,7 @@ import pytest
 
 from cliquebounds import (
     BlockSpec,
-    ClosureBudgetError,
+    ResourceLimitError,
     complete_graph,
     compute_weights,
     count_cliques,
@@ -142,10 +142,11 @@ class TestTransformClosure:
             expect = {u for u in g.neighbors(v) if u not in tc.terminal_set}
             assert tc.s_sets[v] == frozenset(expect)
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
+        monkeypatch.setattr(transforms, "CLOSURE_BUDGET", 10)
         g = complete_graph(8)
-        with pytest.raises(ClosureBudgetError):
-            transform_closure(g, longest_path_from(g, 0), budget=10)
+        with pytest.raises(ResourceLimitError, match="budget of 10 paths"):
+            transform_closure(g, longest_path_from(g, 0))
 
     def test_deterministic(self):
         rng = random.Random(91)

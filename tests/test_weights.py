@@ -21,12 +21,12 @@ from cliquebounds import (
     random_graph,
 )
 from cliquebounds import weights
+from cliquebounds.graphs import reachable
 from cliquebounds.weights import (
     _DP_BYTES_PER_SLOT,
     _has_hamiltonian_cycle,
     _path_and_cycle_tables,
     _paths_from,
-    _reach,
 )
 from oracles import (
     bowtie,
@@ -251,9 +251,9 @@ class TestHamiltonianCycleCertificate:
 
         def counted(nbr, bit, free):
             checks.append(bit)
-            return _reach(nbr, bit, free)
+            return reachable(nbr, bit, free)
 
-        monkeypatch.setattr(weights, "_reach", counted)
+        monkeypatch.setattr(weights, "reachable", counted)
         assert not _has_hamiltonian_cycle(g.adj, 18)
         assert 0 < len(checks) <= (1 << 16) + 18**3
 
