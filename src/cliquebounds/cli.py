@@ -11,10 +11,10 @@ Exit codes: 0 all checks consistent, 1 mathematical inconsistency found,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from collections.abc import Iterator
+from contextlib import nullcontext
 
 from .bounds import check_theorem
 from .cliques import clique_counts, count_cliques
@@ -24,9 +24,8 @@ from .graphs import (
     GraphParseError,
     ResourceLimitError,
     generate_pdbg,
-    parse_edge_list,
-    parse_graph6,
     random_clique_forest,
+    read_graphs,
     write_graph6,
 )
 from .oracle import exhaustive_verify
@@ -39,33 +38,8 @@ EXIT_USAGE = 2
 
 
 def _read_graphs(source: str) -> Iterator[Graph]:
-    """Yield the input's graphs one line at a time, so reports for earlier
-    lines are out before a bad line stops the run: one graph6 string per
-    line, or a single edge-list graph when the first nonblank line is its
-    ``n <count>`` header. A parse error names its 1-based line. stdin and a
-    file are decoded alike, one character per byte, a non-ASCII byte as a
-    lone surrogate that no parser accepts."""
-    raw = sys.stdin.buffer if source == "-" else open(source, "rb")
-    fh = io.TextIOWrapper(raw, encoding="ascii", errors="surrogateescape")
-    try:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("n ") or text == "n":
-                # the blank lines before the header keep its line numbers
-                yield parse_edge_list("\n" * (lineno - 1) + line + fh.read())
-                return
-            try:
-                g = parse_graph6(text)
-            except GraphParseError as exc:
-                raise GraphParseError(f"line {lineno}: {exc}") from None
-            yield g
-    finally:
-        if source == "-":
-            fh.detach()  # stdin stays open
-        else:
-            fh.close()
+    with nullcontext(sys.stdin.buffer) if source == "-" else open(source, "rb") as fh:
+        yield from read_graphs(fh)
 
 
 def cmd_weights(args) -> int:

@@ -93,19 +93,32 @@ def count_cliques(g: Graph, s: int) -> int:
 
 def enumerate_cliques(g: Graph, s: int):
     """Yield every s-clique as an increasing vertex tuple, in lexicographic
-    order."""
+    order. Raises ResourceLimitError past ``CLIQUE_EXPANSION_BUDGET``
+    extensions, as the counts do."""
     if s < 0:
         raise ValueError(f"clique order must be >= 0, got {s}")
+    if s == 0:
+        yield ()
+        return
     later = _later_masks(g)
-
-    def expand(cand: int, chosen: tuple[int, ...]):
-        if len(chosen) == s:
-            yield chosen
-            return
-        for v in iter_bits(cand):
-            yield from expand(cand & later[v], chosen + (v,))
-
-    yield from expand(g.full_mask, ())
+    left = CLIQUE_EXPANSION_BUDGET
+    # (c, clique): c holds the vertices that each extend the clique, all
+    # higher than its vertices; the least extension is popped first
+    stack = [(g.full_mask, ())]
+    while stack:
+        cand, chosen = stack.pop()
+        left -= cand.bit_count()
+        if left < 0:
+            raise ResourceLimitError(
+                f"clique listing gave up after {CLIQUE_EXPANSION_BUDGET} extensions"
+            )
+        if len(chosen) == s - 1:
+            for v in iter_bits(cand):
+                yield chosen + (v,)
+        else:
+            stack.extend(
+                (cand & later[v], chosen + (v,)) for v in reversed(list(iter_bits(cand)))
+            )
 
 
 def count_cliques_touching(g: Graph, s: int, touch) -> int:

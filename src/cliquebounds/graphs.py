@@ -8,9 +8,11 @@ rotation closures) works on these rows directly.
 from __future__ import annotations
 
 import random
+import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 MAX_VERTICES = 64
 
@@ -285,10 +287,15 @@ _G6_HEADER = ">>graph6<<"
 _G6_BITS = bytes(int(f"{c:06b}"[::-1], 2) for c in range(64))
 # the graph6 character of six pair bits read low bit first
 _G6_CHUNK = tuple(chr(63 + _G6_BITS[c]) for c in range(64))
+# Input whitespace is the six ASCII characters that bytes.split() splits at,
+# and a line ends at "\n" alone: str.strip() and str.split() with no argument
+# also take 0x1c-0x1f, 0x85 and 0xa0, and splitlines() ends lines at some.
+_SPACE = " \t\n\r\x0b\x0c"
+_FIELD = re.compile(f"[^{_SPACE}]+")
 
 
 def parse_graph6(text: str) -> Graph:
-    line = text.strip()
+    line = text.strip(_SPACE)
     if line.startswith(_G6_HEADER):
         line = line[len(_G6_HEADER):]
     if not line:
@@ -340,25 +347,29 @@ def write_graph6(g: Graph) -> str:
 def parse_edge_list(text: str) -> Graph:
     """Parse the ``n <count>`` header plus one ``u v`` edge per line. Blank
     lines are skipped; errors name the 1-based line of ``text``."""
-    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines:
+    return _edge_list(enumerate(text.split("\n"), start=1))
+
+
+def _edge_list(lines: Iterable[tuple[int, str]]) -> Graph:
+    """The edge list on (line number, line) pairs, header first. A field is
+    read as ASCII bytes, since int() of a str also reads other scripts'
+    digits and strips 0x85 and 0xa0; a non-ASCII field fails to encode."""
+    body = [(no, text) for no, ln in lines if (text := ln.strip(_SPACE))]
+    if not body:
         raise GraphParseError("empty edge-list input")
-    head = lines[0][1].split()
+    head = _FIELD.findall(body[0][1])
     if len(head) != 2 or head[0] != "n":
-        raise GraphParseError(f"bad edge-list header {lines[0][1]!r}, expected 'n <count>'")
+        raise GraphParseError(f"bad edge-list header {body[0][1]!r}, expected 'n <count>'")
     try:
-        n = int(head[1])
+        n = int(head[1].encode("ascii"))
     except ValueError:
         raise GraphParseError(f"bad vertex count {head[1]!r}") from None
     if not 0 <= n <= MAX_VERTICES:
         raise GraphParseError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
     edges = []
-    for lineno, ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphParseError(f"bad edge on line {lineno}: {ln!r}")
+    for lineno, ln in body[1:]:
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = (int(field.encode("ascii")) for field in _FIELD.findall(ln))
         except ValueError:
             raise GraphParseError(f"bad edge on line {lineno}: {ln!r}") from None
         if not (0 <= u < n and 0 <= v < n):
@@ -367,6 +378,26 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphParseError(f"self-loop {u} {v} on line {lineno}")
         edges.append((u, v))
     return from_edges(n, set(tuple(sorted(e)) for e in edges))
+
+
+def read_graphs(lines: Iterable[bytes]) -> Iterator[Graph]:
+    """Yield the graphs of a stream of byte lines as each is read: one graph6
+    string per line, or one edge list from the first nonblank line whose
+    first field is ``n``. A byte is one character, so a non-ASCII one is out
+    of range for graph6; graph6 errors name their 1-based line."""
+    numbered = ((no, raw.decode("latin-1")) for no, raw in enumerate(lines, start=1))
+    for lineno, line in numbered:
+        fields = _FIELD.findall(line)
+        if not fields:
+            continue
+        if fields[0] == "n":
+            yield _edge_list(chain([(lineno, line)], numbered))
+            return
+        try:
+            g = parse_graph6(line)
+        except GraphParseError as exc:
+            raise GraphParseError(f"line {lineno}: {exc}") from None
+        yield g
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,10 @@ every clique count across stages.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .cliques import clique_counts
-from .graphs import Graph, ResourceLimitError
+from .graphs import Graph, ResourceLimitError, iter_bits
 from .weights import DEFAULT_DP_LIMIT, VertexWeights, compute_weights, longest_path_from
 
 PathSeq = tuple[int, ...]
@@ -94,12 +93,10 @@ def transform_closure(g: Graph, path: PathSeq) -> TransformClosure:
     start = path[0]
     seen: set[PathSeq] = {path}
     order: list[PathSeq] = [path]
-    queue: deque[PathSeq] = deque([path])
     reps: dict[int, PathSeq] = {}
     if path[-1] != start:
         reps[path[-1]] = path
-    while queue:
-        cur = queue.popleft()
+    for cur in order:  # the list grows as it is read: it is the queue
         for nxt in _rotations(g, cur):
             if nxt in seen:
                 continue
@@ -109,7 +106,6 @@ def transform_closure(g: Graph, path: PathSeq) -> TransformClosure:
                 )
             seen.add(nxt)
             order.append(nxt)
-            queue.append(nxt)
             term = nxt[-1]
             if term != start and term not in reps:
                 reps[term] = nxt
@@ -224,9 +220,10 @@ def peel(g: Graph, u: int | None = None, dp_limit: int = DEFAULT_DP_LIMIT) -> Pe
     if g.n == 0:
         return PeelTrace(g, u, ())
     stages: list[PeelStage] = []
-    live = list(range(g.n))
+    mask = g.full_mask
     x = u
-    while live:
+    while mask:
+        live = list(iter_bits(mask))
         dense = g.induced(live)
         w = compute_weights(dense, dp_limit)
         if x not in live:  # u omitted, or x removed by an earlier stage
@@ -249,24 +246,18 @@ def peel(g: Graph, u: int | None = None, dp_limit: int = DEFAULT_DP_LIMIT) -> Pe
                 closure=tc,
             )
         )
-        kept = [v for v in live if v not in terminals]
-        kept_set = set(kept)
-        live = [
-            v for v in kept
-            if any(nb in kept_set for nb in g.neighbors(v))
-        ]
+        kept = mask & ~sum(1 << v for v in terminals)
+        mask = sum(1 << v for v in iter_bits(kept) if g.adj[v] & kept)
     return PeelTrace(g, stages[0].start, tuple(stages))
 
 
-def verify_peel_decomposition(g: Graph, trace: PeelTrace, s: int | tuple[int, ...]) -> dict:
+def verify_peel_decomposition(g: Graph, trace: PeelTrace, orders: tuple[int, ...]) -> dict:
     """Exact split of the s-clique count across stages, plus stage-weight
-    monotonicity against the input graph and the trace bookkeeping rules.
-    The input graph's weights are read from stage 0, which must be g.
-
-    ``s`` may also be a tuple of orders. The trace is then checked in one
-    pass, with one pair of clique expansions per stage at the top order, and
-    the result maps each order to the report that order alone gives."""
-    orders = (s,) if isinstance(s, int) else tuple(s)
+    monotonicity against the input graph and the trace bookkeeping rules,
+    for every order s in ``orders``, in one pass. The input graph's weights
+    are read from stage 0, which must be g. Each stage's cliques are counted
+    in g on the stage's vertex mask, with one pair of expansions at the top
+    order. The result maps each order to the report that order alone gives."""
     if min(orders) < 0:
         raise ValueError(f"clique order must be >= 0, got {min(orders)}")
     top = max(orders)
@@ -281,12 +272,14 @@ def verify_peel_decomposition(g: Graph, trace: PeelTrace, s: int | tuple[int, ..
     totals = [0] * (top + 1)
     seen_terminals: set[int] = set()
     for i, stage in enumerate(trace.stages):
-        index = {v: j for j, v in enumerate(stage.vertices)}
-        touch = sum(1 << index[v] for v in stage.terminals)
+        live = sum(1 << v for v in stage.vertices) & g.full_mask
+        touch = sum(1 << v for v in stage.terminals)
+        if touch & ~live:
+            failures.append({"check": "terminals_in_stage", "stage": i})
         if touch:
             # cliques touching the terminals: all of them less those avoiding them
-            whole = clique_counts(stage.graph, top)
-            avoiding = clique_counts(stage.graph, top, stage.graph.full_mask & ~touch)
+            whole = clique_counts(g, top, live)
+            avoiding = clique_counts(g, top, live & ~touch)
             totals = [t + a - b for t, a, b in zip(totals, whole, avoiding)]
         overlap = seen_terminals.intersection(stage.terminals)
         if overlap:
@@ -307,4 +300,4 @@ def verify_peel_decomposition(g: Graph, trace: PeelTrace, s: int | tuple[int, ..
         split = [] if lhs == total else [{"check": "clique_split", "lhs": lhs, "stage_sum": total}]
         reports[order] = {"s": order, "clique_count": lhs, "stage_sum": total,
                           "failures": failures + split, "ok": not failures and not split}
-    return reports[s] if isinstance(s, int) else reports
+    return reports

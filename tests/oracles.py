@@ -631,8 +631,9 @@ def decode_graph6_bitstring(line: str) -> tuple[int, set[tuple[int, int]]]:
 def per_bit_parse_graph6(text: str) -> Graph:
     """The retired graph6 decoder: every payload byte read six bits at a
     time, every vertex pair set bit by bit. Same validation and the same
-    ``GraphParseError`` messages as ``parse_graph6``."""
-    line = text.strip()
+    ``GraphParseError`` messages as ``parse_graph6``, and the same
+    whitespace: the six ASCII characters that ``bytes.strip()`` removes."""
+    line = text.strip(" \t\n\r\x0b\x0c")
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
     if not line:

@@ -133,6 +133,46 @@ class TestCheckCommand:
         ):
             assert result == (2, "", "error: line 1: out-of-range graph6 byte at offset 1\n")
 
+    @pytest.mark.parametrize(
+        "data, err",
+        [
+            # 0x1c-0x1f are no whitespace: graph6 refuses them at their offset
+            (b"Bw\x1c\n", "error: line 1: out-of-range graph6 byte at offset 2\n"),
+            (b"\x1fBw\n", "error: line 1: out-of-range graph6 byte at offset 0\n"),
+            # a line ends at "\n" alone, so errors name physical lines
+            (b"n 3\n0 1\x0c\n1 x\n", "error: bad edge on line 3: '1 x'\n"),
+            (b"n 3\n0 1\x1e1 2\n", "error: bad edge on line 2: '0 1\\x1e1 2'\n"),
+            (b"n 3\n0\x1f1\n", "error: bad edge on line 2: '0\\x1f1'\n"),
+        ],
+    )
+    def test_control_bytes_are_refused_alike_from_stdin_and_file(
+        self, capsys, monkeypatch, tmp_path, data, err
+    ):
+        f = tmp_path / "in.txt"
+        f.write_bytes(data)
+        for args in (["weights"], ["check", "--theorem", "1", "--s", "2"]):
+            assert run_cli(capsys, args, stdin=data, monkeypatch=monkeypatch) == (2, "", err)
+            assert run_cli(capsys, args + [str(f)]) == (2, "", err)
+
+    @pytest.mark.parametrize(
+        "data, same_as",
+        [
+            (b"n\t3\n0 1\n1 2\n", b"n 3\n0 1\n1 2\n"),
+            (b"n 3\r\n0 1\r\n\r\n1\x0b2\r\n", b"n 3\n0 1\n1 2\n"),
+            (b"Bw\r\n", b"Bw\n"),
+            (b" Bw \n\t\n", b"Bw\n"),
+        ],
+    )
+    def test_ascii_whitespace_reads_alike_from_stdin_and_file(
+        self, capsys, monkeypatch, tmp_path, data, same_as
+    ):
+        f = tmp_path / "in.txt"
+        f.write_bytes(data)
+        expected = run_cli(capsys, ["weights"], stdin=same_as, monkeypatch=monkeypatch)
+        assert expected[0] == 0 and expected[1]
+        assert run_cli(capsys, ["weights"], stdin=data, monkeypatch=monkeypatch) == expected
+        assert run_cli(capsys, ["weights", str(f)]) == expected
+
     def test_bad_line_after_a_good_one_keeps_its_report(self, capsys, tmp_path):
         f = tmp_path / "g6.txt"
         f.write_text(write_graph6(bowtie()) + "\nB\x01w\n")

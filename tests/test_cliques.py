@@ -85,6 +85,25 @@ class TestCountCliques:
         with pytest.raises(ResourceLimitError):
             count_cliques_touching(complete_graph(8), 5, [0])
 
+    def test_listing_budget_names_the_listing(self, monkeypatch):
+        # listing the s-cliques tries one extension per clique of each order 1..s
+        spent = sum(binom(8, k) for k in range(1, 6))
+        monkeypatch.setattr(cliques, "CLIQUE_EXPANSION_BUDGET", spent)
+        assert len(list(enumerate_cliques(complete_graph(8), 5))) == binom(8, 5)
+        monkeypatch.setattr(cliques, "CLIQUE_EXPANSION_BUDGET", spent - 1)
+        with pytest.raises(ResourceLimitError, match=f"listing gave up after {spent - 1} extensions"):
+            list(enumerate_cliques(complete_graph(8), 5))
+        with pytest.raises(ResourceLimitError):
+            contribution_table(complete_graph(8), 5, {0})
+
+    def test_listing_k40_is_refused(self):
+        # 76,904,685 8-cliques: refused before 2 * 10^6 of them are listed
+        listed = 0
+        with pytest.raises(ResourceLimitError, match="listing gave up"):
+            for _ in enumerate_cliques(complete_graph(40), 8):
+                listed += 1
+        assert listed < cliques.CLIQUE_EXPANSION_BUDGET
+
     @pytest.mark.parametrize("n", range(13))
     def test_complete_graph_binomials(self, n):
         g = complete_graph(n)

@@ -193,6 +193,8 @@ class TestGraph6:
             ]
         outcomes = [outcome(parse_graph6, line) for line in lines]
         assert outcomes == [outcome(per_bit_parse_graph6, line) for line in lines]
+        # 0x1c is no whitespace, so it is an out-of-range byte, not stripped
+        assert outcomes[3] == "out-of-range graph6 byte at offset 1"
         assert sum(isinstance(o, Graph) for o in outcomes) > 100
         assert sum("padding" in o for o in outcomes if isinstance(o, str)) > 100
 
@@ -220,11 +222,23 @@ class TestEdgeList:
         with pytest.raises(GraphParseError, match="self-loop 2 2 on line 4$"):
             parse_edge_list("n 3\n0 1\n\n2 2\n")
 
+    def test_ascii_whitespace_only(self):
+        assert parse_edge_list("n\t3\r\n0 1\r\n\x0c\n1\x0b2\r\n") == path_graph(3)
+        # str.split() splits at 0x1f, 0x85 and 0xa0, and int() strips the last two
+        for bad in ("n 3\n0 1\xa0\n", "n 3\n0\x851\n", "n 3\n0\x1f1\n"):
+            with pytest.raises(GraphParseError, match="bad edge on line 2"):
+                parse_edge_list(bad)
+        for bad in ("n 3\x1c\n", "n 3\xa0\n"):
+            with pytest.raises(GraphParseError, match="bad vertex count"):
+                parse_edge_list(bad)
+
     def test_errors_name_the_physical_line(self):
         with pytest.raises(GraphParseError, match="line 4"):
             parse_edge_list("n 3\n\n0 1\nx y\n")
         with pytest.raises(GraphParseError, match="line 5"):
             parse_edge_list("\nn 3\n0 1\n\n0 7\n")
+        with pytest.raises(GraphParseError, match="line 3: '1 x'"):
+            parse_edge_list("n 3\n0 1\x0c\n1 x\n")
 
 
 class TestConstructors:
@@ -278,7 +292,6 @@ class TestEnumeration:
     def test_n7_matches_brute_force_digest(self, reps7):
         assert reps_sha256(reps7) == REPS_SHA256[7]
 
-    @pytest.mark.slow("n=8 enumeration takes ~2 s")
     def test_n8_enumeration(self):
         reps = list(enumerate_graphs(8))
         assert len(reps) == 12346  # OEIS A000088

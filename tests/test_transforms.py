@@ -198,6 +198,78 @@ class TestClosureLemmas:
             assert verify_closure_lemmas(g, tc, w)["ok"]
 
 
+def _with_c(w, v, cv):
+    """``w`` with the weight c(v) replaced by ``cv``."""
+    c = list(w.c)
+    c[v] = cv
+    return dataclasses.replace(w, c=tuple(c))
+
+
+def _replace_stage(trace, i, **fields):
+    stages = list(trace.stages)
+    stages[i] = dataclasses.replace(stages[i], **fields)
+    return dataclasses.replace(trace, stages=tuple(stages))
+
+
+class TestVerifiersCanFail:
+    """Every check of the two verifiers fires on a closure or trace that is
+    wrong in one field. A lowered weight breaks several closure checks at
+    once; each trace corruption breaks its own check alone. On K5 from
+    vertex 0 the closure has terminals 1-4, each with c = 5."""
+
+    @pytest.mark.parametrize(
+        "check, corrupt",
+        [
+            # a path whose first entry moved
+            ("position_invariance",
+             lambda tc, w: (dataclasses.replace(tc, paths=tc.paths + ((1, 0, 2, 3, 4),)), w)),
+            # c(4) = 7 needs a pivot 6 edges back on a 4-edge representative
+            ("pivot_defined", lambda tc, w: (tc, _with_c(w, 4, 7))),
+            # c(4) = 3 puts 4's neighbours 3 and 4 edges back outside its window
+            ("back_window", lambda tc, w: (tc, _with_c(w, 4, 3))),
+            # cmin = 2 makes every neighbour 2 or more edges back a bad one
+            ("good_path", lambda tc, w: (tc, _with_c(w, 1, 2))),
+            # c(4) = 3 puts terminal 1, 3 edges back on 4's representative, in the back
+            ("terminals_in_back", lambda tc, w: (tc, _with_c(w, 4, 3))),
+            # |S_1| = 2 > c(1) - |L| = 1
+            ("outside_bound",
+             lambda tc, w: (dataclasses.replace(tc, s_sets={**tc.s_sets, 1: frozenset({0, 2})}), w)),
+            # dropping terminal 4 leaves degree 4 > |L| = 3 at the other three
+            ("degree_bound",
+             lambda tc, w: (dataclasses.replace(tc, terminal_set=frozenset({1, 2, 3})), w)),
+        ],
+    )
+    def test_closure_check_fires(self, check, corrupt):
+        g = complete_graph(5)
+        w, tc = closure_from_heaviest(g)
+        assert tc.terminal_set == frozenset({1, 2, 3, 4}) and set(w.c) == {5}
+        assert verify_closure_lemmas(g, tc, w)["ok"]
+        rep = verify_closure_lemmas(g, *corrupt(tc, w))
+        assert not rep["ok"]
+        assert check in {f["check"] for f in rep["failures"]}
+
+    # the path 0-1-2-3 plus the isolated vertex 4 peels 3, then 2, then 1
+    # from 0; vertex 4 is in stage 0 only and is never a terminal
+    @pytest.mark.parametrize(
+        "check, stage, corrupt",
+        [
+            ("start_never_terminal", 0, lambda t: dataclasses.replace(t, start=3)),
+            ("weight_monotone", 1, lambda t: _replace_stage(
+                t, 1, weights=_with_c(t.stages[1].weights, 0, 5))),
+            ("terminals_in_stage", 1, lambda t: _replace_stage(t, 1, terminals=frozenset({2, 4}))),
+        ],
+    )
+    def test_trace_check_fires(self, check, stage, corrupt):
+        g = from_edges(5, [(0, 1), (1, 2), (2, 3)])
+        trace = peel(g)
+        assert [sorted(st.terminals) for st in trace.stages] == [[3], [2], [1]]
+        assert trace.stages[1].vertices == (0, 1, 2)
+        assert all(rep["ok"] for rep in verify_peel_decomposition(g, trace, (2, 3)).values())
+        for rep in verify_peel_decomposition(g, corrupt(trace), (2, 3)).values():
+            assert not rep["ok"]
+            assert [(f["check"], f["stage"]) for f in rep["failures"]] == [(check, stage)]
+
+
 class TestPeel:
     def test_complete_graph_single_stage(self):
         g = complete_graph(6)
@@ -221,7 +293,7 @@ class TestPeel:
         w = compute_weights(g)
         trace = peel(g, 0)
         assert all(v not in st.terminals for st in trace.stages for v in (2, 3))
-        assert verify_peel_decomposition(g, trace, 2)["ok"]
+        assert verify_peel_decomposition(g, trace, (2,))[2]["ok"]
 
     def test_requires_max_weight_start(self):
         g = disjoint_union(complete_graph(3), complete_graph(2))
@@ -233,13 +305,12 @@ class TestPeel:
         trace = peel(g, 0)
         l0 = trace.stages[0].terminals
         assert count_cliques_touching(g, 3, l0) == 4 == count_cliques(g, 3)
-        assert verify_peel_decomposition(g, trace, 3)["ok"]
+        assert verify_peel_decomposition(g, trace, (3,))[3]["ok"]
 
     def test_bowtie_decomposition(self):
         g = bowtie()
         trace = peel(g, 2)
-        for s in (2, 3):
-            assert verify_peel_decomposition(g, trace, s)["ok"]
+        assert all(rep["ok"] for rep in verify_peel_decomposition(g, trace, (2, 3)).values())
 
     @pytest.mark.parametrize(
         "g, u",
@@ -266,13 +337,13 @@ class TestPeel:
     def test_verify_rejects_trace_whose_stage0_is_not_input(self):
         g = bowtie()
         trace = peel(g)
-        assert verify_peel_decomposition(g, trace, 2)["ok"]
+        assert verify_peel_decomposition(g, trace, (2,))[2]["ok"]
         for bad in (
             dataclasses.replace(trace, stages=trace.stages[1:]),
             dataclasses.replace(trace, stages=()),
             peel(complete_graph(5)),
         ):
-            rep = verify_peel_decomposition(g, bad, 2)
+            rep = verify_peel_decomposition(g, bad, (2,))[2]
             assert not rep["ok"]
             assert {"check": "stage0_is_input"} in rep["failures"]
 
@@ -284,7 +355,7 @@ class TestPeel:
             repeated = dataclasses.replace(trace, stages=trace.stages + trace.stages[-1:])
             for t in (trace, repeated, dataclasses.replace(trace, stages=trace.stages[1:])):
                 reports = verify_peel_decomposition(g, t, (2, 3, 4))
-                assert reports == {s: verify_peel_decomposition(g, t, s) for s in (2, 3, 4)}
+                assert reports == {s: verify_peel_decomposition(g, t, (s,))[s] for s in (2, 3, 4)}
             if trace.stages[-1].terminals:
                 # the repeated stage's terminals are peeled twice, and its
                 # cliques counted twice at every order it has
@@ -322,8 +393,8 @@ class TestPeel:
             all_terms = [v for st in trace.stages for v in st.terminals]
             assert len(all_terms) == len(set(all_terms))
             assert u not in all_terms
-            for s in (2, 3, 4):
-                assert verify_peel_decomposition(g, trace, s)["ok"]
+            reports = verify_peel_decomposition(g, trace, (2, 3, 4))
+            assert all(rep["ok"] for rep in reports.values())
 
     def test_chains_past_the_default_limit(self):
         # chains of clique blocks, where the number of (vertex set, end)
@@ -334,8 +405,8 @@ class TestPeel:
         for spec, order in chains + [(pendants, None)]:
             g = generate_pdbg(spec)
             trace = peel(g, dp_limit=64)
-            for s in (2, 3, 4):
-                assert verify_peel_decomposition(g, trace, s)["ok"], (g.n, s)
+            reports = verify_peel_decomposition(g, trace, (2, 3, 4))
+            assert all(rep["ok"] for rep in reports.values()), g.n
             if order is not None:
                 # the start, vertex 0, is the cut vertex between the first
                 # block and the rest, so a longest path from it covers every
