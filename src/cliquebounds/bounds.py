@@ -28,12 +28,15 @@ class RightSides:
     from one tally of its distinct weights: k vertices of weight p add
     k C(p, s-1) over s, and k of weight c add k C(c, s) (L/(c-1)) over L,
     the lcm of the c - 1. The cycle form's subtracted term depends only on
-    the maximum weight, so it takes one vertex off that weight's count."""
+    the maximum weight, so it takes one vertex off that weight's count.
+    The p weights are tallied when a path form is first asked for, so the
+    cycle form alone never reads p."""
 
-    __slots__ = ("paths", "cycles", "lcm")
+    __slots__ = ("weights", "paths", "cycles", "lcm")
 
     def __init__(self, g: Graph, w: VertexWeights):
-        self.paths = [(p, w.p.count(p)) for p in set(w.p)]
+        self.weights = w
+        self.paths: list[tuple[int, int]] | None = None
         cycles = {c: w.c.count(c) for c in set(w.c)}
         if g.n:
             cycles[w.circumference] -= 1
@@ -44,6 +47,9 @@ class RightSides:
         return sum(k * comb(c, s) for c, k in self.cycles), self.lcm
 
     def path_form(self, s: int) -> tuple[int, int]:
+        if self.paths is None:
+            p = self.weights.p
+            self.paths = [(v, p.count(v)) for v in set(p)]
         return sum(k * comb(p, s - 1) for p, k in self.paths), s
 
 

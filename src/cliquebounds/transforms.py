@@ -121,7 +121,8 @@ def verify_closure_lemmas(g: Graph, tc: TransformClosure, weights: VertexWeights
     measured back from v), with cmin the least terminal weight:
       good_path          no neighbor of v at distance >= cmin
       back_window        every neighbor of v at distance <= c(v)-1
-      terminals_in_back  no terminal at distance >= c(v)-1 on P_v
+      terminals_in_back  every other terminal on P_v, none at distance
+                         >= c(v)-1
       outside_bound      |S_v| <= c(v) - |L|
       degree_bound       d(v) <= |L|
       pivot_defined      k >= c(v)-1
@@ -166,6 +167,9 @@ def verify_closure_lemmas(g: Graph, tc: TransformClosure, weights: VertexWeights
                     )
             for u in terms:
                 checked += 1
+                if u not in pos:
+                    failures.append({"check": "terminals_in_back", "terminal": v, "other": u})
+                    continue
                 dist = k - pos[u]
                 if dist >= cv - 1 and u != v:
                     failures.append(
@@ -189,7 +193,9 @@ def verify_closure_lemmas(g: Graph, tc: TransformClosure, weights: VertexWeights
 class PeelStage:
     """One live stage: its original-id vertex list, the dense induced graph,
     the start vertex, base path and terminal set (all original ids), plus the
-    stage's weights and rotation closure (both in the dense graph's ids)."""
+    stage's weights and rotation closure (both in the dense graph's ids).
+    Peeling and its verifier read only the weights' c, so the p pass of
+    ``weights`` runs only if a reader of the trace asks for p."""
 
     vertices: tuple[int, ...]
     graph: Graph
@@ -257,7 +263,9 @@ def verify_peel_decomposition(g: Graph, trace: PeelTrace, orders: tuple[int, ...
     for every order s in ``orders``, in one pass. The input graph's weights
     are read from stage 0, which must be g. Each stage's cliques are counted
     in g on the stage's vertex mask, with one pair of expansions at the top
-    order. The result maps each order to the report that order alone gives."""
+    order; a stage vertex that is not a vertex of g is a failure, not part
+    of the mask. The result maps each order to the report that order alone
+    gives."""
     if min(orders) < 0:
         raise ValueError(f"clique order must be >= 0, got {min(orders)}")
     top = max(orders)
@@ -272,7 +280,10 @@ def verify_peel_decomposition(g: Graph, trace: PeelTrace, orders: tuple[int, ...
     totals = [0] * (top + 1)
     seen_terminals: set[int] = set()
     for i, stage in enumerate(trace.stages):
-        live = sum(1 << v for v in stage.vertices) & g.full_mask
+        inside = [v for v in stage.vertices if 0 <= v < g.n]
+        if len(inside) < len(stage.vertices):
+            failures.append({"check": "stage_vertices_in_graph", "stage": i})
+        live = sum(1 << v for v in inside)
         touch = sum(1 << v for v in stage.terminals)
         if touch & ~live:
             failures.append({"check": "terminals_in_stage", "stage": i})
@@ -288,7 +299,7 @@ def verify_peel_decomposition(g: Graph, trace: PeelTrace, orders: tuple[int, ...
         if trace.start in stage.terminals:
             failures.append({"check": "start_never_terminal", "stage": i})
         for v, cw in zip(stage.vertices, stage.weights.c):
-            if is_input and cw > base_c[v]:
+            if is_input and 0 <= v < g.n and cw > base_c[v]:
                 failures.append(
                     {"check": "weight_monotone", "stage": i, "vertex": v,
                      "stage_weight": cw, "base_weight": base_c[v]}

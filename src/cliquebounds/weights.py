@@ -2,19 +2,23 @@
 
 p(v) is the number of edges on the longest simple path containing v.
 c(v) is the length of the longest cycle containing v, or 2 when v lies on
-no cycle. Per biconnected block, a clique block B is one number, its
-order, and costs O(cut vertices in B). A block with a Hamiltonian cycle,
-which one memoized depth-first search certifies within 2^(|B|-2) + |B|^3
-candidate tries, has closed-form tables: every vertex of such a block B
-lies on a cycle of |B| vertices and on a path of |B| - 1 edges. Any other
-block, or one the search gives up on, runs subset dynamic programming over
-(vertex set, endpoint) states. The per-block tables are composed over the
-block-cut tree (Hopcroft & Tarjan 1973), at a cost of about (cut vertices
-in B + 2) * 2^|B| per non-clique block B without a Hamiltonian cycle; a
-Hamiltonian block runs the DP of paths from a cut vertex only for its
-pairs of cut vertices. The block
-decomposition comes from ``graphs`` and is returned on ``VertexWeights``,
-so its readers (the extremal predicate) need not build it again.
+no cycle. ``compute_weights`` works per biconnected block, in two passes.
+The c pass runs at once. A clique block B is one number, its order. A
+non-clique block with a Hamiltonian cycle, which one memoized depth-first
+search certifies within 2^(|B|-2) + |B|^3 candidate tries, has every
+vertex on a cycle of |B| vertices. Any other block, or one the search
+gives up on, runs subset dynamic programming over (vertex set, endpoint)
+states of the paths that start at the least vertex of the set. The p pass
+runs the first time p is read, since only the path form reads it. Every
+vertex of a Hamiltonian block lies on a path of |B| - 1 edges, and any
+other non-clique block runs the any-start path DP. Each non-clique block
+runs the DP of paths from its cut vertices (a Hamiltonian block only for
+its pairs of cut vertices), and the per-block tables are composed over the
+block-cut tree (Hopcroft & Tarjan 1973). A non-clique block B without a
+Hamiltonian cycle costs about (cut vertices in B + 2) * 2^|B| over both
+passes. The block decomposition comes from ``graphs`` and is returned on
+``VertexWeights``, so its readers (the extremal predicate) need not build
+it again.
 
 ``longest_path_from`` gives the lexicographically least longest path from
 a start vertex, which the rotation closure of ``transforms`` starts from:
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .graphs import BlockDecomposition, Graph, ResourceLimitError, block_decomposition, reachable
@@ -47,17 +52,39 @@ PATH_SEARCH_BUDGET = 2_000_000
 @dataclass(frozen=True)
 class VertexWeights:
     """p and c arrays plus the circumference (max c; 0 on the empty graph),
-    and the block decomposition of the graph they were composed over."""
+    and the block decomposition of the graph they were composed over.
+
+    ``compute_weights`` fills c, the circumference and the decomposition,
+    and leaves p to a pending pass that runs the first time p is read and
+    is then dropped. Constructed directly, all four fields are given."""
 
     p: tuple[int, ...]
     c: tuple[int, ...]
     circumference: int
     decomposition: BlockDecomposition
 
+    def __getattr__(self, name: str):
+        # reached only when ordinary lookup fails, so p is still pending
+        pending = self.__dict__.get("_p_pass")
+        if name != "p" or pending is None:
+            raise AttributeError(name)
+        p = pending()
+        object.__setattr__(self, "p", p)
+        del self.__dict__["_p_pass"]
+        return p
 
-# Peak bytes per subset of the DP: two tables of 2^|B| list slots are live at
-# once, and each filled slot holds its own int object (8 + 32 bytes). Measured
-# with tracemalloc on the complete graph at |B| = 14: 39.5 bytes per slot.
+    @classmethod
+    def _with_pending_p(cls, p_pass, c, circumference, decomposition) -> VertexWeights:
+        w = cls.__new__(cls)
+        vars(w).update(c=c, circumference=circumference, decomposition=decomposition,
+                       _p_pass=p_pass)
+        return w
+
+
+# Peak bytes per subset of the DP: the guard allows two tables of 2^|B| list
+# slots, and each filled slot holds its own int object (8 + 32 bytes).
+# Measured with tracemalloc on the complete graph at |B| = 14: 39.5 bytes per
+# slot. Each kernel holds one table, and the two passes run one at a time.
 _DP_BYTES_PER_SLOT = 40
 
 
@@ -84,13 +111,21 @@ def _memory_guard(size: int):
         )
 
 
+class _Block(NamedTuple):
+    """A non-clique block relabeled to 0..|B|-1 in sorted vertex order: the
+    c pass builds it, and the p pass reads it."""
+
+    order: list[int]
+    adj: list[int]
+    hamiltonian: bool
+
+
 class _BlockTables(NamedTuple):
-    """Per-vertex tables of one non-clique block, indexed by its local labels
-    (its vertices in sorted order)."""
+    """Per-vertex path tables of one non-clique block, indexed by its local
+    labels."""
 
     local: dict[int, int]
     p: list[int]
-    c: list[int]
     # cut vertex a -> the longest path in the block from a that contains v
     start: dict[int, list[int]]
     # (a, b), both orders -> the longest a-b path in the block containing v
@@ -98,59 +133,95 @@ class _BlockTables(NamedTuple):
 
 
 def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights:
-    """Exact p(v) and c(v) for every vertex.
+    """Exact p(v) and c(v) for every vertex, c now and p when first read.
 
-    A clique block B keeps no tables: a path in it from, or between, any
-    of its vertices has |B| - 1 edges, so a path into B from cut vertex a
-    takes the longest arm at another cut vertex, and every vertex of B gets
-    |B| - 1 plus the two longest arms at distinct cut vertices of B, in
-    O(its cut vertices). Any other block, relabeled to 0..|B|-1, first
-    searches for a Hamiltonian cycle; when it finds one, p and c in B and
-    the paths from each cut vertex are closed-form (|B| - 1 and |B|), and
-    only the paths between two cut vertices run a DP. A block without one
-    runs the subset DP. The per-block tables are composed over the
-    block-cut tree.
     Every cycle lies inside one block, so c(v) is the best cycle through v
-    in a block containing v. A simple path meets the blocks along a path of
-    the block-cut tree, so p(v) is the best, over the blocks B containing
-    v, of a path inside B, or of a path in B from a cut vertex a (or
-    between cut vertices a and b) extended by the longest arm that leaves B
-    through a (and through b). A block without a Hamiltonian cycle costs
-    about (cut vertices in B + 2) * 2^|B| steps, so the guard is on the
-    largest non-clique block, and on the memory its tables need; both run
-    before the search.
+    in a block containing v: the order of a clique block, the order of a
+    non-clique block in which a search finds a Hamiltonian cycle, and
+    otherwise the block's cycle table from the rooted subset DP.
+    A simple path meets the blocks along a path of the block-cut tree, so
+    p(v) is the best, over the blocks B containing v, of a path inside B,
+    or of a path in B from a cut vertex a (or between cut vertices a and
+    b) extended by the longest arm that leaves B through a (and through b).
+    A clique block keeps no tables: a path in it from, or between, any of
+    its vertices has |B| - 1 edges. A Hamiltonian block's paths inside it
+    and from each cut vertex are closed-form (|B| - 1); only the paths
+    between two cut vertices run a DP. Any other non-clique block runs the
+    any-start path DP and the paths from each cut vertex. The arms are
+    composed over the block-cut tree.
+    A block without a Hamiltonian cycle costs about (cut vertices in B + 2)
+    * 2^|B| steps over both passes, so the guard is on the largest
+    non-clique block, and on the memory its tables need; both run here,
+    before either pass, and reading p never raises.
     """
     return _compose(g, block_decomposition(g), dp_limit)
 
 
 def _compose(g: Graph, decomp: BlockDecomposition, dp_limit: int) -> VertexWeights:
-    """The weights of g from its block decomposition ``decomp``."""
+    """The weights of g from its block decomposition ``decomp``: the c pass
+    now, the p pass (``_path_weights``) when p is first read."""
     largest = max((len(b) for b, cl in zip(decomp.blocks, decomp.clique) if not cl), default=0)
     _guard("subset DP", "non-clique block order", largest, dp_limit)
     _memory_guard(largest)
+    c = [2] * g.n
+    blocks: list[_Block | None] = []  # None for a clique block
+    for bi, blk in enumerate(decomp.blocks):
+        size = len(blk)
+        if decomp.clique[bi]:
+            # every vertex of a clique block of 3 or more vertices lies on a
+            # cycle through all of it; a bridge leaves c at 2
+            blocks.append(None)
+            if size > 2:
+                for v in blk:
+                    if c[v] < size:
+                        c[v] = size
+            continue
+        order = sorted(blk)
+        local_bit = {1 << v: 1 << i for i, v in enumerate(order)}
+        mask = sum(local_bit)
+        adj = []
+        for v in order:
+            row = 0
+            rest = g.adj[v] & mask
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                row |= local_bit[b]
+            adj.append(row)
+        hamiltonian = _has_hamiltonian_cycle(adj, size)
+        blocks.append(_Block(order, adj, hamiltonian))
+        # a spanning cycle is a longest cycle through every vertex
+        c_in = [size] * size if hamiltonian else _cycle_table(adj, size)
+        for v, cv in zip(order, c_in):
+            if c[v] < cv:
+                c[v] = cv
+    return VertexWeights._with_pending_p(
+        partial(_path_weights, g.n, decomp, blocks), tuple(c), max(c, default=0), decomp
+    )
+
+
+def _path_weights(
+    n: int, decomp: BlockDecomposition, blocks: list[_Block | None]
+) -> tuple[int, ...]:
+    """p of the n-vertex graph decomposed as ``decomp``, from the relabeled
+    non-clique ``blocks`` of the c pass."""
     cuts_of: list[list[int]] = [[] for _ in decomp.blocks]
     for bi, a in decomp.tree_edges:
         cuts_of[bi].append(a)
 
     # a clique block keeps only its order
     tables: list[_BlockTables | int] = []
-    for bi, blk in enumerate(decomp.blocks):
-        if decomp.clique[bi]:
-            tables.append(len(blk))
+    for bi, blk in enumerate(blocks):
+        if blk is None:
+            tables.append(len(decomp.blocks[bi]))
             continue
-        order = sorted(blk)
+        order, adj, hamiltonian = blk
+        size = len(order)
         local = {v: i for i, v in enumerate(order)}
         start: dict[int, list[int]] = {}
         pair: dict[tuple[int, int], list[int]] = {}
-        adj = [sum(1 << i for i, u in enumerate(order) if g.adj[v] >> u & 1) for v in order]
-        size = len(local)
-        hamiltonian = _has_hamiltonian_cycle(adj, size)
-        if hamiltonian:
-            # the cycle is a longest cycle through every vertex, and a
-            # Hamiltonian path leaves from any vertex along it
-            p_in, c_in = [size - 1] * size, [size] * size
-        else:
-            p_in, c_in = _path_and_cycle_tables(adj, size)
+        # a Hamiltonian path leaves from any vertex along the spanning cycle
+        p_in = [size - 1] * size if hamiltonian else _path_table(adj, size)
         for k, a in enumerate(cuts_of[bi]):
             later = cuts_of[bi][k + 1:]
             if hamiltonian and not later:
@@ -159,7 +230,7 @@ def _compose(g: Graph, decomp: BlockDecomposition, dp_limit: int) -> VertexWeigh
             start[a], rows = _paths_from(adj, size, local[a], [local[b] for b in later])
             for b, row in zip(later, rows):
                 pair[(a, b)] = pair[(b, a)] = row
-        tables.append(_BlockTables(local, p_in, c_in, start, pair))
+        tables.append(_BlockTables(local, p_in, start, pair))
 
     def down(a: int, bi: int) -> int:
         """Longest path from cut vertex a into block bi, continuing through
@@ -193,20 +264,20 @@ def _compose(g: Graph, decomp: BlockDecomposition, dp_limit: int) -> VertexWeigh
             stack.pop()
             arm[key] = max(down(at, bj) for bj in others)
 
-    p = [0] * g.n
-    c = [2] * g.n
+    p = [0] * n
     for bi, t in enumerate(tables):
         if type(t) is int:
             # every vertex of a clique block lies on a path through it that
-            # joins the two longest arms at distinct cut vertices, and on a
-            # cycle of t vertices when t >= 3 (c starts at 2)
-            arms = sorted([arm[(a, bi)] for a in cuts_of[bi]], reverse=True)
-            best = t - 1 + sum(arms[:2])
+            # joins the two longest arms at distinct cut vertices (arms >= 0)
+            first = second = 0
+            for a in cuts_of[bi]:
+                x = arm[(a, bi)]
+                if x > second:
+                    first, second = max(first, x), min(first, x)
+            best = t - 1 + first + second
             for v in decomp.blocks[bi]:
                 if p[v] < best:
                     p[v] = best
-                if c[v] < t:
-                    c[v] = t
             continue
         for v, i in t.local.items():
             best = max(
@@ -214,9 +285,9 @@ def _compose(g: Graph, decomp: BlockDecomposition, dp_limit: int) -> VertexWeigh
                 + [arm[(a, bi)] + row[i] for a, row in t.start.items()]
                 + [arm[(a, bi)] + row[i] + arm[(b, bi)] for (a, b), row in t.pair.items()]
             )
-            p[v] = max(p[v], best)
-            c[v] = max(c[v], t.c[i])
-    return VertexWeights(tuple(p), tuple(c), max(c, default=0), decomp)
+            if p[v] < best:
+                p[v] = best
+    return tuple(p)
 
 
 def _has_hamiltonian_cycle(adj, n: int) -> bool:
@@ -291,29 +362,51 @@ def _has_hamiltonian_cycle(adj, n: int) -> bool:
     return False
 
 
-def _path_and_cycle_tables(adj, n: int) -> tuple[list[int], list[int]]:
-    """p and c of a graph on vertices 0..n-1, by subset DP.
+def _cycle_table(adj, n: int) -> list[int]:
+    """c of a graph on vertices 0..n-1, by subset DP over the endpoints of
+    the paths that span exactly S and start at min(S): S closes into a
+    cycle when |S| >= 3 and some endpoint is adjacent to min(S)."""
+    size = 1 << n
+    nbr = {1 << v: adj[v] for v in range(n)}
+    rooted = [0] * size
+    for bit in nbr:
+        rooted[bit] = bit
+    cycles = [0] * (n + 1)
+    for s_mask in range(1, size):
+        ends = rooted[s_mask]
+        if not ends:
+            continue
+        low = s_mask & -s_mask
+        if ends & nbr[low]:
+            count = s_mask.bit_count()
+            if count >= 3:
+                cycles[count] |= s_mask
+        out = ~s_mask & -(low << 1)  # a rooted path grows only above its root
+        while ends:
+            b = ends & -ends
+            ends ^= b
+            ext = nbr[b] & out
+            while ext:
+                w = ext & -ext
+                ext ^= w
+                rooted[s_mask | w] |= w
+    return _longest_containing(cycles, n, 2)
 
-    Two tables over subsets S, filled in one sweep: endpoints of simple
-    paths spanning exactly S (any start) drive p; endpoints of paths
-    spanning S that start at min(S) detect cycles, closing S into a cycle
-    when some endpoint is adjacent to min(S) and |S| >= 3. Every rooted
-    state is also an any-start state, so one skip test serves both.
-    """
+
+def _path_table(adj, n: int) -> list[int]:
+    """p of a graph on vertices 0..n-1, by subset DP over the endpoints of
+    the simple paths (any start) that span exactly S."""
     size = 1 << n
     nbr = {1 << v: adj[v] for v in range(n)}
     endp = [0] * size
-    rooted = [0] * size
     for bit in nbr:
-        endp[bit] = rooted[bit] = bit
+        endp[bit] = bit
     paths = [0] * n
-    cycles = [0] * (n + 1)
     for s_mask in range(1, size):
         ends = endp[s_mask]
         if not ends:
             continue
-        count = s_mask.bit_count()
-        paths[count - 1] |= s_mask
+        paths[s_mask.bit_count() - 1] |= s_mask
         out = ~s_mask
         while ends:
             b = ends & -ends
@@ -323,22 +416,7 @@ def _path_and_cycle_tables(adj, n: int) -> tuple[list[int], list[int]]:
                 w = ext & -ext
                 ext ^= w
                 endp[s_mask | w] |= w
-        ends = rooted[s_mask]
-        if not ends:
-            continue
-        low = s_mask & -s_mask
-        if count >= 3 and ends & nbr[low]:
-            cycles[count] |= s_mask
-        out &= -(low << 1)  # a rooted path grows only above its root min(S)
-        while ends:
-            b = ends & -ends
-            ends ^= b
-            ext = nbr[b] & out
-            while ext:
-                w = ext & -ext
-                ext ^= w
-                rooted[s_mask | w] |= w
-    return _longest_containing(paths, n, 0), _longest_containing(cycles, n, 2)
+    return _longest_containing(paths, n, 0)
 
 
 def _paths_from(adj, n: int, a: int, targets: list[int]) -> tuple[list[int], list[list[int]]]:

@@ -6,8 +6,8 @@ over neighbor lists, clique counts from subset enumeration, canonical forms
 and Hamiltonian cycles (``permutation_hamiltonian_cycle``) from trying all
 permutations. The package's current weights are checked
 against its retired weights algorithms: ``subset_dp_weights``, the
-whole-graph subset DP (the per-bit loops of ``_path_and_cycle_tables``,
-applied to the whole graph), and ``tree_dp_block_graph_weights``, the
+whole-graph subset DP (the per-bit loops of the p pass's ``_path_table``
+and the c pass's ``_cycle_table``, applied to the whole graph), and ``tree_dp_block_graph_weights``, the
 block-cut-tree DP for block graphs (the only oracle that reaches n = 64).
 The retired per-bit ``_paths_from`` is ``per_bit_paths_from``, and the
 retired longest path, a greedy that runs one breadth-first search

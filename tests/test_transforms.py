@@ -231,6 +231,13 @@ class TestVerifiersCanFail:
             ("good_path", lambda tc, w: (tc, _with_c(w, 1, 2))),
             # c(4) = 3 puts terminal 1, 3 edges back on 4's representative, in the back
             ("terminals_in_back", lambda tc, w: (tc, _with_c(w, 4, 3))),
+            # a representative of 4 that misses terminal 3
+            pytest.param(
+                "terminals_in_back",
+                lambda tc, w: (dataclasses.replace(
+                    tc, representatives={**tc.representatives, 4: (0, 1, 2, 4)}), w),
+                id="terminals_in_back-missing",
+            ),
             # |S_1| = 2 > c(1) - |L| = 1
             ("outside_bound",
              lambda tc, w: (dataclasses.replace(tc, s_sets={**tc.s_sets, 1: frozenset({0, 2})}), w)),
@@ -257,6 +264,8 @@ class TestVerifiersCanFail:
             ("weight_monotone", 1, lambda t: _replace_stage(
                 t, 1, weights=_with_c(t.stages[1].weights, 0, 5))),
             ("terminals_in_stage", 1, lambda t: _replace_stage(t, 1, terminals=frozenset({2, 4}))),
+            ("stage_vertices_in_graph", 1, lambda t: _replace_stage(t, 1, vertices=(0, 1, 2, 7))),
+            ("stage_vertices_in_graph", 1, lambda t: _replace_stage(t, 1, vertices=(0, 1, 2, -1))),
         ],
     )
     def test_trace_check_fires(self, check, stage, corrupt):

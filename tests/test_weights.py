@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from cliquebounds import (
     BlockSpec,
     ResourceLimitError,
+    VertexWeights,
     block_decomposition,
     complete_graph,
     compute_weights,
@@ -19,13 +21,16 @@ from cliquebounds import (
     path_graph,
     random_clique_forest,
     random_graph,
+    write_graph6,
 )
 from cliquebounds import weights
+from cliquebounds.cli import main
 from cliquebounds.graphs import reachable
 from cliquebounds.weights import (
     _DP_BYTES_PER_SLOT,
+    _cycle_table,
     _has_hamiltonian_cycle,
-    _path_and_cycle_tables,
+    _path_table,
     _paths_from,
 )
 from oracles import (
@@ -90,19 +95,21 @@ class TestComputeWeights:
 
     def test_bytes_per_slot_bound_the_measured_peak(self):
         # K11 minus an edge fills nearly every slot, most with an int above
-        # the small-int cache: about the worst case of a non-clique block
+        # the small-int cache: about the worst case of a non-clique block.
+        # Each pass's kernel holds one table; the guard allows two.
         size = 11
         adj = [((1 << size) - 1) & ~(1 << v) for v in range(size)]
         adj[0] &= ~2
         adj[1] &= ~1
-        tracemalloc.start()
-        try:
-            _path_and_cycle_tables(adj, size)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 0.85 * 2 * (1 << size) * _DP_BYTES_PER_SLOT <= peak
-        assert peak <= 2 * (1 << size) * _DP_BYTES_PER_SLOT
+        for kernel in (_cycle_table, _path_table):
+            tracemalloc.start()
+            try:
+                kernel(adj, size)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 0.85 * (1 << size) * _DP_BYTES_PER_SLOT <= peak, kernel
+            assert peak <= (1 << size) * _DP_BYTES_PER_SLOT, kernel
 
     def test_exhaustive_against_dfs_oracle(self, reps_by_n):
         for n in range(7):
@@ -184,7 +191,8 @@ class TestAgainstWholeGraphSubsetDP:
             n = rng.randint(1, 10)
             g = random_graph(n, rng.uniform(0.1, 0.7), rng.randrange(1 << 30))
             w = subset_dp_weights(g)
-            assert _path_and_cycle_tables(g.adj, n) == (list(w.p), list(w.c)), g
+            assert _path_table(g.adj, n) == list(w.p), g
+            assert _cycle_table(g.adj, n) == list(w.c), g
             a = rng.randrange(n)
             targets = rng.sample([v for v in range(n) if v != a], rng.randint(0, n - 1))
             assert _paths_from(g.adj, n, a, targets) == per_bit_paths_from(g.adj, n, a, targets), g
@@ -259,13 +267,17 @@ class TestHamiltonianCycleCertificate:
 
     @pytest.fixture
     def dp_calls(self, monkeypatch):
+        """(kernel, block order) per call of either pass's subset DP."""
         calls = []
 
-        def counted(adj, n):
-            calls.append(n)
-            return _path_and_cycle_tables(adj, n)
+        def counting(kernel):
+            def counted(adj, n):
+                calls.append((kernel.__name__, n))
+                return kernel(adj, n)
+            return counted
 
-        monkeypatch.setattr(weights, "_path_and_cycle_tables", counted)
+        for kernel in (_cycle_table, _path_table):
+            monkeypatch.setattr(weights, kernel.__name__, counting(kernel))
         return calls
 
     def test_hamiltonian_blocks_skip_the_dp(self, dp_calls):
@@ -278,7 +290,11 @@ class TestHamiltonianCycleCertificate:
     def test_other_blocks_run_the_dp(self, dp_calls):
         for g in (petersen(), complete_bipartite(3, 5), theta()):
             assert compute_weights(g) == subset_dp_weights(g), g
-        assert dp_calls == [10, 8, 6]
+        assert dp_calls == [
+            ("_cycle_table", 10), ("_path_table", 10),
+            ("_cycle_table", 8), ("_path_table", 8),
+            ("_cycle_table", 6), ("_path_table", 6),
+        ]
 
     def test_pair_rows_of_hamiltonian_blocks(self, dp_calls, monkeypatch):
         paths_from = []
@@ -293,6 +309,78 @@ class TestHamiltonianCycleCertificate:
         # the last cut vertex of each block needs no row of its own
         assert paths_from == [(0, [3]), (0, [2, 5]), (2, [5])]
         assert dp_calls == []
+
+
+class TestPathPassOnDemand:
+    """``compute_weights`` runs the c pass; the p pass (the any-start path
+    DP, the rows from cut vertices and the arms) runs when p is first read.
+    Petersen with a pendant runs both p-pass kernels, a 6-cycle with two
+    pendants the rows of a Hamiltonian block."""
+
+    GRAPHS = (with_pendants(petersen(), [0]), with_pendants(cycle_graph(6), [0, 3]))
+
+    @pytest.fixture
+    def p_pass_calls(self, monkeypatch):
+        calls = []
+
+        def counting(kernel):
+            def counted(*args):
+                calls.append(kernel.__name__)
+                return kernel(*args)
+            return counted
+
+        for kernel in (_path_table, _paths_from):
+            monkeypatch.setattr(weights, kernel.__name__, counting(kernel))
+        return calls
+
+    def test_p_pass_runs_once_on_the_first_read(self, p_pass_calls):
+        for g in self.GRAPHS:
+            w = compute_weights(g)
+            assert p_pass_calls == [] and w.c == subset_dp_weights(g).c
+            assert w.p == subset_dp_weights(g).p
+            ran = len(p_pass_calls)
+            assert ran and w.p == subset_dp_weights(g).p and len(p_pass_calls) == ran
+            p_pass_calls.clear()
+
+    def test_reading_p_calls_no_guard(self, monkeypatch):
+        pending = [compute_weights(g) for g in self.GRAPHS]
+
+        def refuse(*args):
+            raise AssertionError("a guard ran while p was read")
+
+        monkeypatch.setattr(weights, "_guard", refuse)
+        monkeypatch.setattr(weights, "_memory_guard", refuse)
+        for g, w in zip(self.GRAPHS, pending):
+            assert w.p == subset_dp_weights(g).p, g
+
+    def test_pending_weights_behave_as_given_ones(self):
+        for g in self.GRAPHS:
+            o = subset_dp_weights(g)
+            given = VertexWeights(o.p, o.c, o.circumference, o.decomposition)
+            assert compute_weights(g) == given
+            assert hash(compute_weights(g)) == hash(given)
+            assert repr(compute_weights(g)) == repr(given)
+            assert dataclasses.replace(compute_weights(g), c=o.c) == given
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                compute_weights(g).p = o.p
+
+    @pytest.mark.parametrize(
+        "argv, reads_p",
+        [
+            (["peel", "--trace"], False),
+            (["check", "--theorem", "1", "--s", "3"], False),
+            (["weights"], True),
+            (["check", "--theorem", "2", "--s", "3"], True),
+        ],
+    )
+    def test_commands_run_the_p_pass_only_to_read_p(
+        self, argv, reads_p, p_pass_calls, tmp_path, capsys
+    ):
+        f = tmp_path / "in.g6"
+        f.write_text("".join(write_graph6(g) + "\n" for g in self.GRAPHS))
+        assert main(argv + [str(f)]) == 0
+        assert capsys.readouterr().err == ""
+        assert bool(p_pass_calls) == reads_p
 
 
 class TestLongestPathFrom:
