@@ -78,20 +78,15 @@ def _parse_pdbg_spec(text: str) -> BlockSpec:
 
 def _parse_forest_params(text: str, seed: int | None) -> Graph:
     count_s, _, order_s = text.partition("x")
+    lo_s, ranged, hi_s = order_s.partition("-")
     try:
-        count = int(count_s)
+        count, lo = int(count_s), int(lo_s)
+        hi = int(hi_s) if ranged else lo
     except ValueError:
         raise ValueError(f"bad clique-forest params {text!r}") from None
-    if "-" in order_s:
-        lo_s, _, hi_s = order_s.partition("-")
-        lo, hi = int(lo_s), int(hi_s)
-        if seed is None:
-            raise ValueError("random clique forest needs an explicit --seed")
-        return random_clique_forest(count, lo, hi, seed)
-    order = int(order_s)
-    if seed is None:
-        seed = 0
-    return random_clique_forest(count, order, order, seed)
+    if ranged and seed is None:
+        raise ValueError("random clique forest needs an explicit --seed")
+    return random_clique_forest(count, lo, hi, 0 if seed is None else seed)
 
 
 def cmd_gen(args) -> int:

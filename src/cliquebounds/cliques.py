@@ -124,18 +124,16 @@ def enumerate_cliques(g: Graph, s: int):
 def count_cliques_touching(g: Graph, s: int, touch) -> int:
     """Count s-cliques meeting the vertex set ``touch`` at least once; 0
     when s > n, like ``count_cliques``."""
+    if s < 0:
+        raise ValueError(f"clique order must be >= 0, got {s}")
     touch_set = set(touch)
     if any(not 0 <= v < g.n for v in touch_set):
         raise ValueError("touch set contains vertices outside the graph")
-    if not touch_set:
+    if not touch_set or s > g.n:
         return 0
-    if s < 0:
-        raise ValueError(f"clique order must be >= 0, got {s}")
-    if s > g.n:
-        return 0
-    nbr = _rows(g)
+    # all of them less those avoiding the touch set
     rest = g.full_mask & ~sum(1 << v for v in touch_set)
-    return _clique_counts(nbr, g.full_mask, s)[s] - _clique_counts(nbr, rest, s)[s]
+    return clique_counts(g, s)[s] - clique_counts(g, s, rest)[s]
 
 
 @dataclass(frozen=True)
@@ -158,14 +156,17 @@ def contribution_table(g: Graph, s: int, marked) -> ContributionTable:
     marked_set = frozenset(marked)
     if any(not 0 <= v < g.n for v in marked_set):
         raise ValueError("marked set contains vertices outside the graph")
-    shares = {v: Fraction(0) for v in marked_set}
+    # tally[v][k]: the cliques that meet the marked set in k vertices, v one of them
+    tally = {v: [0] * (s + 1) for v in marked_set}
     for clique in enumerate_cliques(g, s):
         inside = marked_set.intersection(clique)
-        if not inside:
-            continue
-        piece = Fraction(1, len(inside))
+        k = len(inside)
         for v in inside:
-            shares[v] += piece
+            tally[v][k] += 1
+    shares = {
+        v: sum((Fraction(t, k) for k, t in enumerate(row) if t), Fraction(0))
+        for v, row in tally.items()
+    }
     return ContributionTable(s, marked_set, shares)
 
 

@@ -759,6 +759,8 @@ def generate_pdbg(spec: BlockSpec) -> Graph:
 
 
 def random_clique_forest(num_cliques: int, min_order: int, max_order: int, seed: int) -> Graph:
+    if num_cliques < 0:
+        raise ValueError(f"clique count must be >= 0, got {num_cliques}")
     if min_order < 1:
         raise ValueError(f"min_order must be >= 1, got {min_order}")
     if max_order < min_order:

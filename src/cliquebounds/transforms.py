@@ -266,6 +266,8 @@ def verify_peel_decomposition(g: Graph, trace: PeelTrace, orders: tuple[int, ...
     order; a stage vertex that is not a vertex of g is a failure, not part
     of the mask. The result maps each order to the report that order alone
     gives."""
+    if not orders:
+        raise ValueError("need at least one clique order")
     if min(orders) < 0:
         raise ValueError(f"clique order must be >= 0, got {min(orders)}")
     top = max(orders)

@@ -10,15 +10,17 @@ vertex on a cycle of |B| vertices. Any other block, or one the search
 gives up on, runs subset dynamic programming over (vertex set, endpoint)
 states of the paths that start at the least vertex of the set. The p pass
 runs the first time p is read, since only the path form reads it. Every
-vertex of a Hamiltonian block lies on a path of |B| - 1 edges, and any
-other non-clique block runs the any-start path DP. Each non-clique block
-runs the DP of paths from its cut vertices (a Hamiltonian block only for
-its pairs of cut vertices), and the per-block tables are composed over the
+vertex of a Hamiltonian block lies on a path of |B| - 1 edges from each of
+its vertices. Any other non-clique block runs one path DP from all of its
+vertices, which gives p in the block and, since a path that ends at a cut
+vertex is read backwards as a path from it, the paths from each cut
+vertex. The paths between two cut vertices run one DP from each cut
+vertex but the last, and the per-block tables are composed over the
 block-cut tree (Hopcroft & Tarjan 1973). A non-clique block B without a
-Hamiltonian cycle costs about (cut vertices in B + 2) * 2^|B| over both
-passes. The block decomposition comes from ``graphs`` and is returned on
-``VertexWeights``, so its readers (the extremal predicate) need not build
-it again.
+Hamiltonian cycle costs about (max(cut vertices in B, 1) + 1) * 2^|B|
+over both passes. The block decomposition comes from ``graphs`` and is
+returned on ``VertexWeights``, so its readers (the extremal predicate) need
+not build it again.
 
 ``longest_path_from`` gives the lexicographically least longest path from
 a start vertex, which the rotation closure of ``transforms`` starts from:
@@ -81,10 +83,10 @@ class VertexWeights:
         return w
 
 
-# Peak bytes per subset of the DP: the guard allows two tables of 2^|B| list
-# slots, and each filled slot holds its own int object (8 + 32 bytes).
-# Measured with tracemalloc on the complete graph at |B| = 14: 39.5 bytes per
-# slot. Each kernel holds one table, and the two passes run one at a time.
+# Peak bytes per subset of the DP: each kernel holds one table of 2^|B| list
+# slots, the two passes run one at a time, and each filled slot holds its own
+# int object (8 + 32 bytes). Measured with tracemalloc on the complete graph
+# at |B| = 14: 39.5 bytes per slot.
 _DP_BYTES_PER_SLOT = 40
 
 
@@ -97,13 +99,13 @@ def _guard(search: str, what: str, size: int, dp_limit: int):
 
 
 def _memory_guard(size: int):
-    """Refuse a subset DP over ``size`` vertices whose two live tables would
-    not fit in physical memory, before allocating either."""
+    """Refuse a subset DP over ``size`` vertices whose table would not fit
+    in physical memory, before allocating it."""
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
         return
-    need = 2 * (1 << size) * _DP_BYTES_PER_SLOT
+    need = (1 << size) * _DP_BYTES_PER_SLOT
     if need > have:
         raise ResourceLimitError(
             f"subset DP over a block of {size} vertices needs about {need} bytes, "
@@ -146,11 +148,12 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
     A clique block keeps no tables: a path in it from, or between, any of
     its vertices has |B| - 1 edges. A Hamiltonian block's paths inside it
     and from each cut vertex are closed-form (|B| - 1); only the paths
-    between two cut vertices run a DP. Any other non-clique block runs the
-    any-start path DP and the paths from each cut vertex. The arms are
-    composed over the block-cut tree.
-    A block without a Hamiltonian cycle costs about (cut vertices in B + 2)
-    * 2^|B| steps over both passes, so the guard is on the largest
+    between two cut vertices run a DP. Any other non-clique block runs one
+    path DP from all of its vertices, whose rows at the cut vertices are
+    the paths from them, and the pair DPs. The arms are composed over the
+    block-cut tree.
+    A block without a Hamiltonian cycle costs about (max(cut vertices in B,
+    1) + 1) * 2^|B| steps over both passes, so the guard is on the largest
     non-clique block, and on the memory its tables need; both run here,
     before either pass, and reading p never raises.
     """
@@ -218,16 +221,19 @@ def _path_weights(
         order, adj, hamiltonian = blk
         size = len(order)
         local = {v: i for i, v in enumerate(order)}
-        start: dict[int, list[int]] = {}
+        cuts = cuts_of[bi]
+        if hamiltonian:
+            # a Hamiltonian path leaves from any vertex along the spanning cycle
+            p_in = [size - 1] * size
+            rows = [p_in] * len(cuts)
+        else:
+            # a path that ends at a cut vertex, read backwards, starts there
+            p_in, rows = _paths_from(adj, size, (1 << size) - 1, [local[a] for a in cuts])
+        start = dict(zip(cuts, rows))
         pair: dict[tuple[int, int], list[int]] = {}
-        # a Hamiltonian path leaves from any vertex along the spanning cycle
-        p_in = [size - 1] * size if hamiltonian else _path_table(adj, size)
-        for k, a in enumerate(cuts_of[bi]):
-            later = cuts_of[bi][k + 1:]
-            if hamiltonian and not later:
-                start[a] = p_in
-                continue
-            start[a], rows = _paths_from(adj, size, local[a], [local[b] for b in later])
+        for k, a in enumerate(cuts[:-1]):
+            later = cuts[k + 1:]
+            _, rows = _paths_from(adj, size, 1 << local[a], [local[b] for b in later])
             for b, row in zip(later, rows):
                 pair[(a, b)] = pair[(b, a)] = row
         tables.append(_BlockTables(local, p_in, start, pair))
@@ -393,49 +399,33 @@ def _cycle_table(adj, n: int) -> list[int]:
     return _longest_containing(cycles, n, 2)
 
 
-def _path_table(adj, n: int) -> list[int]:
-    """p of a graph on vertices 0..n-1, by subset DP over the endpoints of
-    the simple paths (any start) that span exactly S."""
-    size = 1 << n
-    nbr = {1 << v: adj[v] for v in range(n)}
-    endp = [0] * size
-    for bit in nbr:
-        endp[bit] = bit
-    paths = [0] * n
-    for s_mask in range(1, size):
-        ends = endp[s_mask]
-        if not ends:
-            continue
-        paths[s_mask.bit_count() - 1] |= s_mask
-        out = ~s_mask
-        while ends:
-            b = ends & -ends
-            ends ^= b
-            ext = nbr[b] & out
-            while ext:
-                w = ext & -ext
-                ext ^= w
-                endp[s_mask | w] |= w
-    return _longest_containing(paths, n, 0)
+def _paths_from(
+    adj, n: int, starts: int, targets: list[int]
+) -> tuple[list[int], list[list[int]]]:
+    """Over the subsets S, with the endpoints of the paths that start at a
+    vertex of the mask ``starts`` and span exactly S: the longest such path
+    that contains v, and for each b in ``targets`` the longest such path
+    that ends at b and contains v.
 
-
-def _paths_from(adj, n: int, a: int, targets: list[int]) -> tuple[list[int], list[list[int]]]:
-    """Over the subsets S containing a, with the endpoints of paths that
-    start at a and span exactly S: the longest path from a that contains v,
-    and for each b in ``targets`` the longest a-b path that contains v.
-
-    In a block every vertex lies on some a-b path (the block is 2-connected
-    or a single edge), so no a-b row keeps its placeholder 0.
+    Run from every vertex, the first list is p and each target's row,
+    read backwards, is the longest path from b that contains v. In a block
+    every vertex lies on some path between any two of its vertices (the
+    block is 2-connected or a single edge), so no target row keeps its
+    placeholder 0.
     """
     size = 1 << n
     nbr = {1 << v: adj[v] for v in range(n)}
     reach = [0] * size
-    reach[1 << a] = 1 << a
+    rest = starts
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        reach[b] = b
     target_bits = [1 << b for b in targets]
     target_mask = sum(target_bits)
     paths = [0] * n
     to_b = {bit: [0] * n for bit in target_bits}
-    for s_mask in range(1 << a, size):
+    for s_mask in range(starts & -starts, size):
         ends = reach[s_mask]
         if not ends:
             continue

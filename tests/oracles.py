@@ -6,10 +6,11 @@ over neighbor lists, clique counts from subset enumeration, canonical forms
 and Hamiltonian cycles (``permutation_hamiltonian_cycle``) from trying all
 permutations. The package's current weights are checked
 against its retired weights algorithms: ``subset_dp_weights``, the
-whole-graph subset DP (the per-bit loops of the p pass's ``_path_table``
-and the c pass's ``_cycle_table``, applied to the whole graph), and ``tree_dp_block_graph_weights``, the
-block-cut-tree DP for block graphs (the only oracle that reaches n = 64).
-The retired per-bit ``_paths_from`` is ``per_bit_paths_from``, and the
+whole-graph subset DP (the per-bit loops of the p pass's ``_paths_from``
+from every vertex and the c pass's ``_cycle_table``, applied to the whole
+graph), and ``tree_dp_block_graph_weights``, the block-cut-tree DP for
+block graphs (the only oracle that reaches n = 64). The retired per-bit
+``_paths_from`` from one start vertex is ``per_bit_paths_from``, and the
 retired longest path, a greedy that runs one breadth-first search
 (``per_bit_max_len_from``) per candidate step, is
 ``greedy_longest_path_from``. The two weights oracles return
@@ -19,7 +20,9 @@ computed without it. The block decomposition is checked field for field
 against the retired edge-stack pass (``edge_stack_block_decomposition``);
 it and the block-graph recognizers are also checked against networkx
 (``nx_block_decomposition``), and so are the clique counts past the subset oracle's range
-(``nx_cliques_by_order``) and the clique-component test
+(``nx_cliques_by_order``), the contribution shares, which the package
+tallies as integers per marked vertex and meeting size
+(``per_clique_shares``), and the clique-component test
 (``nx_components_are_cliques``). The right sides, which the package sums
 as integer numerators over a common denominator from a tally of distinct
 weights, are checked against the paper's formulas summed per vertex in
@@ -476,6 +479,18 @@ def nx_cliques_by_order(g: Graph, s_max: int) -> list[list[tuple[int, ...]]]:
     for clique in takewhile(lambda c: len(c) <= s_max, nx.enumerate_all_cliques(_nx_graph(g))):
         by_order[len(clique)].append(tuple(sorted(clique)))
     return [sorted(group) for group in by_order]
+
+
+def per_clique_shares(g: Graph, s: int, marked) -> dict[int, Fraction]:
+    """The contribution shares of ``cliques.contribution_table``, one
+    ``Fraction`` added per marked vertex of each s-clique that networkx
+    lists: a clique meeting the marked set in k vertices hands 1/k to each."""
+    shares = {v: Fraction(0) for v in marked}
+    for clique in nx_cliques_by_order(g, s)[s]:
+        inside = shares.keys() & set(clique)
+        for v in inside:
+            shares[v] += Fraction(1, len(inside))
+    return shares
 
 
 def nx_components_are_cliques(g: Graph) -> bool:

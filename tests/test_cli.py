@@ -275,6 +275,17 @@ class TestGenCommand:
         assert code == 2
         assert "seed" in err
 
+    @pytest.mark.parametrize("params", ["3x", "3x2-", "3x-2", "x3", "3", "3x2-5-"])
+    def test_malformed_forest_params_exit_2(self, capsys, params):
+        code, out, err = run_cli(capsys, ["gen", "--clique-forest", params, "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert err == f"error: bad clique-forest params {params!r}\n"
+
+    def test_negative_forest_count_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, ["gen", "--clique-forest=-1x3"])
+        assert (code, out) == (2, "")
+        assert err == "error: clique count must be >= 0, got -1\n"
+
     def test_random_forest_deterministic(self, capsys):
         code, out1, _ = run_cli(capsys, ["gen", "--clique-forest", "3x2-5", "--seed", "42"])
         code2, out2, _ = run_cli(capsys, ["gen", "--clique-forest", "3x2-5", "--seed", "42"])

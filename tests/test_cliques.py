@@ -21,7 +21,7 @@ from cliquebounds import (
     random_graph,
 )
 from cliquebounds import cliques
-from oracles import nx_cliques_by_order, petersen, subset_clique_count
+from oracles import nx_cliques_by_order, per_clique_shares, petersen, subset_clique_count
 from strategies import block_glued_graph, graphs, random_pdbgs
 
 
@@ -134,6 +134,12 @@ class TestCountCliquesTouching:
     def test_empty_touch_set(self):
         assert count_cliques_touching(cycle_graph(5), 2, set()) == 0
 
+    def test_negative_order(self):
+        # refused whatever the touch set, empty or not
+        for touch in ([], [0]):
+            with pytest.raises(ValueError, match="clique order must be >= 0, got -1"):
+                count_cliques_touching(cycle_graph(5), -1, touch)
+
     def test_k5_edges_touching_pair(self):
         assert count_cliques_touching(complete_graph(5), 2, {0, 1}) == 7
 
@@ -209,6 +215,20 @@ class TestContributionTable:
             marked = {v for v in range(n) if rng.random() < 0.5}
             tab = contribution_table(g, s, marked)
             assert tab.total() == count_cliques_touching(g, s, marked)
+
+    def test_shares_match_the_per_clique_sums(self):
+        rng = random.Random(4321)
+        graphs_ = [complete_graph(9), petersen()]
+        graphs_ += [
+            random_graph(rng.randint(1, 11), rng.uniform(0.2, 0.9), rng.randrange(1 << 30))
+            for _ in range(150)
+        ]
+        for g in graphs_:
+            s = rng.randint(1, 5)
+            marked = {v for v in range(g.n) if rng.random() < 0.5}
+            tab = contribution_table(g, s, marked)
+            assert tab == contribution_table(g, s, sorted(marked))
+            assert tab.shares == per_clique_shares(g, s, marked), (g, s, marked)
 
 
 class TestContributionUpperBound:

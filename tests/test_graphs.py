@@ -498,6 +498,11 @@ class TestCliqueForest:
         with pytest.raises(ValueError):
             random_clique_forest(2, 0, 3, 1)
 
+    def test_negative_count_guard(self):
+        with pytest.raises(ValueError, match="clique count must be >= 0, got -1"):
+            random_clique_forest(-1, 3, 3, 1)
+        assert random_clique_forest(0, 3, 3, 1) == Graph(0, ())
+
 
 def test_is_connected_conventions():
     assert is_connected(Graph(0, ()))

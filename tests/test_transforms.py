@@ -356,6 +356,11 @@ class TestPeel:
             assert not rep["ok"]
             assert {"check": "stage0_is_input"} in rep["failures"]
 
+    def test_verify_needs_an_order(self):
+        g = bowtie()
+        with pytest.raises(ValueError, match="need at least one clique order"):
+            verify_peel_decomposition(g, peel(g), ())
+
     def test_orders_in_one_pass_match_each_order_alone(self):
         rng = random.Random(2468)
         for _ in range(40):

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,6 @@ from cliquebounds.weights import (
     _DP_BYTES_PER_SLOT,
     _cycle_table,
     _has_hamiltonian_cycle,
-    _path_table,
     _paths_from,
 )
 from oracles import (
@@ -93,15 +93,33 @@ class TestComputeWeights:
         with pytest.raises(ResourceLimitError, match="physical memory"):
             compute_weights(cycle_graph(40), dp_limit=64)
 
+    def test_memory_guard_sizes_one_table(self, monkeypatch):
+        # K5,6 is an 11-vertex block with no spanning cycle, so it runs the
+        # subset DP; each kernel holds one table of 2^11 slots at a time
+        g = complete_bipartite(5, 6)
+        table = (1 << 11) * _DP_BYTES_PER_SLOT
+        for have in (3 * table // 2, table):
+            monkeypatch.setattr(weights.os, "sysconf", {"SC_PHYS_PAGES": have, "SC_PAGE_SIZE": 1}.get)
+            assert compute_weights(g, dp_limit=11) == subset_dp_weights(g)
+
+        def refuse(adj, n):
+            raise AssertionError("a table was allocated")
+
+        monkeypatch.setattr(weights, "_cycle_table", refuse)
+        monkeypatch.setattr(weights.os, "sysconf", {"SC_PHYS_PAGES": table - 1, "SC_PAGE_SIZE": 1}.get)
+        with pytest.raises(ResourceLimitError, match=f"needs about {table} bytes"):
+            compute_weights(g, dp_limit=11)
+
     def test_bytes_per_slot_bound_the_measured_peak(self):
         # K11 minus an edge fills nearly every slot, most with an int above
         # the small-int cache: about the worst case of a non-clique block.
-        # Each pass's kernel holds one table; the guard allows two.
+        # Each pass's kernel holds one table, and the guard sizes one.
         size = 11
         adj = [((1 << size) - 1) & ~(1 << v) for v in range(size)]
         adj[0] &= ~2
         adj[1] &= ~1
-        for kernel in (_cycle_table, _path_table):
+        from_all = partial(_paths_from, starts=(1 << size) - 1, targets=[0, 1, 5])
+        for kernel in (_cycle_table, from_all):
             tracemalloc.start()
             try:
                 kernel(adj, size)
@@ -191,11 +209,30 @@ class TestAgainstWholeGraphSubsetDP:
             n = rng.randint(1, 10)
             g = random_graph(n, rng.uniform(0.1, 0.7), rng.randrange(1 << 30))
             w = subset_dp_weights(g)
-            assert _path_table(g.adj, n) == list(w.p), g
+            assert _paths_from(g.adj, n, g.full_mask, [])[0] == list(w.p), g
             assert _cycle_table(g.adj, n) == list(w.c), g
             a = rng.randrange(n)
             targets = rng.sample([v for v in range(n) if v != a], rng.randint(0, n - 1))
-            assert _paths_from(g.adj, n, a, targets) == per_bit_paths_from(g.adj, n, a, targets), g
+            assert _paths_from(g.adj, n, 1 << a, targets) == per_bit_paths_from(g.adj, n, a, targets), g
+            # from several starts: per vertex, the best over the starts alone
+            starts = rng.sample(range(n), rng.randint(1, n))
+            targets = rng.sample(range(n), rng.randint(0, n))
+            alone = [per_bit_paths_from(g.adj, n, a, targets) for a in starts]
+            assert _paths_from(g.adj, n, sum(1 << a for a in starts), targets) == (
+                [max(col) for col in zip(*(p for p, _ in alone))],
+                [[max(col) for col in zip(*rows)] for rows in zip(*(r for _, r in alone))],
+            ), (g, starts, targets)
+
+    def test_ends_from_every_vertex_are_the_starts(self):
+        # a path that ends at b, read backwards, starts at b
+        rng = random.Random(1415)
+        for _ in range(150):
+            n = rng.randint(1, 10)
+            g = random_graph(n, rng.uniform(0.1, 0.7), rng.randrange(1 << 30))
+            targets = rng.sample(range(n), rng.randint(1, n))
+            _, rows = _paths_from(g.adj, n, g.full_mask, targets)
+            for b, row in zip(targets, rows):
+                assert row == per_bit_paths_from(g.adj, n, b, [])[0], (g, b)
 
     def test_work_scales_with_the_largest_block(self):
         # 63 bridges: far past any whole-graph DP, instant block by block
@@ -267,17 +304,22 @@ class TestHamiltonianCycleCertificate:
 
     @pytest.fixture
     def dp_calls(self, monkeypatch):
-        """(kernel, block order) per call of either pass's subset DP."""
+        """Per call of either pass's subset DP: ("_cycle_table", block
+        order), or ("_paths_from", block order, start, targets), where the
+        start is "all" for a run from every vertex of the block."""
         calls = []
 
-        def counting(kernel):
-            def counted(adj, n):
-                calls.append((kernel.__name__, n))
-                return kernel(adj, n)
-            return counted
+        def cycles(adj, n):
+            calls.append(("_cycle_table", n))
+            return _cycle_table(adj, n)
 
-        for kernel in (_cycle_table, _path_table):
-            monkeypatch.setattr(weights, kernel.__name__, counting(kernel))
+        def paths(adj, n, starts, targets):
+            start = "all" if starts == (1 << n) - 1 else starts.bit_length() - 1
+            calls.append(("_paths_from", n, start, targets))
+            return _paths_from(adj, n, starts, targets)
+
+        monkeypatch.setattr(weights, "_cycle_table", cycles)
+        monkeypatch.setattr(weights, "_paths_from", paths)
         return calls
 
     def test_hamiltonian_blocks_skip_the_dp(self, dp_calls):
@@ -291,31 +333,37 @@ class TestHamiltonianCycleCertificate:
         for g in (petersen(), complete_bipartite(3, 5), theta()):
             assert compute_weights(g) == subset_dp_weights(g), g
         assert dp_calls == [
-            ("_cycle_table", 10), ("_path_table", 10),
-            ("_cycle_table", 8), ("_path_table", 8),
-            ("_cycle_table", 6), ("_path_table", 6),
+            ("_cycle_table", 10), ("_paths_from", 10, "all", []),
+            ("_cycle_table", 8), ("_paths_from", 8, "all", []),
+            ("_cycle_table", 6), ("_paths_from", 6, "all", []),
         ]
 
-    def test_pair_rows_of_hamiltonian_blocks(self, dp_calls, monkeypatch):
-        paths_from = []
+    def test_other_blocks_run_one_path_dp_per_cut_vertex(self, dp_calls):
+        # the run from all vertices gives p and every start row; pair rows
+        # run from each cut vertex but the last
+        for at, runs in (([0], 1), ([0, 3], 2), ([0, 3, 7], 3)):
+            g = with_pendants(petersen(), at)
+            assert compute_weights(g) == subset_dp_weights(g), g
+            assert dp_calls == [("_cycle_table", 10), ("_paths_from", 10, "all", at)] + [
+                ("_paths_from", 10, a, at[k + 1:]) for k, a in enumerate(at[:-1])
+            ]
+            assert len(dp_calls) - 1 == runs
+            dp_calls.clear()
 
-        def counted(adj, n, a, targets):
-            paths_from.append((a, targets))
-            return _paths_from(adj, n, a, targets)
-
-        monkeypatch.setattr(weights, "_paths_from", counted)
+    def test_pair_rows_of_hamiltonian_blocks(self, dp_calls):
         for g in (with_pendants(cycle_graph(6), [0, 3]), with_pendants(cycle_graph(8), [0, 2, 5])):
             assert compute_weights(g) == subset_dp_weights(g), g
-        # the last cut vertex of each block needs no row of its own
-        assert paths_from == [(0, [3]), (0, [2, 5]), (2, [5])]
-        assert dp_calls == []
+        # k cut vertices run k - 1 pair DPs: the last needs no row of its own
+        assert dp_calls == [
+            ("_paths_from", 6, 0, [3]), ("_paths_from", 8, 0, [2, 5]), ("_paths_from", 8, 2, [5]),
+        ]
 
 
 class TestPathPassOnDemand:
-    """``compute_weights`` runs the c pass; the p pass (the any-start path
-    DP, the rows from cut vertices and the arms) runs when p is first read.
-    Petersen with a pendant runs both p-pass kernels, a 6-cycle with two
-    pendants the rows of a Hamiltonian block."""
+    """``compute_weights`` runs the c pass; the p pass (the path DP from
+    all vertices, the pair rows and the arms) runs when p is first read.
+    Petersen with a pendant runs the path DP from all vertices, a 6-cycle
+    with two pendants the pair rows of a Hamiltonian block."""
 
     GRAPHS = (with_pendants(petersen(), [0]), with_pendants(cycle_graph(6), [0, 3]))
 
@@ -323,14 +371,11 @@ class TestPathPassOnDemand:
     def p_pass_calls(self, monkeypatch):
         calls = []
 
-        def counting(kernel):
-            def counted(*args):
-                calls.append(kernel.__name__)
-                return kernel(*args)
-            return counted
+        def counted(*args):
+            calls.append(args)
+            return _paths_from(*args)
 
-        for kernel in (_path_table, _paths_from):
-            monkeypatch.setattr(weights, kernel.__name__, counting(kernel))
+        monkeypatch.setattr(weights, "_paths_from", counted)
         return calls
 
     def test_p_pass_runs_once_on_the_first_read(self, p_pass_calls):
