@@ -6,6 +6,9 @@ generators), peel (stage trace plus decomposition verdict).
 
 Exit codes: 0 all checks consistent, 1 mathematical inconsistency found,
 2 usage, input, or resource error.
+
+``main(argv)`` may be called repeatedly in one process: it builds its parser
+on the first call and reuses it, since parsing leaves the parser unchanged.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import json
 import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
+from functools import cache
 
 from .bounds import check_theorem
 from .cliques import clique_counts, count_cliques
@@ -184,11 +188,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "s", 1) < 1:
         print("clique order must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if getattr(args, "dp_limit", 0) < 0:
+        print("dp limit must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

@@ -17,7 +17,7 @@ from cliquebounds import (
     random_graph,
     write_graph6,
 )
-from cliquebounds import bounds, transforms, weights
+from cliquebounds import bounds, cli, transforms, weights
 from cliquebounds.cli import main
 from oracles import bowtie
 
@@ -396,3 +396,104 @@ def test_usage_error_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["weights"], ["check", "--theorem", "1", "--s", "2"], ["peel"]])
+def test_negative_dp_limit_is_a_usage_error(capsys, monkeypatch, command):
+    code, out, err = run_cli(capsys, command + ["--dp-limit", "-1"], stdin="Bw\n", monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "dp limit must be >= 0\n")
+
+
+@pytest.mark.parametrize(
+    "command, answer",
+    [
+        (["weights"], "0\t2\t3\n1\t2\t3\n2\t2\t3\ncircumference\t3\n"),
+        (["check", "--theorem", "1", "--s", "2"], '"equality": true'),
+    ],
+)
+def test_dp_limit_0_answers_clique_blocks(capsys, monkeypatch, command, answer):
+    # a triangle is one clique block and runs no subset DP
+    code, out, err = run_cli(capsys, command + ["--dp-limit", "0"], stdin="Bw\n", monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    assert answer in out
+
+
+class TestParserReuse:
+    """``main`` builds its parser on the first call and reuses it; each
+    call still parses as if the parser were new."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    @pytest.fixture
+    def c5(self, tmp_path):
+        path = tmp_path / "c5.g6"
+        path.write_text(write_graph6(cycle_graph(5)) + "\n")
+        return str(path)
+
+    @staticmethod
+    def outcome(capsys, args):
+        """Exit code, stdout and stderr of ``main(args)``; a usage error or
+        ``--help`` gives the code of its ``SystemExit``."""
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def fresh(self, capsys, args):
+        cli._parser.cache_clear()
+        return self.outcome(capsys, args)
+
+    def test_builds_the_parser_once(self, capsys, monkeypatch, c5):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        for args in (
+            ["weights", c5],
+            ["check", "--theorem", "2", "--s", "3", c5],
+            ["peel", c5],
+            ["gen", "--clique-forest", "2x3"],
+            ["sweep", "--n", "3"],
+        ):
+            assert self.outcome(capsys, args)[0] == 0, args
+        assert len(builds) == 1
+
+    def assert_forgets(self, capsys, first, second):
+        """``second`` after ``first`` gives what ``second`` gives on a fresh
+        parser, and ``first`` gives something else."""
+        alone = self.fresh(capsys, second)
+        assert self.fresh(capsys, first) != alone
+        assert self.outcome(capsys, second) == alone
+
+    def test_start_does_not_leak(self, capsys, c5):
+        self.assert_forgets(capsys, ["peel", "--trace", "--start", "2", c5], ["peel", "--trace", c5])
+
+    def test_dp_limit_does_not_leak(self, capsys, c5):
+        check = ["check", "--theorem", "1", "--s", "2", c5]
+        self.assert_forgets(capsys, check + ["--dp-limit", "4"], check)
+        code, out, err = self.outcome(capsys, check + ["--dp-limit", "4"])
+        assert code == 2 and out == "" and "order <= 4 (got 5)" in err
+        code, out, _ = self.outcome(capsys, check)
+        assert code == 0 and json.loads(out)["graph6"] == "Dhc"
+
+    def test_self_check_does_not_leak(self, capsys, monkeypatch):
+        # without its predicate every tight bound fails the self-check
+        monkeypatch.setattr(bounds, "extremal_predicate", lambda g, s, theorem, w: False)
+        self.assert_forgets(capsys, ["gen", "--pdbg", "3,3", "--self-check"], ["gen", "--pdbg", "3,3"])
+        assert self.outcome(capsys, ["gen", "--pdbg", "3,3"]) == (0, "D{c\n", "")
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [(["frobnicate"], 2), (["check", "--help"], 0), (["--help"], 0), (["check", "--s", "2"], 2)],
+    )
+    def test_exits_as_on_a_fresh_parser(self, capsys, c5, args, code):
+        expected = self.fresh(capsys, args)
+        assert expected[0] == code
+        for earlier in (["peel", "--start", "1", c5], ["frobnicate"], ["check", "--help"]):
+            self.outcome(capsys, earlier)
+            assert self.outcome(capsys, args) == expected, earlier

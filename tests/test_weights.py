@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from cliquebounds import (
     BlockSpec,
+    Graph,
     ResourceLimitError,
     VertexWeights,
     block_decomposition,
@@ -241,6 +242,34 @@ class TestAgainstWholeGraphSubsetDP:
         g = generate_pdbg(BlockSpec((4,) * 21))
         assert g.n == 64
         assert compute_weights(g) == tree_dp_block_graph_weights(g)
+
+
+def cone(g: Graph) -> Graph:
+    """G + x: G with a new vertex x = g.n joined to every vertex of G."""
+    return Graph(g.n + 1, tuple(row | 1 << g.n for row in g.adj) + (g.full_mask,))
+
+
+class TestConeIdentity:
+    """c of the cone G + x, from the c pass, is p of G, from the p pass,
+    plus 2. A cycle through v that avoids x is a path of G through v plus
+    one edge; one through x is a path of G through v plus x's two edges.
+    So c_{G+x}(v) = p_G(v) + 2 and c_{G+x}(x) = max p_G + 2."""
+
+    def assert_cone_identity(self, g):
+        p = compute_weights(g).p
+        c = compute_weights(cone(g)).c
+        assert c == tuple(pv + 2 for pv in p) + (max(p, default=0) + 2,), g
+
+    def test_every_class_up_to_7(self, reps_by_n, reps7):
+        for g in [g for n in range(7) for g in reps_by_n[n]] + reps7:
+            self.assert_cone_identity(g)
+
+    def test_seeded_random_graphs(self):
+        # n <= 17 keeps the cone within the default DP limit of 18
+        rng = random.Random(1729)
+        for _ in range(200):
+            n = rng.randint(8, 17)
+            self.assert_cone_identity(random_graph(n, rng.uniform(0.1, 0.6), rng.randrange(1 << 30)))
 
 
 def complete_bipartite(a: int, b: int):
