@@ -2,8 +2,9 @@
 
 Bound 1 (cycle form):  N(G, K_s) <= sum_v C(c(v), s)/(c(v)-1) minus one term
 taken at the circumference. Bound 2 (path form):  N(G, K_s) <=
-(1/s) sum_v C(p(v), s-1). Equality classes are recognized structurally and
-both bounds dominate the classical global path/cycle bounds.
+(1/s) sum_v C(p(v), s-1). Each report carries the verdict of the equality
+class's predicate from ``extremal``; ``luo_dominance`` compares both right
+sides with the classical global path/cycle bounds.
 
 Each right side is an integer numerator over a common denominator, so
 every verdict is decided in integers; ``Fraction`` is built only when a
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from .cliques import binom, count_cliques
-from .extremal import extremal_predicate, heavy_cycle_set, heavy_path_set
+from .cliques import binom
+from .extremal import extremal_predicate
 from .graphs import Graph, write_graph6
-from .weights import VertexWeights, compute_weights
+from .weights import VertexWeights
 
 
 class RightSides:
@@ -156,34 +157,6 @@ def check_theorem(
         extremal = extremal_predicate(g, s, theorem, w)
     return BoundReport(theorem, s, g, lhs, num, den, extremal,
                        not (theorem == 1 and s == 1 and g.n == 1))
-
-
-def reduction_invariance(g: Graph, s: int, theorem: int, w: VertexWeights) -> dict:
-    """Dropping light vertices changes nothing: the heavy-set induced subgraph
-    has the same clique count, the same right side (heavy weights survive
-    induction because their witness paths/cycles stay inside the heavy set),
-    and hence the same equality status."""
-    heavy = heavy_cycle_set(g, s, w) if theorem == 1 else heavy_path_set(g, s, w)
-    sub = g.induced(sorted(heavy))
-    w_sub = compute_weights(sub)
-    lhs = count_cliques(g, s)
-    lhs_sub = count_cliques(sub, s)
-    rhs = thm1_rhs(g, s, w) if theorem == 1 else thm2_rhs(g, s, w)
-    rhs_sub = thm1_rhs(sub, s, w_sub) if theorem == 1 else thm2_rhs(sub, s, w_sub)
-    failures = []
-    if lhs != lhs_sub:
-        failures.append({"check": "clique_count", "full": lhs, "heavy": lhs_sub})
-    if rhs != rhs_sub:
-        failures.append({"check": "rhs", "full": str(rhs), "heavy": str(rhs_sub)})
-    if (rhs - lhs == 0) != (rhs_sub - lhs_sub == 0):
-        failures.append({"check": "equality_status"})
-    return {
-        "theorem": theorem,
-        "s": s,
-        "heavy_size": len(heavy),
-        "failures": failures,
-        "ok": not failures,
-    }
 
 
 def luo_dominance(g: Graph, s: int, w: VertexWeights) -> dict:

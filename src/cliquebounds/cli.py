@@ -27,6 +27,7 @@ from .graphs import (
     Graph,
     GraphParseError,
     ResourceLimitError,
+    ascii_int,
     generate_pdbg,
     random_clique_forest,
     read_graphs,
@@ -74,7 +75,7 @@ def cmd_sweep(args) -> int:
 
 def _parse_pdbg_spec(text: str) -> BlockSpec:
     try:
-        orders = tuple(int(tok) for tok in text.split(","))
+        orders = tuple(ascii_int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"bad block spec {text!r}, expected comma-separated orders") from None
     return BlockSpec(orders)
@@ -84,8 +85,8 @@ def _parse_forest_params(text: str, seed: int | None) -> Graph:
     count_s, _, order_s = text.partition("x")
     lo_s, ranged, hi_s = order_s.partition("-")
     try:
-        count, lo = int(count_s), int(lo_s)
-        hi = int(hi_s) if ranged else lo
+        count, lo = ascii_int(count_s), ascii_int(lo_s)
+        hi = ascii_int(hi_s) if ranged else lo
     except ValueError:
         raise ValueError(f"bad clique-forest params {text!r}") from None
     if ranged and seed is None:
@@ -94,7 +95,7 @@ def _parse_forest_params(text: str, seed: int | None) -> Graph:
 
 
 def cmd_gen(args) -> int:
-    if args.pdbg:
+    if args.pdbg is not None:
         spec = _parse_pdbg_spec(args.pdbg)
         g = generate_pdbg(spec)
         theorem = 1
@@ -155,34 +156,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="per-vertex longest-path/cycle weights as TSV")
     p.add_argument("input", nargs="?", default="-", help="graph6 lines or edge-list file; - for stdin")
-    p.add_argument("--dp-limit", type=int, default=DEFAULT_DP_LIMIT)
+    p.add_argument("--dp-limit", type=ascii_int, default=DEFAULT_DP_LIMIT)
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("check", help="evaluate one localized bound per input graph")
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--dp-limit", type=int, default=DEFAULT_DP_LIMIT)
+    p.add_argument("--theorem", type=ascii_int, choices=(1, 2), required=True)
+    p.add_argument("--s", type=ascii_int, required=True)
+    p.add_argument("--dp-limit", type=ascii_int, default=DEFAULT_DP_LIMIT)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("sweep", help="exhaustive verification over isomorphism classes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, default=5)
+    p.add_argument("--n", type=ascii_int, required=True)
+    p.add_argument("--s", type=ascii_int, default=5)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gen", help="emit extremal-family graphs as graph6")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--pdbg", help="comma-separated block orders, path-shaped tree")
     group.add_argument("--clique-forest", help="COUNTxORDER or COUNTxLO-HI (random, needs --seed)")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=ascii_int)
     p.add_argument("--self-check", action="store_true")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("peel", help="terminal-set peeling trace and split verdict")
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--start", type=int)
+    p.add_argument("--start", type=ascii_int)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--dp-limit", type=int, default=DEFAULT_DP_LIMIT)
+    p.add_argument("--dp-limit", type=ascii_int, default=DEFAULT_DP_LIMIT)
     p.set_defaults(func=cmd_peel)
 
     return parser

@@ -32,6 +32,11 @@ class ResourceLimitError(RuntimeError):
     """Requested computation exceeds a configured size guard."""
 
 
+def _require_vertex_count(n: int):
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+
+
 def iter_bits(mask: int):
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -48,8 +53,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside [0, {MAX_VERTICES}]")
+        _require_vertex_count(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
@@ -98,6 +102,9 @@ class Graph:
 
 
 def from_edges(n: int, edges) -> Graph:
+    """The graph on n vertices with the given edges; n is checked before an
+    edge is read."""
+    _require_vertex_count(n)
     rows = [0] * n
     for u, v in edges:
         if u == v:
@@ -292,6 +299,17 @@ _G6_CHUNK = tuple(chr(63 + _G6_BITS[c]) for c in range(64))
 # also take 0x1c-0x1f, 0x85 and 0xa0, and splitlines() ends lines at some.
 _SPACE = " \t\n\r\x0b\x0c"
 _FIELD = re.compile(f"[^{_SPACE}]+")
+_INTEGER = re.compile("-?[0-9]+")
+
+
+def ascii_int(text: str) -> int:
+    """The integer written as an optional ``-`` and ASCII digits: the one
+    integer grammar of edge lists, generator specs and command-line options.
+    ``int()`` alone also reads ``+``, ``_``, surrounding whitespace and other
+    scripts' digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -351,9 +369,8 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def _edge_list(lines: Iterable[tuple[int, str]]) -> Graph:
-    """The edge list on (line number, line) pairs, header first. A field is
-    read as ASCII bytes, since int() of a str also reads other scripts'
-    digits and strips 0x85 and 0xa0; a non-ASCII field fails to encode."""
+    """The edge list on (line number, line) pairs, header first. Each number
+    is read by ``ascii_int``."""
     body = [(no, text) for no, ln in lines if (text := ln.strip(_SPACE))]
     if not body:
         raise GraphParseError("empty edge-list input")
@@ -361,7 +378,7 @@ def _edge_list(lines: Iterable[tuple[int, str]]) -> Graph:
     if len(head) != 2 or head[0] != "n":
         raise GraphParseError(f"bad edge-list header {body[0][1]!r}, expected 'n <count>'")
     try:
-        n = int(head[1].encode("ascii"))
+        n = ascii_int(head[1])
     except ValueError:
         raise GraphParseError(f"bad vertex count {head[1]!r}") from None
     if not 0 <= n <= MAX_VERTICES:
@@ -369,7 +386,7 @@ def _edge_list(lines: Iterable[tuple[int, str]]) -> Graph:
     edges = []
     for lineno, ln in body[1:]:
         try:
-            u, v = (int(field.encode("ascii")) for field in _FIELD.findall(ln))
+            u, v = (ascii_int(field) for field in _FIELD.findall(ln))
         except ValueError:
             raise GraphParseError(f"bad edge on line {lineno}: {ln!r}") from None
         if not (0 <= u < n and 0 <= v < n):
@@ -417,7 +434,7 @@ def cycle_graph(n: int) -> Graph:
         raise ValueError(f"cycle_graph needs n = 0 or n >= 3, got {n}")
     if n == 0:
         return Graph(0, ())
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -765,6 +782,10 @@ def random_clique_forest(num_cliques: int, min_order: int, max_order: int, seed:
         raise ValueError(f"min_order must be >= 1, got {min_order}")
     if max_order < min_order:
         raise ValueError(f"max_order {max_order} below min_order {min_order}")
+    if num_cliques * min_order > MAX_VERTICES:
+        raise ValueError(
+            f"forest realizes at least {num_cliques * min_order} vertices, limit is {MAX_VERTICES}"
+        )
     rng = random.Random(seed)
     orders = [rng.randint(min_order, max_order) for _ in range(num_cliques)]
     if sum(orders) > MAX_VERTICES:

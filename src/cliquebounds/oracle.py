@@ -1,7 +1,8 @@
 """Verification batteries: exhaustive bound checks over isomorphism classes,
-a labeled cross-check that guards the enumerator, the rotation-closure and
-peeling lemmas, exact identity grids, and the longest-path endpoint/ratio
-claims. Every check is integer or rational with zero tolerance."""
+a labeled cross-check that guards the enumerator, the reduction to the heavy
+set, the rotation-closure and peeling lemmas, exact identity grids, and the
+longest-path endpoint/ratio claims. Every check is integer or rational with
+zero tolerance."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 from .bounds import BoundReport, RightSides, check_theorem, luo_dominance
 from .cliques import binom, clique_counts, contribution_upper_bound
+from .extremal import extremal_predicate, heavy_mask
 from .graphs import (
     ENUMERATION_LIMIT,
     MAX_VERTICES,
@@ -20,6 +22,7 @@ from .graphs import (
     enumerate_graphs,
     from_pair_mask,
     is_connected,
+    iter_bits,
     random_graph,
     to_pair_mask,
     write_graph6,
@@ -150,6 +153,53 @@ def labeled_crosscheck(n: int) -> dict:
         "canonicalizer_mismatches": mismatches,
         "ok": not violations and not mismatches,
     }
+
+
+def _heavy_set_failures(g: Graph) -> list[tuple[str, str, int, int]]:
+    """``heavy_set_reduction`` on one graph: (check, graph6, s, theorem) for
+    each check that fails, at s = 2..5 and both theorems. Each distinct heavy
+    set is weighed once."""
+    w = compute_weights(g)
+    counts = clique_counts(g, 5)
+    sides = RightSides(g, w)
+    reduced: dict[int, tuple] = {}
+    failures = []
+    for s in range(2, 6):
+        for theorem, form in ((1, RightSides.cycle_form), (2, RightSides.path_form)):
+            heavy = heavy_mask(w, s, theorem)
+            if heavy not in reduced:
+                sub = g.induced(iter_bits(heavy))
+                w_sub = compute_weights(sub)
+                reduced[heavy] = sub, w_sub, clique_counts(sub, 5), RightSides(sub, w_sub)
+            sub, w_sub, sub_counts, sub_sides = reduced[heavy]
+            num, den = form(sides, s)
+            sub_num, sub_den = form(sub_sides, s)
+            for check, holds in (
+                ("clique_count", counts[s] == sub_counts[s]),
+                ("rhs", num * sub_den == sub_num * den),
+                ("predicate", extremal_predicate(g, s, theorem, w)
+                 == extremal_predicate(sub, s, theorem, w_sub)),
+            ):
+                if not holds:
+                    failures.append((check, write_graph6(g), s, theorem))
+    return failures
+
+
+def heavy_set_reduction() -> dict:
+    """Dropping the light vertices changes no verdict. For both bounds at
+    s = 2..5, the subgraph induced on the heavy set (``heavy_mask``) has the
+    same s-clique count as g, since every s-clique lies in the heavy set; the
+    same right side, since a light vertex's term is 0 and a heavy weight's
+    witness path or cycle stays in the heavy set; and the same predicate
+    verdict. Runs in integers over every isomorphism class with 1..7
+    vertices. Failures are (check, graph6, s, theorem) witnesses."""
+    failures: list[tuple[str, str, int, int]] = []
+    checked = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            checked += 1
+            failures.extend(_heavy_set_failures(g))
+    return {"graphs_checked": checked, "failures": failures, "ok": not failures}
 
 
 def closure_and_peel_lemmas() -> dict:

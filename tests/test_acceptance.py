@@ -20,9 +20,9 @@ from cliquebounds import (
     cycle_graph,
     disjoint_union,
     exhaustive_verify,
+    extremal_predicate,
     generate_pdbg,
     identity_grid,
-    is_hamiltonian,
     is_parent_dominated,
     labeled_crosscheck,
     path_proof_claims,
@@ -134,7 +134,7 @@ def test_criterion_4_known_instances():
         failures.append("petersen dfs oracle")
     if w.p != tuple(oracle_p) or w.c != tuple(oracle_c):
         failures.append("petersen dp vs oracle")
-    if is_hamiltonian(pet, w):
+    if extremal_predicate(pet, 1, 1, w):
         failures.append("petersen hamiltonian")
     if count_cliques(pet, 3) != 0:
         failures.append("petersen triangles")

@@ -19,19 +19,18 @@ from cliquebounds import (
     exhaustive_verify,
     from_edges,
     generate_pdbg,
-    heavy_cycle_set,
-    heavy_path_set,
+    heavy_set_reduction,
     luo_dominance,
     parse_graph6,
     path_graph,
     random_clique_forest,
     random_graph,
-    reduction_invariance,
     thm1_rhs,
     thm2_rhs,
     write_graph6,
 )
 from cliquebounds import bounds, oracle
+from cliquebounds.extremal import heavy_mask
 from oracles import (
     bowtie,
     per_vertex_thm1_rhs,
@@ -155,16 +154,14 @@ class TestRightSidesAgainstPerVertexSums:
 
 class TestHeavySets:
     def test_s2_cycle_heavy_is_everything(self):
-        g = path_graph(4)
-        assert heavy_cycle_set(g, 2, compute_weights(g)) == frozenset(range(4))
+        assert heavy_mask(compute_weights(path_graph(4)), 2, 1) == 0b1111
 
     def test_tree_s3_empty(self):
-        g = path_graph(5)
-        assert heavy_cycle_set(g, 3, compute_weights(g)) == frozenset()
+        assert heavy_mask(compute_weights(path_graph(5)), 3, 1) == 0
 
     def test_path_heavy_excludes_isolated(self):
         g = disjoint_union(complete_graph(5), from_edges(1, []))
-        assert heavy_path_set(g, 3, compute_weights(g)) == frozenset(range(5))
+        assert heavy_mask(compute_weights(g), 3, 2) == 0b11111
 
 
 class TestCheckTheorem:
@@ -276,20 +273,26 @@ class TestBeyondExhaustiveRange:
 class TestReductionInvariance:
     def test_k4_with_pendant(self):
         g = from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
-        rep = reduction_invariance(g, 3, 1, compute_weights(g))
-        assert rep["ok"] and rep["heavy_size"] == 4
+        assert heavy_mask(compute_weights(g), 3, 1) == 0b01111
+        assert oracle._heavy_set_failures(g) == []
 
     def test_forest_with_isolate(self):
         g = disjoint_union(complete_graph(3), from_edges(1, []))
-        assert reduction_invariance(g, 2, 2, compute_weights(g))["ok"]
+        assert heavy_mask(compute_weights(g), 2, 2) == 0b0111
+        assert oracle._heavy_set_failures(g) == []
 
-    def test_exhaustive_small(self, reps_by_n):
-        for n in range(7):
-            for g in reps_by_n[n]:
-                w = compute_weights(g)
-                for s in (2, 3, 4):
-                    for theorem in (1, 2):
-                        assert reduction_invariance(g, s, theorem, w)["ok"]
+    def test_exhaustive_small(self):
+        summary = heavy_set_reduction()
+        assert summary == {"graphs_checked": 1252, "failures": [], "ok": True}
+
+    def test_a_wrong_heavy_set_is_named(self, monkeypatch):
+        # dropping vertex 0 from every heavy set loses the bowtie's edges
+        # at vertex 0, at s = 2 under both theorems
+        monkeypatch.setattr(oracle, "heavy_mask", lambda w, s, theorem: heavy_mask(w, s, theorem) & ~1)
+        failures = oracle._heavy_set_failures(bowtie())
+        g6 = write_graph6(bowtie())
+        assert ("clique_count", g6, 2, 1) in failures
+        assert ("rhs", g6, 2, 2) in failures
 
 
 class TestLuoDominance:

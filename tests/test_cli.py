@@ -300,6 +300,23 @@ class TestGenCommand:
         code, _, _ = run_cli(capsys, ["gen", "--pdbg", "2,3"])
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["", "3_0", "\u0663", "+3", "3, 3", "3,"])
+    def test_pdbg_orders_are_ascii_integers(self, capsys, spec):
+        code, out, err = run_cli(capsys, ["gen", "--pdbg", spec])
+        assert (code, out) == (2, "")
+        assert err == f"error: bad block spec {spec!r}, expected comma-separated orders\n"
+
+    @pytest.mark.parametrize("params", ["1_0x3", "2x\u0663", "+2x3", "2x3-+5"])
+    def test_forest_params_are_ascii_integers(self, capsys, params):
+        code, out, err = run_cli(capsys, ["gen", "--clique-forest", params, "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert err == f"error: bad clique-forest params {params!r}\n"
+
+    def test_oversized_forest_is_refused_before_its_draws(self, capsys):
+        code, out, err = run_cli(capsys, ["gen", "--clique-forest", "10000000x1"])
+        assert (code, out) == (2, "")
+        assert err == "error: forest realizes at least 10000000 vertices, limit is 64\n"
+
     def test_self_check(self, capsys):
         code, out, _ = run_cli(capsys, ["gen", "--pdbg", "4,3,2", "--self-check"])
         assert code == 0
@@ -402,6 +419,26 @@ def test_usage_error_unknown_command(capsys):
 def test_negative_dp_limit_is_a_usage_error(capsys, monkeypatch, command):
     code, out, err = run_cli(capsys, command + ["--dp-limit", "-1"], stdin="Bw\n", monkeypatch=monkeypatch)
     assert (code, out, err) == (2, "", "dp limit must be >= 0\n")
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (["sweep"], "--n"),
+        (["sweep", "--n", "3"], "--s"),
+        (["check", "--s", "2"], "--theorem"),
+        (["check", "--theorem", "1"], "--s"),
+        (["weights"], "--dp-limit"),
+        (["peel"], "--start"),
+        (["gen", "--pdbg", "3"], "--seed"),
+    ],
+)
+@pytest.mark.parametrize("literal", ["\u0663", "1_0", "+1", " 1", "1 "])
+def test_integer_options_take_the_ascii_grammar(capsys, command, option, literal):
+    with pytest.raises(SystemExit) as exc:
+        main(command + [option, literal])
+    assert exc.value.code == 2
+    assert f"argument {option}: invalid ascii_int value: {literal!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

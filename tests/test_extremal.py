@@ -13,22 +13,20 @@ from cliquebounds import (
     extremal_predicate,
     from_edges,
     generate_pdbg,
-    heavy_cycle_set,
-    heavy_path_set,
-    is_block_graph,
     is_connected,
-    is_hamiltonian,
     is_parent_dominated,
     path_graph,
     random_graph,
 )
 from oracles import (
     bowtie,
+    dfs_weights,
     edge_stack_block_decomposition,
     nx_block_decomposition,
     nx_components_are_cliques,
     nx_is_block_graph,
     nx_is_parent_dominated,
+    permutation_hamiltonian_cycle,
     petersen,
 )
 from strategies import block_glued_graph, random_pdbgs
@@ -144,12 +142,12 @@ class TestAgainstEdgeStackPass:
 
 
 class TestRecognizers:
-    def test_is_block_graph(self):
-        assert is_block_graph(bowtie())
-        assert not is_block_graph(cycle_graph(4))
-        assert not is_block_graph(disjoint_union(complete_graph(3), complete_graph(3)))
-        assert is_block_graph(complete_graph(1))
-        assert is_block_graph(path_graph(5))
+    def test_parent_dominated_needs_a_connected_block_graph(self):
+        assert is_parent_dominated(bowtie())
+        assert not is_parent_dominated(cycle_graph(4))
+        assert not is_parent_dominated(disjoint_union(complete_graph(3), complete_graph(3)))
+        assert is_parent_dominated(complete_graph(1))
+        assert is_parent_dominated(path_graph(5))
 
     def test_parent_dominated_basics(self):
         assert is_parent_dominated(generate_pdbg(BlockSpec((5, 4, 4, 3))))
@@ -164,7 +162,7 @@ class TestRecognizers:
             7,
             [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)],
         )
-        assert is_block_graph(g)
+        assert nx_is_block_graph(g)
         assert not is_parent_dominated(g)
 
     def test_parent_dominated_200_random_specs(self):
@@ -175,7 +173,7 @@ class TestRecognizers:
         # two K3 blocks joined by a path of K2 blocks: max blocks tie and a
         # middle edge block has a bigger child either way
         g = from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)])
-        assert is_block_graph(g)
+        assert nx_is_block_graph(g)
         assert not is_parent_dominated(g)
 
     def test_components_are_cliques(self):
@@ -185,8 +183,15 @@ class TestRecognizers:
         assert components_are_cliques(from_edges(3, []))
 
     def test_is_hamiltonian(self):
+        # the package's Hamiltonicity rule: the s = 1 cycle form for n >= 3,
+        # checked by permutations up to n = 8 and by the DFS oracle's c above
         def ham(g):
-            return is_hamiltonian(g, compute_weights(g))
+            verdict = g.n >= 3 and extremal_predicate(g, 1, 1, compute_weights(g))
+            if g.n <= 8:
+                assert verdict == permutation_hamiltonian_cycle(g), g
+            else:
+                assert verdict == (max(dfs_weights(g)[1]) == g.n), g
+            return verdict
 
         assert ham(cycle_graph(5))
         assert ham(complete_graph(4))
@@ -217,10 +222,17 @@ class TestExtremalPredicate:
         one = from_edges(1, [])
         assert not extremal_predicate(one, 1, 1, compute_weights(one))
 
-    def test_s1_cycle_form_matches_hamiltonicity_from_n3(self):
-        for g in (cycle_graph(5), complete_graph(4), path_graph(4), petersen()):
-            w = compute_weights(g)
-            assert extremal_predicate(g, 1, 1, w) == is_hamiltonian(g, w)
+    def test_s1_cycle_form_matches_hamiltonicity_from_n3(self, reps_by_n, reps7):
+        hamiltonian = 0
+        for g in [g for n in range(3, 7) for g in reps_by_n[n]] + reps7:
+            verdict = extremal_predicate(g, 1, 1, compute_weights(g))
+            assert verdict == permutation_hamiltonian_cycle(g), g
+            hamiltonian += verdict
+        assert hamiltonian > 300
+        # the Petersen graph's longest cycles have 9 of its 10 vertices
+        pet = petersen()
+        assert max(dfs_weights(pet)[1]) == 9
+        assert not extremal_predicate(pet, 1, 1, compute_weights(pet))
 
     def test_path_form_s1_always(self):
         g = random_graph(6, 0.4, 3)
@@ -258,9 +270,10 @@ class TestExtremalPredicate:
 
 
 class TestAgainstNetworkx:
-    """Blocks, cut vertices, clique flags, component counts, both
-    block-graph recognizers, the clique-component test and both
-    heavy-set predicates against the networkx oracle."""
+    """Blocks, cut vertices, clique flags, component counts, the
+    parent-dominated recognizer, the clique-component test and both
+    heavy-set predicates against the networkx oracle. The heavy sets are
+    written here from the paper's definition."""
 
     @staticmethod
     def assert_matches(g):
@@ -273,7 +286,6 @@ class TestAgainstNetworkx:
         assert [set(bs) for bs in d.blocks_at] == [
             {i for i, b in enumerate(d.blocks) if v in b} for v in range(g.n)
         ], g
-        assert is_block_graph(g) == nx_is_block_graph(g), g
         assert is_parent_dominated(g) == nx_is_parent_dominated(g), g
         assert components_are_cliques(g) == nx_components_are_cliques(g), g
 
@@ -284,9 +296,9 @@ class TestAgainstNetworkx:
             parent_dominated += is_parent_dominated(g)
             w = compute_weights(g)
             for s in range(2, 6):
-                heavy = g.induced(heavy_cycle_set(g, s, w))
+                heavy = g.induced(v for v in range(g.n) if w.c[v] >= s)
                 assert extremal_predicate(g, s, 1, w) == nx_is_parent_dominated(heavy), (g, s)
-                heavy = g.induced(heavy_path_set(g, s, w))
+                heavy = g.induced(v for v in range(g.n) if w.p[v] >= s - 1)
                 assert extremal_predicate(g, s, 2, w) == nx_components_are_cliques(heavy), (g, s)
         assert parent_dominated > 50
 
@@ -297,9 +309,9 @@ class TestAgainstNetworkx:
             self.assert_matches(g)
             w = compute_weights(g)
             for s in range(2, 6):
-                heavy = g.induced(heavy_cycle_set(g, s, w))
+                heavy = g.induced(v for v in range(g.n) if w.c[v] >= s)
                 assert extremal_predicate(g, s, 1, w) == nx_is_parent_dominated(heavy), (g, s)
-                heavy = g.induced(heavy_path_set(g, s, w))
+                heavy = g.induced(v for v in range(g.n) if w.p[v] >= s - 1)
                 assert extremal_predicate(g, s, 2, w) == nx_components_are_cliques(heavy), (g, s)
 
     def test_random_pdbg_specs(self):

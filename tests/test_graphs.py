@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from cliquebounds import (
     to_pair_mask,
     write_graph6,
 )
-from cliquebounds.graphs import _canonical_reps, _canonical_search
+from cliquebounds.graphs import _canonical_reps, _canonical_search, ascii_int
 from oracles import (
     brute_force_reps,
     decode_graph6_bitstring,
@@ -232,6 +233,21 @@ class TestEdgeList:
             with pytest.raises(GraphParseError, match="bad vertex count"):
                 parse_edge_list(bad)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n 1_0\n", "bad vertex count '1_0'"),
+            ("n +3\n", "bad vertex count '+3'"),
+            ("n \u0663\n", "bad vertex count '\u0663'"),
+            ("n 3\n0 +1\n", "bad edge on line 2: '0 +1'"),
+            ("n 20\n0 1_0\n", "bad edge on line 2: '0 1_0'"),
+            ("n 3\n\u0660 1\n", "bad edge on line 2: '\u0660 1'"),
+        ],
+    )
+    def test_numbers_are_read_by_the_ascii_grammar(self, text, message):
+        with pytest.raises(GraphParseError, match=f"^{re.escape(message)}$"):
+            parse_edge_list(text)
+
     def test_errors_name_the_physical_line(self):
         with pytest.raises(GraphParseError, match="line 4"):
             parse_edge_list("n 3\n\n0 1\nx y\n")
@@ -262,6 +278,35 @@ class TestConstructors:
 
     def test_cycle_zero(self):
         assert cycle_graph(0).n == 0
+
+    def test_vertex_count_is_checked_before_an_edge_is_read(self):
+        class Unreadable:
+            def __iter__(self):
+                raise AssertionError("an edge was read")
+
+        for n in (-1, 65, 10**7):
+            with pytest.raises(ValueError, match=rf"^vertex count {n} outside \[0, 64\]$"):
+                from_edges(n, Unreadable())
+
+    def test_constructors_pass_their_edges_lazily(self, monkeypatch):
+        monkeypatch.setattr("cliquebounds.graphs.from_edges", lambda n, edges: edges)
+        for build in (complete_graph, path_graph, cycle_graph):
+            edges = build(10**7)
+            assert iter(edges) is edges, build
+
+
+class TestIntegerGrammar:
+    @pytest.mark.parametrize("text, value", [("0", 0), ("7", 7), ("-3", -3), ("007", 7), ("-0", 0)])
+    def test_reads_an_optional_minus_and_ascii_digits(self, text, value):
+        assert ascii_int(text) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "-", "--1", "+1", "1_0", " 1", "1 ", "1\n", "\u0663", "1\u0660", "\u00b9", "0x10", "1.0", "1e3"],
+    )
+    def test_refuses_everything_else(self, text):
+        with pytest.raises(ValueError, match="^invalid integer "):
+            ascii_int(text)
 
 
 class TestEnumeration:
@@ -502,6 +547,32 @@ class TestCliqueForest:
         with pytest.raises(ValueError, match="clique count must be >= 0, got -1"):
             random_clique_forest(-1, 3, 3, 1)
         assert random_clique_forest(0, 3, 3, 1) == Graph(0, ())
+
+    def test_accepted_forest_keeps_its_draws(self):
+        rng = random.Random(42)
+        orders = [rng.randint(2, 5) for _ in range(3)]
+        expected = disjoint_union(*(complete_graph(o) for o in orders))
+        assert random_clique_forest(3, 2, 5, 42) == expected
+
+    def test_oversized_request_is_refused_before_any_draw(self, monkeypatch):
+        draws = []
+
+        class Counted(random.Random):
+            def randint(self, a, b):
+                draws.append((a, b))
+                return super().randint(a, b)
+
+        monkeypatch.setattr(random, "Random", Counted)
+        for count, lo, hi in ((10_000_000, 1, 1), (33, 2, 5), (65, 1, 3)):
+            with pytest.raises(
+                ValueError, match=f"^forest realizes at least {count * lo} vertices, limit is 64$"
+            ):
+                random_clique_forest(count, lo, hi, 0)
+        assert draws == []
+        # at least 64 vertices fits, so the orders are drawn before the refusal
+        with pytest.raises(ValueError, match=r"^forest realizes \d+ vertices, limit is 64$"):
+            random_clique_forest(32, 2, 5, 0)
+        assert draws == [(2, 5)] * 32
 
 
 def test_is_connected_conventions():
