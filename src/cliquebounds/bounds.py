@@ -14,9 +14,9 @@ report's right side or gap is read.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+from typing import NamedTuple
 
 from .cliques import binom
 from .extremal import extremal_predicate
@@ -72,14 +72,14 @@ def thm2_rhs(g: Graph, s: int, w: VertexWeights) -> Fraction:
     return Fraction(*RightSides(g, w).path_form(s))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One bound evaluation: the s-clique count, the right side
     ``rhs_num / rhs_den`` (not reduced), the structural predicate's verdict,
     and from them the equality flag and whether the two agree. ``in_scope``
     is False only for the degenerate cycle-form case s=1 on a single vertex,
     where the stated right side is an empty sum. ``ok`` is the verdict every
-    checker reads."""
+    checker reads. A tuple of its eight fields in this order, it unpacks
+    and compares like one."""
 
     theorem: int
     s: int

@@ -3,6 +3,12 @@
 Vertices are dense ids 0..n-1 with n capped at 64 so a single machine word
 holds one adjacency row. Everything downstream (subset DP, clique recursion,
 rotation closures) works on these rows directly.
+
+Rows are checked once, where they enter the package: ``Graph(n, adj)`` and
+``from_edges`` check the rows a caller gives. Rows the package derives from
+rows already checked (a pair mask, an induced subgraph, a disjoint union)
+are symmetric and loop-free by construction, so only their vertex count is
+checked, before they are built.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
+from typing import NamedTuple
 
 MAX_VERTICES = 64
 
@@ -47,13 +54,20 @@ def iter_bits(mask: int):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph: ``adj[v]`` is the neighbor bitmask of v."""
+    """Simple undirected graph: ``adj[v]`` is the neighbor bitmask of v.
+
+    Built directly, the rows are stored as a tuple and checked: n in
+    0..64, one row per vertex, no bit >= n, no self-loop, every edge in
+    both rows. The package's own constructors of derived rows check n
+    before they build the rows, and skip the row checks (see ``_derived``)."""
 
     n: int
     adj: tuple[int, ...]
 
     def __post_init__(self):
         _require_vertex_count(self.n)
+        # a list would stay mutable and unhashable inside a frozen graph
+        object.__setattr__(self, "adj", tuple(self.adj))
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
@@ -88,9 +102,14 @@ class Graph:
         return sum(self.degree(v) for v in range(self.n)) // 2
 
     def induced(self, vertices) -> "Graph":
-        """Induced subgraph on ``vertices``, relabeled densely in sorted order."""
+        """Induced subgraph on ``vertices``, relabeled densely in sorted order.
+        A repeated id, or one outside 0..n-1, is refused before a row is read."""
         vs = sorted(vertices)
+        if vs and not (0 <= vs[0] and vs[-1] < self.n):
+            raise ValueError(f"vertex {vs[0] if vs[0] < 0 else vs[-1]} not in graph")
         index = {v: i for i, v in enumerate(vs)}
+        if len(index) < len(vs):
+            raise ValueError(f"repeated vertex {next(v for v, u in zip(vs, vs[1:]) if v == u)}")
         rows = []
         for v in vs:
             row = 0
@@ -98,7 +117,16 @@ class Graph:
                 if u in index:
                     row |= 1 << index[u]
             rows.append(row)
-        return Graph(len(vs), tuple(rows))
+        return _derived(len(vs), tuple(rows))
+
+
+def _derived(n: int, adj: tuple[int, ...]) -> Graph:
+    """The graph on rows the package derived from checked rows, so
+    symmetric, loop-free and below bit n by construction; the caller has
+    checked n before building them, and the rows are not walked again."""
+    g = object.__new__(Graph)
+    vars(g).update(n=n, adj=adj)
+    return g
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -120,8 +148,10 @@ def pair_index(i: int, j: int) -> int:
 
 
 def from_pair_mask(n: int, mask: int) -> Graph:
-    """Graph from an edge bitmask laid out in column-major pair order."""
-    return Graph(n, tuple(_adj_from_mask(n, mask)))
+    """Graph from an edge bitmask laid out in column-major pair order; bits
+    past the n(n-1)/2 pairs are ignored."""
+    _require_vertex_count(n)
+    return _derived(n, tuple(_adj_from_mask(n, mask)))
 
 
 def to_pair_mask(g: Graph) -> int:
@@ -152,12 +182,13 @@ def _adj_from_mask(n: int, mask: int) -> list[int]:
 
 def disjoint_union(*graphs: Graph) -> Graph:
     n = sum(g.n for g in graphs)
+    _require_vertex_count(n)
     rows: list[int] = []
     offset = 0
     for g in graphs:
         rows.extend(row << offset for row in g.adj)
         offset += g.n
-    return Graph(n, tuple(rows))
+    return _derived(n, tuple(rows))
 
 
 def reachable(nbr: dict[int, int], bit: int, free: int) -> int:
@@ -179,13 +210,13 @@ def is_connected(g: Graph) -> bool:
     return g.n == 0 or reachable({1 << v: row for v, row in enumerate(g.adj)}, 1, rest) == rest
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """Biconnected components (bridges as 2-sets, isolated vertices as
     singletons), cut vertices, and the bipartite block-cut tree given as
     (block index, cut vertex) incidences. ``clique[i]`` says whether block i
     induces a complete graph; ``blocks_at[v]`` lists the blocks holding
-    vertex v, two or more exactly when v is a cut vertex."""
+    vertex v, two or more exactly when v is a cut vertex. A tuple of its
+    five fields in this order."""
 
     blocks: tuple[frozenset[int], ...]
     cut_vertices: frozenset[int]

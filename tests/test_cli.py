@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -534,3 +535,43 @@ class TestParserReuse:
         for earlier in (["peel", "--start", "1", c5], ["frobnicate"], ["check", "--help"]):
             self.outcome(capsys, earlier)
             assert self.outcome(capsys, args) == expected, earlier
+
+
+# sha256 of the 1,252 classes with n = 1..7, one graph6 line each in
+# enumerate_graphs order, and of what each command prints over them: a
+# faster path must print the same bytes
+CLASSES7_SHA256 = "8d6359ec94a50cd375d088fe322be05c2ef17ffa0bca47644387ac8e40a215d5"
+OUTPUT_SHA256 = {
+    "sweep": "95c0eb7751f30a5d5a145e55714ed221aa8c9bca143495dcf702189cda4b9e23",
+    "check": "315686a7d7252c5db39fba85905d36bf0d1d68cd1c9a4c7a44bdf1ad1e093078",
+    "peel": "203adda885ae8229448cbea44f4fd500441fa0fee86ac04a97b4aef7e776b006",
+    "weights": "d72f0345a2ae0941b87700aaf785788f0c0acc09a3bb2bdaca1640a8c9657a90",
+}
+
+
+class TestOutputBytes:
+    @pytest.fixture(scope="class")
+    def classes7(self, tmp_path_factory, reps_by_n, reps7):
+        path = tmp_path_factory.mktemp("classes") / "classes7.g6"
+        classes = [g for n in range(1, 7) for g in reps_by_n[n]] + reps7
+        path.write_text("".join(write_graph6(g) + "\n" for g in classes))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CLASSES7_SHA256
+        return str(path)
+
+    # the argument lists of each command's runs, the classes file appended
+    # to each but sweep's; check runs theorem 1 at s = 1..5, then theorem 2
+    RUNS = {
+        "sweep": [["sweep", "--n", "7", "--s", "5"]],
+        "check": [["check", "--theorem", str(t), "--s", str(s)] for t in (1, 2) for s in range(1, 6)],
+        "peel": [["peel", "--trace"]],
+        "weights": [["weights"]],
+    }
+
+    @pytest.mark.parametrize("command", sorted(OUTPUT_SHA256))
+    def test_stdout_over_the_classes_up_to_7(self, capsys, classes7, command):
+        digest = hashlib.sha256()
+        for args in self.RUNS[command]:
+            code, out, err = run_cli(capsys, args if command == "sweep" else args + [classes7])
+            assert code == 0 and err == "", args
+            digest.update(out.encode())
+        assert digest.hexdigest() == OUTPUT_SHA256[command]

@@ -86,6 +86,121 @@ class TestGraphType:
         h = g.induced([1, 2, 3])
         assert h.edges() == [(0, 1), (1, 2)]
 
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            # a negative id would index the rows from the end: vertices 3
+            # and 2, which are adjacent
+            ([-1, -2], "^vertex -2 not in graph$"),
+            ([0, 9], "^vertex 9 not in graph$"),
+            ([0, 4], "^vertex 4 not in graph$"),
+            ([0, 0, 1], "^repeated vertex 0$"),
+            ([3, 1, 3], "^repeated vertex 3$"),
+        ],
+    )
+    def test_induced_refuses_a_vertex_list_outside_the_graph(self, vertices, message):
+        with pytest.raises(ValueError, match=message):
+            path_graph(4).induced(vertices)
+
+    def test_induced_on_no_vertices(self):
+        assert path_graph(4).induced([]) == Graph(0, ())
+
+    def test_rows_given_as_a_list_are_stored_as_a_tuple(self):
+        rows = [0b10, 0b01]
+        g = Graph(2, rows)
+        assert g.adj == (0b10, 0b01) and hash(g) == hash(Graph(2, (0b10, 0b01)))
+        rows[0] = 0
+        with pytest.raises(TypeError):
+            g.adj[0] = 0
+        assert g == Graph(2, (0b10, 0b01))
+
+    @pytest.mark.parametrize("n", [-1, 65])
+    def test_vertex_count_is_checked_by_every_constructor(self, n):
+        message = rf"^vertex count {n} outside \[0, 64\]$"
+        for build in (
+            lambda: Graph(n, (0,) * max(n, 0)),
+            lambda: from_edges(n, ()),
+            lambda: from_pair_mask(n, 0),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build()
+        with pytest.raises(ValueError, match=r"^vertex count 65 outside \[0, 64\]$"):
+            disjoint_union(complete_graph(40), Graph(25, (0,) * 25))
+
+    def test_derived_rows_are_not_built_past_64_vertices(self):
+        # the pair-mask rows of 10^6 vertices took 27 s to build and refuse
+        for n in (10**6, 10**7):
+            with pytest.raises(ValueError, match=rf"^vertex count {n} outside \[0, 64\]$"):
+                from_pair_mask(n, 0)
+
+
+def assert_checked(g: Graph):
+    """g's rows pass every check of the public constructor, and g equals the
+    graph it builds from them."""
+    assert type(g.adj) is tuple and g == Graph(g.n, g.adj), g
+
+
+class TestDerivedRows:
+    """Graphs the package builds from rows it derived, without walking them
+    again, equal their checked copies."""
+
+    def test_parse_graph6(self):
+        rng = random.Random(2206)
+        for n in range(65):
+            for p in (0.0, rng.random(), 1.0):
+                g = random_graph(n, p, rng.randrange(1 << 30))
+                line = write_graph6(g)
+                assert line.startswith("~") == (n >= 63)
+                for text in (line, ">>graph6<<" + line):
+                    parsed = parse_graph6(text)
+                    assert_checked(parsed)
+                    assert parsed == g
+
+    def test_from_pair_mask_on_every_small_class(self, reps_by_n, reps7):
+        for g in [g for reps in reps_by_n.values() for g in reps] + reps7:
+            assert_checked(g)
+            assert_checked(from_pair_mask(g.n, to_pair_mask(g)))
+
+    def test_from_pair_mask_ignores_bits_past_the_pairs(self):
+        rng = random.Random(2207)
+        for _ in range(300):
+            n = rng.randint(0, 64)
+            pairs = n * (n - 1) // 2
+            mask = rng.getrandbits(pairs + 64)
+            g = from_pair_mask(n, mask)
+            assert_checked(g)
+            assert g == from_pair_mask(n, mask & ((1 << pairs) - 1))
+            assert to_pair_mask(g) == mask & ((1 << pairs) - 1)
+
+    def test_induced_on_random_subsets(self):
+        rng = random.Random(2208)
+        for _ in range(200):
+            g = random_graph(rng.randint(0, 64), rng.random(), rng.randrange(1 << 30))
+            ids = [v for v in range(g.n) if rng.random() < 0.5]
+            rng.shuffle(ids)
+            sub = g.induced(ids)
+            assert_checked(sub)
+            vs = sorted(ids)
+            assert all(
+                sub.has_edge(i, j) == g.has_edge(u, v)
+                for i, u in enumerate(vs) for j, v in enumerate(vs)
+            )
+
+    def test_disjoint_union(self):
+        rng = random.Random(2209)
+        for _ in range(100):
+            parts = [
+                random_graph(rng.randint(0, 12), rng.random(), rng.randrange(1 << 30))
+                for _ in range(rng.randint(0, 5))
+            ]
+            union = disjoint_union(*parts)
+            assert_checked(union)
+            offsets = [sum(h.n for h in parts[:i]) for i in range(len(parts))]
+            assert union.n == sum(h.n for h in parts)
+            assert set(union.edges()) == {
+                (u + off, v + off) for h, off in zip(parts, offsets) for u, v in h.edges()
+            }
+
 
 class TestGraph6:
     def test_k3_is_bw(self):
