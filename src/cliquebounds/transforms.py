@@ -4,9 +4,12 @@ decomposition built on it.
 A rotation of a longest v0-path P = v0..vk along a chord (vj, vk), j <= k-2,
 replaces the tail by v0..vj vk v(k-1)..v(j+1). Closing the set of paths
 reachable by rotations yields the terminal set L, one representative path
-per terminal, and the outside-neighbor sets S_v. Peeling repeatedly removes
-terminal sets and isolated vertices until nothing is left, which splits
-every clique count across stages.
+per terminal, and the outside-neighbor sets S_v. Every rotation keeps the
+base path's vertex set, so a closure builds its vertex mask once and tests
+each terminal against it. Peeling repeatedly removes terminal sets and
+isolated vertices until nothing is left, which splits every clique count
+across stages; stage 0 is the whole input, so its graph is the input graph
+itself.
 """
 
 from __future__ import annotations
@@ -24,9 +27,15 @@ PathSeq = tuple[int, ...]
 CLOSURE_BUDGET = 1_000_000
 
 
-def _require_path(g: Graph, path: PathSeq):
+def _require_path(g: Graph, path) -> PathSeq:
+    """``path`` as a tuple, once it is known to be a path of g: a sequence of
+    distinct int vertex ids of g, each joined to the next by an edge."""
+    path = tuple(path)
     if not path:
         raise ValueError("empty vertex sequence is not a path")
+    for v in path:
+        if type(v) is not int:
+            raise ValueError(f"path vertex {v!r} is not an int")
     if len(set(path)) != len(path):
         raise ValueError(f"repeated vertex in path {path}")
     for v in path:
@@ -35,6 +44,7 @@ def _require_path(g: Graph, path: PathSeq):
     for a, b in zip(path, path[1:]):
         if not g.has_edge(a, b):
             raise ValueError(f"path step {a}-{b} is not an edge")
+    return path
 
 
 def simple_transforms(g: Graph, path: PathSeq) -> list[PathSeq]:
@@ -43,27 +53,21 @@ def simple_transforms(g: Graph, path: PathSeq) -> list[PathSeq]:
     The terminal's neighborhood must lie on the path (anything else means the
     path was extendable, violating the caller's longest-path certificate).
     """
-    _require_path(g, path)
-    return _rotations(g, path)
+    path = _require_path(g, path)
+    return _rotations(g.adj, path, sum(1 << v for v in path))
 
 
-def _rotations(g: Graph, path: PathSeq) -> list[PathSeq]:
-    """``simple_transforms`` of a sequence already known to be a path: a
-    rotation of a path is a path, so the closure validates only its base."""
-    k = len(path) - 1
-    terminal = path[k]
-    row = g.adj[terminal]
-    off = row
-    for v in path:
-        off &= ~(1 << v)
+def _rotations(adj, path: PathSeq, on_path: int) -> list[PathSeq]:
+    """``simple_transforms`` of a sequence already known to be a path, whose
+    vertex mask is ``on_path``. A rotation keeps the path's vertex set, so a
+    closure validates only its base and builds the mask once."""
+    terminal = path[-1]
+    row = adj[terminal]
+    off = row & ~on_path
     if off:
         u = (off & -off).bit_length() - 1
         raise ValueError(f"terminal {terminal} has neighbor {u} off the path; not a longest path")
-    return [
-        path[: j + 1] + tuple(reversed(path[j + 1 :]))
-        for j in range(k - 1)
-        if row >> path[j] & 1
-    ]
+    return [path[: j + 1] + path[:j:-1] for j in range(len(path) - 2) if row >> path[j] & 1]
 
 
 @dataclass(frozen=True)
@@ -84,12 +88,14 @@ def transform_closure(g: Graph, path: PathSeq) -> TransformClosure:
 
     Paths are deduplicated by full vertex sequence, not by endpoint: distinct
     sequences with the same terminal can expose different chords later. The
-    base is validated once; each path's terminal is still checked for a
-    neighbor off the path, so a base that is not a longest path raises
-    ValueError. A closure past ``CLOSURE_BUDGET`` paths raises
-    ResourceLimitError.
+    base is validated once, and its vertex mask, which every rotation keeps,
+    is built once; each path's terminal is still checked for a neighbor off
+    that mask, so a base that is not a longest path raises ValueError. A
+    closure past ``CLOSURE_BUDGET`` paths raises ResourceLimitError.
     """
-    _require_path(g, path)
+    path = _require_path(g, path)
+    adj = g.adj
+    on_path = sum(1 << v for v in path)
     start = path[0]
     seen: set[PathSeq] = {path}
     order: list[PathSeq] = [path]
@@ -97,7 +103,7 @@ def transform_closure(g: Graph, path: PathSeq) -> TransformClosure:
     if path[-1] != start:
         reps[path[-1]] = path
     for cur in order:  # the list grows as it is read: it is the queue
-        for nxt in _rotations(g, cur):
+        for nxt in _rotations(adj, cur, on_path):
             if nxt in seen:
                 continue
             if len(seen) >= CLOSURE_BUDGET:
@@ -219,7 +225,8 @@ def peel(g: Graph, u: int | None = None, dp_limit: int = DEFAULT_DP_LIMIT) -> Pe
     Stage i takes a longest x-path in the live graph, removes the closure's
     terminal set, then drops isolated vertices. x starts at ``u``, which must
     be a heaviest vertex; x is chosen (max stage weight, lowest id on ties)
-    when ``u`` is omitted and again each time it has been removed.
+    when ``u`` is omitted and again each time it has been removed. Stage 0
+    is all of g, so its graph is g itself, not an induced copy.
     """
     if u is not None and not 0 <= u < g.n:
         raise ValueError(f"start vertex {u} not in graph")
@@ -230,7 +237,7 @@ def peel(g: Graph, u: int | None = None, dp_limit: int = DEFAULT_DP_LIMIT) -> Pe
     x = u
     while mask:
         live = list(iter_bits(mask))
-        dense = g.induced(live)
+        dense = g if mask == g.full_mask else g.induced(live)
         w = compute_weights(dense, dp_limit)
         if x not in live:  # u omitted, or x removed by an earlier stage
             x = live[w.c.index(w.circumference)]
@@ -286,8 +293,9 @@ def verify_peel_decomposition(g: Graph, trace: PeelTrace, orders: tuple[int, ...
         if len(inside) < len(stage.vertices):
             failures.append({"check": "stage_vertices_in_graph", "stage": i})
         live = sum(1 << v for v in inside)
-        touch = sum(1 << v for v in stage.terminals)
-        if touch & ~live:
+        # a negative id is in no stage: left out of the mask, named below
+        touch = sum(1 << v for v in stage.terminals if v >= 0)
+        if touch & ~live or min(stage.terminals, default=0) < 0:
             failures.append({"check": "terminals_in_stage", "stage": i})
         if touch:
             # cliques touching the terminals: all of them less those avoiding them

@@ -25,9 +25,10 @@ not build it again.
 ``longest_path_from`` gives the lexicographically least longest path from
 a start vertex, which the rotation closure of ``transforms`` starts from:
 one branch-and-bound depth-first search that keeps the best path so far,
-memoizes the (vertex set, end) states that cannot beat it, and skips an end
-that cannot reach enough unused vertices to beat it. It stops with
-ResourceLimitError after a fixed number of candidate tries.
+memoizes the (vertex set, end) states that cannot beat it, and, while the
+path is shorter than the best, skips an end that cannot reach enough
+unused vertices to beat it. It stops with ResourceLimitError after a fixed
+number of candidate tries.
 
 The kernels walk vertex sets as bitmasks one low bit at a time
 (``b = m & -m; m ^= b``) and index neighbour rows by that bit, so their
@@ -471,11 +472,14 @@ def longest_path_from(g: Graph, v0: int, dp_limit: int = DEFAULT_DP_LIMIT) -> tu
     keeps the first path longer than the best so far, so the first path of
     maximum length, the lexicographically least, is the one kept. A
     (vertex set, end) state whose subtree is exhausted holds no path longer
-    than the best, which only grows, so it is memoized as dead. A vertex
-    from which fewer unused vertices are reachable than the best path needs
-    is skipped without a search, and the search stops once the best path
-    spans the component of v0. A search that tries more than
-    ``PATH_SEARCH_BUDGET`` candidates raises ResourceLimitError.
+    than the best, which only grows, so it is memoized as dead. While the
+    path is shorter than the best, a vertex from which fewer unused
+    vertices are reachable than the best path needs is skipped without a
+    search; a path as long as the best needs no such reach test, since it
+    cannot fail. The search stops once the best path spans the component
+    of v0. A search that tries more than ``PATH_SEARCH_BUDGET`` candidates,
+    each counted whether or not its reach test runs, raises
+    ResourceLimitError.
     """
     # Guarded on n: the search is exponential in the worst case.
     _guard("longest-path search", "n", g.n, dp_limit)
@@ -487,20 +491,22 @@ def longest_path_from(g: Graph, v0: int, dp_limit: int = DEFAULT_DP_LIMIT) -> tu
     most = reachable(nbr, s_mask, full ^ s_mask).bit_count() + 1
     path = [s_mask]
     best = path[:]
+    depth = best_len = 1  # len(path), len(best)
     # dead[S]: the ends e for which no path from v0 spanning S and ending
     # at e extends past the best path
     dead: dict[int, int] = {}
     todo = [nbr[s_mask] & ~s_mask]  # per depth, the next vertices not yet tried
     tries = 0
-    while todo and len(best) < most:
+    while todo and best_len < most:
         cand = todo[-1]
         if not cand:
             end = path.pop()
             todo.pop()
+            depth -= 1
             dead[s_mask] = dead.get(s_mask, 0) | end
             s_mask ^= end
             continue
-        # every candidate counts, pruned or not: its reach test dominates
+        # every candidate counts, pruned or not, searched or not
         tries += 1
         if tries > PATH_SEARCH_BUDGET:
             raise ResourceLimitError(
@@ -512,14 +518,17 @@ def longest_path_from(g: Graph, v0: int, dp_limit: int = DEFAULT_DP_LIMIT) -> tu
         grown = s_mask | w
         if dead.get(grown, 0) & w:
             continue
-        # too few vertices reachable from w off the path to beat the best
-        if len(path) + reachable(nbr, w, full & ~grown).bit_count() < len(best):
+        # too few vertices reachable from w off the path to beat the best,
+        # which only a path shorter than the best can lack
+        if depth < best_len and depth + reachable(nbr, w, full & ~grown).bit_count() < best_len:
             continue
         s_mask = grown
         path.append(w)
         todo.append(nbr[w] & ~grown)
-        if len(path) > len(best):
+        depth += 1
+        if depth > best_len:
             best = path[:]
+            best_len = depth
     return tuple(b.bit_length() - 1 for b in best)
 
 

@@ -13,7 +13,9 @@ block graphs (the only oracle that reaches n = 64). The retired per-bit
 ``_paths_from`` from one start vertex is ``per_bit_paths_from``, and the
 retired longest path, a greedy that runs one breadth-first search
 (``per_bit_max_len_from``) per candidate step, is
-``greedy_longest_path_from``. The two weights oracles return
+``greedy_longest_path_from``. The retired rotation closure, which
+validates every path it reaches and rebuilds each one's vertex set, is
+``rotation_closure``. The two weights oracles return
 ``VertexWeights`` carrying the package's block decomposition of g, so they
 compare equal to ``compute_weights`` field by field; their p and c are
 computed without it. The block decomposition is checked field for field
@@ -51,6 +53,7 @@ from cliquebounds import (
     BlockDecomposition,
     Graph,
     GraphParseError,
+    TransformClosure,
     binom,
     block_decomposition,
     canonical_mask,
@@ -470,6 +473,49 @@ def greedy_longest_path_from(g: Graph, v0: int) -> tuple[int, ...]:
         else:
             raise AssertionError("greedy completion lost feasibility")
     return tuple(path)
+
+
+def _retired_rotations(g: Graph, path: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The retired ``transforms.simple_transforms``: validate ``path``, test
+    its terminal against the path's vertex set rebuilt bit by bit, and
+    build each rotated tail with ``tuple(reversed(...))``."""
+    simple = path and len(set(path)) == len(path) and all(0 <= v < g.n for v in path)
+    if not simple or not all(map(g.has_edge, path, path[1:])):
+        raise ValueError(f"not a path: {path}")
+    k = len(path) - 1
+    terminal = path[k]
+    row = g.adj[terminal]
+    off = row
+    for v in path:
+        off &= ~(1 << v)
+    if off:
+        u = (off & -off).bit_length() - 1
+        raise ValueError(f"terminal {terminal} has neighbor {u} off the path; not a longest path")
+    return [
+        path[: j + 1] + tuple(reversed(path[j + 1 :]))
+        for j in range(k - 1)
+        if row >> path[j] & 1
+    ]
+
+
+def rotation_closure(g: Graph, path: tuple[int, ...]) -> TransformClosure:
+    """The retired ``transforms.transform_closure``, without its budget: the
+    same breadth-first closure, with every path it reaches validated and
+    rotated by ``_retired_rotations``."""
+    start = path[0]
+    order = [path]
+    seen = {path}
+    reps = {path[-1]: path} if path[-1] != start else {}
+    for cur in order:
+        for nxt in _retired_rotations(g, cur):
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+                if nxt[-1] != start:
+                    reps.setdefault(nxt[-1], nxt)
+    terminals = frozenset(reps)
+    s_sets = {v: frozenset(u for u in g.neighbors(v) if u not in terminals) for v in reps}
+    return TransformClosure(start, path, tuple(order), terminals, reps, s_sets)
 
 
 def nx_cliques_by_order(g: Graph, s_max: int) -> list[list[tuple[int, ...]]]:

@@ -25,7 +25,7 @@ from cliquebounds import (
     verify_peel_decomposition,
 )
 from cliquebounds import transforms
-from oracles import bowtie
+from oracles import bowtie, rotation_closure
 
 
 def closure_from_heaviest(g):
@@ -61,6 +61,24 @@ class TestSimpleTransforms:
     def test_rejects_extendable_path(self):
         with pytest.raises(ValueError, match="longest"):
             simple_transforms(path_graph(4), (0, 1, 2))
+
+    def test_takes_a_path_as_any_sequence(self):
+        g = complete_graph(4)
+        for seq in ([0, 1, 2, 3], range(4), iter((0, 1, 2, 3))):
+            assert simple_transforms(g, seq) == [(0, 3, 2, 1), (0, 1, 3, 2)]
+        tc = transform_closure(g, [0, 1, 2, 3])
+        assert tc == transform_closure(g, (0, 1, 2, 3))
+        assert tc.base == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize(
+        "path, name",
+        [((0, 1.0, 2, 3), "1.0"), ((0, 1, 2, "3"), "'3'"), ((0.5,), "0.5"), ((0, True), "True"),
+         ((0, None), "None")],
+    )
+    def test_refuses_a_vertex_that_is_not_an_int(self, path, name):
+        for transform in (simple_transforms, transform_closure):
+            with pytest.raises(ValueError, match=f"^path vertex {name} is not an int$"):
+                transform(complete_graph(4), path)
 
 
 class TestTransformClosure:
@@ -157,6 +175,58 @@ class TestTransformClosure:
             b = transform_closure(g, base)
             assert a.paths == b.paths
             assert a.representatives == b.representatives
+
+
+def _maximal_paths(g, path):
+    """The paths from ``path[0]`` that extend ``path`` until their terminal
+    has every neighbor on them, longest or not."""
+    ext = [u for u in g.neighbors(path[-1]) if u not in path]
+    if not ext:
+        yield path
+    for u in ext:
+        yield from _maximal_paths(g, path + (u,))
+
+
+def _closure_or_refusal(closure, g, base):
+    try:
+        return closure(g, base)
+    except ValueError as err:
+        return str(err)
+
+
+class TestRotationKernelAgainstOracle:
+    """``transform_closure`` against the retired closure, which validates
+    every path it reaches and rebuilds its vertex set: the same paths in the
+    same order, representatives, terminal set and S_v sets."""
+
+    def test_every_class_up_to_7_from_every_vertex(self, reps_by_n, reps7):
+        for g in [g for n in range(1, 7) for g in reps_by_n[n]] + reps7:
+            for v0 in range(g.n):
+                base = longest_path_from(g, v0)
+                assert transform_closure(g, base) == rotation_closure(g, base), (g, v0)
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(1729)
+        for _ in range(200):
+            n = rng.randint(8, 12)
+            g = random_graph(n, rng.uniform(0.15, 0.45), rng.randrange(1 << 30))
+            base = longest_path_from(g, rng.randrange(n))
+            assert transform_closure(g, base) == rotation_closure(g, base), (g, base)
+
+    def test_same_refusal_on_a_base_that_is_not_longest(self, reps_by_n):
+        # every path with no off-path neighbor at its terminal that is not a
+        # longest path: a rotation may expose an off-path neighbor, or not
+        refused = kept = 0
+        for g in [g for n in range(1, 7) for g in reps_by_n[n]]:
+            for v0 in range(g.n):
+                longest = len(longest_path_from(g, v0))
+                for base in _maximal_paths(g, (v0,)):
+                    if len(base) < longest:
+                        got = _closure_or_refusal(transform_closure, g, base)
+                        assert got == _closure_or_refusal(rotation_closure, g, base), (g, base)
+                        refused += isinstance(got, str)
+                        kept += not isinstance(got, str)
+        assert refused and kept
 
 
 class TestClosureLemmas:
@@ -264,6 +334,8 @@ class TestVerifiersCanFail:
             ("weight_monotone", 1, lambda t: _replace_stage(
                 t, 1, weights=_with_c(t.stages[1].weights, 0, 5))),
             ("terminals_in_stage", 1, lambda t: _replace_stage(t, 1, terminals=frozenset({2, 4}))),
+            pytest.param("terminals_in_stage", 1, lambda t: _replace_stage(
+                t, 1, terminals=frozenset({2, -1})), id="terminals_in_stage-1-negative"),
             ("stage_vertices_in_graph", 1, lambda t: _replace_stage(t, 1, vertices=(0, 1, 2, 7))),
             ("stage_vertices_in_graph", 1, lambda t: _replace_stage(t, 1, vertices=(0, 1, 2, -1))),
         ],
@@ -277,6 +349,13 @@ class TestVerifiersCanFail:
         for rep in verify_peel_decomposition(g, corrupt(trace), (2, 3)).values():
             assert not rep["ok"]
             assert [(f["check"], f["stage"]) for f in rep["failures"]] == [(check, stage)]
+
+    def test_negative_terminal_is_named_not_a_crash(self):
+        g = path_graph(4)
+        trace = _replace_stage(peel(g), 0, terminals=frozenset({-1}))
+        for rep in verify_peel_decomposition(g, trace, (2, 3)).values():
+            assert not rep["ok"]
+            assert {"check": "terminals_in_stage", "stage": 0} in rep["failures"]
 
 
 class TestPeel:
@@ -340,7 +419,7 @@ class TestPeel:
         g = bowtie()
         stage0 = peel(g).stages[0]
         w = compute_weights(g)
-        assert stage0.graph == g and stage0.weights == w
+        assert stage0.graph is g and stage0.weights == w
         assert stage0.closure == transform_closure(g, stage0.path)
 
     def test_verify_rejects_trace_whose_stage0_is_not_input(self):

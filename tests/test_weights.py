@@ -521,6 +521,29 @@ class TestLongestPathFrom:
         # a search within the budget is unchanged
         assert longest_path_from(complete_graph(6), 0) == tuple(range(6))
 
+    @pytest.mark.parametrize(
+        "build, v0, tries",
+        [
+            (lambda: random_graph(20, 0.2, 2), 0, 4825),
+            (lambda: random_graph(12, 0.4, 7), 3, 81),
+            # 6 K4 blocks in a chain, with a pendant vertex on each: n = 25
+            (lambda: generate_pdbg(BlockSpec((4,) * 6 + (2,) * 6, tuple(range(5)) + tuple(range(6)))),
+             0, 757),
+        ],
+        ids=["gnp_20", "gnp_12", "k4_chain_with_pendants"],
+    )
+    def test_try_count_is_pinned(self, monkeypatch, build, v0, tries):
+        # each search answers at a budget of exactly its candidate count and
+        # refuses one below it; a candidate whose reach test is skipped, on a
+        # path as long as the best, counts too (11-19 of them per search here)
+        g = build()
+        monkeypatch.setattr(weights, "PATH_SEARCH_BUDGET", tries)
+        path = longest_path_from(g, v0, dp_limit=64)
+        assert path == greedy_longest_path_from(g, v0)
+        monkeypatch.setattr(weights, "PATH_SEARCH_BUDGET", tries - 1)
+        with pytest.raises(ResourceLimitError, match=f"gave up after {tries - 1} candidate tries"):
+            longest_path_from(g, v0, dp_limit=64)
+
 
 class TestBlockGraphShortcut:
     def test_bowtie(self):
