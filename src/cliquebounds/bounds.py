@@ -163,37 +163,31 @@ def luo_dominance(g: Graph, s: int, w: VertexWeights) -> dict:
     """Both localized right sides refine the classical global bounds:
     cycle form <= (n-1)/(k-1) C(k, s) at k = circumference, and path form
     <= (n/k) C(k, s) at k = 1 + max p. The cycle side is skipped when k <= 1;
-    the path side only on the empty graph."""
+    the path side only on the empty graph. Both sides come from one
+    ``RightSides``, and each verdict is an integer comparison."""
     if s < 2:
         raise ValueError(f"dominance needs clique order >= 2, got {s}")
+    sides = RightSides(g, w)
     report: dict = {"s": s}
     k_cyc = w.circumference
     if k_cyc <= 1:
         report["cycle"] = {"skipped": True, "k": k_cyc}
     else:
-        cap = Fraction((g.n - 1) * binom(k_cyc, s), k_cyc - 1)
-        rhs = thm1_rhs(g, s, w)
-        report["cycle"] = {
-            "skipped": False,
-            "k": k_cyc,
-            "rhs": rhs,
-            "cap": cap,
-            "ok": rhs <= cap,
-            "tight": rhs == cap,
-        }
+        cap_num = (g.n - 1) * binom(k_cyc, s)
+        report["cycle"] = _dominance(k_cyc, sides.cycle_form(s), cap_num, k_cyc - 1)
     k_path = 1 + max(w.p, default=0)
     if g.n == 0:
         report["path"] = {"skipped": True, "k": k_path}
     else:
-        cap = Fraction(g.n * binom(k_path, s), k_path)
-        rhs = thm2_rhs(g, s, w)
-        report["path"] = {
-            "skipped": False,
-            "k": k_path,
-            "rhs": rhs,
-            "cap": cap,
-            "ok": rhs <= cap,
-            "tight": rhs == cap,
-        }
+        report["path"] = _dominance(k_path, sides.path_form(s), g.n * binom(k_path, s), k_path)
     report["ok"] = all(side.get("ok", True) for side in (report["cycle"], report["path"]))
     return report
+
+
+def _dominance(k: int, rhs: tuple[int, int], cap_num: int, cap_den: int) -> dict:
+    """One side of ``luo_dominance``: the right side ``rhs`` as (numerator,
+    denominator) against the cap ``cap_num / cap_den``, cross-multiplied."""
+    num, den = rhs
+    lhs, cap = num * cap_den, cap_num * den
+    return {"skipped": False, "k": k, "rhs": Fraction(num, den),
+            "cap": Fraction(cap_num, cap_den), "ok": lhs <= cap, "tight": lhs == cap}

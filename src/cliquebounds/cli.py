@@ -35,7 +35,7 @@ from .graphs import (
 )
 from .oracle import exhaustive_verify
 from .transforms import peel, verify_peel_decomposition
-from .weights import DEFAULT_DP_LIMIT, compute_weights, compute_weights_block_graph
+from .weights import DEFAULT_DP_LIMIT, compute_weights
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -104,10 +104,10 @@ def cmd_gen(args) -> int:
         theorem = 2
     print(write_graph6(g))
     if args.self_check:
-        # generated families are extremal block forests: the structural
-        # weights apply at any size the graph type allows, and every bound
+        # generated families are extremal block forests, whose clique blocks
+        # run no subset DP at any size the graph type allows, and every bound
         # must be tight
-        w = compute_weights_block_graph(g)
+        w = compute_weights(g)
         counts = clique_counts(g, 4)
         for s in (2, 3, 4):
             rep = check_theorem(g, s, theorem, w, counts[s])

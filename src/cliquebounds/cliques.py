@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .graphs import Graph, ResourceLimitError, iter_bits
+from .graphs import MAX_VERTICES, Graph, ResourceLimitError, iter_bits
 
 # Clique extensions one count may try before it gives up: each is one
 # candidate vertex added to one clique of the expansion. The largest count
@@ -77,10 +77,18 @@ def _rows(g: Graph) -> dict[int, int]:
 def clique_counts(g: Graph, s_max: int, mask: int | None = None) -> list[int]:
     """The clique profile [N(G, K_0), ..., N(G, K_s_max)] of g, or of the
     subgraph induced on the vertex mask ``mask``, from one expansion of
-    every clique with fewer than s_max vertices."""
+    every clique with fewer than s_max vertices. A mask with a bit outside
+    g is a ValueError."""
     if s_max < 0:
         raise ValueError(f"clique order must be >= 0, got {s_max}")
-    return _clique_counts(_rows(g), g.full_mask if mask is None else mask, s_max)
+    # no graph the package can hold has a clique of more than MAX_VERTICES vertices
+    if s_max > MAX_VERTICES:
+        raise ResourceLimitError(f"clique profile capped at s <= {MAX_VERTICES}, got {s_max}")
+    if mask is None:
+        mask = g.full_mask
+    elif mask & ~g.full_mask:
+        raise ValueError(f"vertex mask {mask:#x} has bits outside the {g.n} vertices of the graph")
+    return _clique_counts(_rows(g), mask, s_max)
 
 
 def count_cliques(g: Graph, s: int) -> int:

@@ -227,6 +227,10 @@ def peel(g: Graph, u: int | None = None, dp_limit: int = DEFAULT_DP_LIMIT) -> Pe
     be a heaviest vertex; x is chosen (max stage weight, lowest id on ties)
     when ``u`` is omitted and again each time it has been removed. Stage 0
     is all of g, so its graph is g itself, not an induced copy.
+
+    ``dp_limit`` reaches only each stage's ``compute_weights``; a non-clique
+    block of a stage lies in one of g, so it refuses peel just when it
+    refuses the weights of g.
     """
     if u is not None and not 0 <= u < g.n:
         raise ValueError(f"start vertex {u} not in graph")
@@ -245,7 +249,7 @@ def peel(g: Graph, u: int | None = None, dp_limit: int = DEFAULT_DP_LIMIT) -> Pe
             raise ValueError(
                 f"start vertex {x} has weight {w.c[x]}, not the maximum {w.circumference}"
             )
-        path_local = longest_path_from(dense, live.index(x), dp_limit)
+        path_local = longest_path_from(dense, live.index(x))
         tc = transform_closure(dense, path_local)
         terminals = frozenset(live[i] for i in tc.terminal_set)
         stages.append(
@@ -270,14 +274,14 @@ def verify_peel_decomposition(g: Graph, trace: PeelTrace, orders: tuple[int, ...
     for every order s in ``orders``, in one pass. The input graph's weights
     are read from stage 0, which must be g. Each stage's cliques are counted
     in g on the stage's vertex mask, with one pair of expansions at the top
-    order; a stage vertex that is not a vertex of g is a failure, not part
-    of the mask. The result maps each order to the report that order alone
-    gives."""
+    order, or at n when that is less, since g has no larger clique; a stage
+    vertex that is not a vertex of g is a failure, not part of the mask. The
+    result maps each order to the report that order alone gives."""
     if not orders:
         raise ValueError("need at least one clique order")
     if min(orders) < 0:
         raise ValueError(f"clique order must be >= 0, got {min(orders)}")
-    top = max(orders)
+    top = min(max(orders), g.n)
     failures: list[dict] = []
     stage0 = trace.stages[0] if trace.stages else None
     is_input = (
@@ -317,7 +321,7 @@ def verify_peel_decomposition(g: Graph, trace: PeelTrace, orders: tuple[int, ...
     counts = clique_counts(g, top)
     reports = {}
     for order in orders:
-        lhs, total = counts[order], totals[order]
+        lhs, total = (counts[order], totals[order]) if order <= top else (0, 0)
         split = [] if lhs == total else [{"check": "clique_split", "lhs": lhs, "stage_sum": total}]
         reports[order] = {"s": order, "clique_count": lhs, "stage_sum": total,
                           "failures": failures + split, "ok": not failures and not split}

@@ -27,8 +27,9 @@ a start vertex, which the rotation closure of ``transforms`` starts from:
 one branch-and-bound depth-first search that keeps the best path so far,
 memoizes the (vertex set, end) states that cannot beat it, and, while the
 path is shorter than the best, skips an end that cannot reach enough
-unused vertices to beat it. It stops with ResourceLimitError after a fixed
-number of candidate tries.
+unused vertices to beat it. Its one limit, at any n, is a budget of
+candidate tries that bounds its time and its memo's memory alike; only the
+subset DP of ``compute_weights`` reads ``dp_limit``.
 
 The kernels walk vertex sets as bitmasks one low bit at a time
 (``b = m & -m; m ^= b``) and index neighbour rows by that bit, so their
@@ -48,7 +49,8 @@ DEFAULT_DP_LIMIT = 18
 # Candidate extensions one longest-path search may try before it gives up.
 # The largest search in the tests tries about 5,000; a chain of 12 K5
 # blocks with a pendant vertex on each (n = 61) tries about 1.05 million,
-# in about 12 s on a 2-CPU machine.
+# in about 12 s on a 2-CPU machine. G(30, 0.2, seed 2) from vertex 0 spends
+# all of it in about 5 s, adding about 30 MiB to the peak RSS.
 PATH_SEARCH_BUDGET = 2_000_000
 
 
@@ -89,14 +91,6 @@ class VertexWeights:
 # int object (8 + 32 bytes). Measured with tracemalloc on the complete graph
 # at |B| = 14: 39.5 bytes per slot.
 _DP_BYTES_PER_SLOT = 40
-
-
-def _guard(search: str, what: str, size: int, dp_limit: int):
-    if size > dp_limit:
-        raise ResourceLimitError(
-            f"{search} guarded at {what} <= {dp_limit} (got {size}); "
-            "raise dp_limit explicitly"
-        )
 
 
 def _memory_guard(size: int):
@@ -158,14 +152,13 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
     non-clique block, and on the memory its tables need; both run here,
     before either pass, and reading p never raises.
     """
-    return _compose(g, block_decomposition(g), dp_limit)
-
-
-def _compose(g: Graph, decomp: BlockDecomposition, dp_limit: int) -> VertexWeights:
-    """The weights of g from its block decomposition ``decomp``: the c pass
-    now, the p pass (``_path_weights``) when p is first read."""
+    decomp = block_decomposition(g)
     largest = max((len(b) for b, cl in zip(decomp.blocks, decomp.clique) if not cl), default=0)
-    _guard("subset DP", "non-clique block order", largest, dp_limit)
+    if largest > dp_limit:
+        raise ResourceLimitError(
+            f"subset DP guarded at non-clique block order <= {dp_limit} (got {largest}); "
+            "raise dp_limit explicitly"
+        )
     _memory_guard(largest)
     c = [2] * g.n
     blocks: list[_Block | None] = []  # None for a clique block
@@ -465,7 +458,7 @@ def _longest_containing(by_length: list[int], n: int, floor: int) -> list[int]:
     return out
 
 
-def longest_path_from(g: Graph, v0: int, dp_limit: int = DEFAULT_DP_LIMIT) -> tuple[int, ...]:
+def longest_path_from(g: Graph, v0: int) -> tuple[int, ...]:
     """A maximum-length simple path starting at v0, lexicographically least.
 
     One branch-and-bound DFS extends the path in increasing vertex order and
@@ -479,10 +472,9 @@ def longest_path_from(g: Graph, v0: int, dp_limit: int = DEFAULT_DP_LIMIT) -> tu
     cannot fail. The search stops once the best path spans the component
     of v0. A search that tries more than ``PATH_SEARCH_BUDGET`` candidates,
     each counted whether or not its reach test runs, raises
-    ResourceLimitError.
+    ResourceLimitError. That budget is its one limit at any n; each try adds
+    at most one memo entry, so it bounds the memory as well as the time.
     """
-    # Guarded on n: the search is exponential in the worst case.
-    _guard("longest-path search", "n", g.n, dp_limit)
     if not 0 <= v0 < g.n:
         raise ValueError(f"start vertex {v0} not in graph")
     full = g.full_mask
@@ -535,8 +527,9 @@ def longest_path_from(g: Graph, v0: int, dp_limit: int = DEFAULT_DP_LIMIT) -> tu
 def compute_weights_block_graph(g: Graph) -> VertexWeights:
     """``compute_weights`` for graphs whose every block is a clique (unions
     of block graphs), where no block runs the subset DP, so any n up to the
-    graph type's limit is cheap. Raises ValueError on any other graph."""
-    decomp = block_decomposition(g)
-    if not all(decomp.clique):
-        raise ValueError("input is not a block graph: some block is not a clique")
-    return _compose(g, decomp, DEFAULT_DP_LIMIT)
+    graph type's limit is cheap. Raises ValueError on any other graph, before
+    any DP, since a limit of 0 refuses exactly the graphs with a non-clique block."""
+    try:
+        return compute_weights(g, 0)
+    except ResourceLimitError:
+        raise ValueError("input is not a block graph: some block is not a clique") from None

@@ -330,3 +330,56 @@ class TestLuoDominance:
     def test_rejects_s1(self):
         with pytest.raises(ValueError):
             luo_dominance(bowtie(), 1, compute_weights(bowtie()))
+
+    @staticmethod
+    def fraction_dominance(g, s, w):
+        """``luo_dominance`` with each side from its own right-side function
+        and each verdict a ``Fraction`` comparison."""
+
+        def side(k, rhs, cap):
+            return {"skipped": False, "k": k, "rhs": rhs, "cap": cap,
+                    "ok": rhs <= cap, "tight": rhs == cap}
+
+        k_cyc, k_path = w.circumference, 1 + max(w.p, default=0)
+        report = {"s": s, "cycle": {"skipped": True, "k": k_cyc}, "path": {"skipped": True, "k": k_path}}
+        if k_cyc > 1:
+            cap = Fraction((g.n - 1) * binom(k_cyc, s), k_cyc - 1)
+            report["cycle"] = side(k_cyc, thm1_rhs(g, s, w), cap)
+        if g.n:
+            report["path"] = side(k_path, thm2_rhs(g, s, w), Fraction(g.n * binom(k_path, s), k_path))
+        report["ok"] = report["cycle"].get("ok", True) and report["path"].get("ok", True)
+        return report
+
+    def test_matches_fraction_verdicts_on_every_class_up_to_7(self, reps_by_n, reps7):
+        tight = 0
+        for g in [g for n in range(7) for g in reps_by_n[n]] + reps7:
+            w = compute_weights(g)
+            for s in (2, 3, 4):
+                rep = luo_dominance(g, s, w)
+                assert rep == self.fraction_dominance(g, s, w), (write_graph6(g), s)
+                tight += rep["path"].get("tight", False) + rep["cycle"].get("tight", False)
+        assert tight > 100
+
+    def test_one_right_sides_and_integer_verdicts_per_call(self, monkeypatch, reps_by_n):
+        built = []
+
+        class Counted(bounds.RightSides):
+            def __init__(self, g, w):
+                built.append(g)
+                super().__init__(g, w)
+
+        class Opaque(Fraction):
+            def refuse(self, other):
+                raise AssertionError("a verdict compared Fractions")
+
+            __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = refuse
+
+        monkeypatch.setattr(bounds, "RightSides", Counted)
+        monkeypatch.setattr(bounds, "Fraction", Opaque)
+        calls = 0
+        for g in [g for n in range(1, 6) for g in reps_by_n[n]]:
+            w = compute_weights(g)
+            for s in (2, 3, 4):
+                luo_dominance(g, s, w)
+                calls += 1
+        assert len(built) == calls

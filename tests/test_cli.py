@@ -362,25 +362,48 @@ class TestPeelCommand:
         assert "start vertex 5 not in graph" in err
 
     def test_dp_limit_reaches_every_stage(self, capsys, monkeypatch):
+        # C19 is one non-clique block of 19 vertices, past the default limit
         code, out, err = run_cli(
             capsys,
             ["peel", "--dp-limit", "19"],
-            stdin=write_graph6(path_graph(19)),
+            stdin=write_graph6(cycle_graph(19)),
             monkeypatch=monkeypatch,
         )
         assert code == 0, err
         assert json.loads(out.strip().splitlines()[-1])["ok"] is True
 
     def test_path_19_names_the_longest_path_guard(self, capsys, monkeypatch):
-        # the weights of P19 run no subset DP; its longest-path search is guarded on n
+        # --dp-limit bounds only the subset DP: P19, all bridges, runs none,
+        # and C19 is refused by the weights' guard, not the path search
         code, out, err = run_cli(
             capsys, ["peel"], stdin=write_graph6(path_graph(19)), monkeypatch=monkeypatch
         )
+        assert code == 0 and err == ""
+        assert json.loads(out)["ok"] is True
+        code, out, err = run_cli(
+            capsys, ["peel"], stdin=write_graph6(cycle_graph(19)), monkeypatch=monkeypatch
+        )
         assert code == 2 and out == ""
         assert err == (
-            "resource guard: longest-path search guarded at n <= 18 (got 19); "
+            "resource guard: subset DP guarded at non-clique block order <= 18 (got 19); "
             "raise dp_limit explicitly\n"
         )
+
+    @pytest.mark.parametrize("limit", ["3", "4"])
+    def test_refused_exactly_when_weights_is(self, capsys, monkeypatch, reps_by_n, reps7, limit):
+        # a non-clique block of a stage lies inside one of the input graph,
+        # so stage 0's weights are the only ones the limit can refuse
+        refused = 0
+        for g in [g for n in range(1, 7) for g in reps_by_n[n]] + reps7:
+            g6 = write_graph6(g)
+            code, _, err = run_cli(capsys, ["weights", "--dp-limit", limit], g6, monkeypatch)
+            peel_code, out, peel_err = run_cli(capsys, ["peel", "--dp-limit", limit], g6, monkeypatch)
+            assert (peel_code, peel_err) == (code, err), g6
+            if code:
+                refused += 1
+            else:
+                assert json.loads(out)["ok"] is True, g6
+        assert refused > 100
 
     def test_path_search_budget_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(weights, "PATH_SEARCH_BUDGET", 10)

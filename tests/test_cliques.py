@@ -18,6 +18,7 @@ from cliquebounds import (
     count_cliques_touching,
     cycle_graph,
     enumerate_cliques,
+    path_graph,
     random_graph,
 )
 from cliquebounds import cliques
@@ -68,6 +69,26 @@ class TestCountCliques:
         assert peak < 1 << 20
         assert count_cliques(complete_graph(3), 4) == 0
         assert count_cliques(complete_graph(3), 3) == 1
+
+    def test_order_past_any_graph_is_refused_before_allocating(self):
+        # no graph has a clique of more than 64 vertices, and a profile of
+        # 10^6 slots would take 8 MiB (of 10^9, gigabytes)
+        assert clique_counts(complete_graph(3), 64)[3:] == [1] + [0] * 61
+        tracemalloc.start()
+        try:
+            for s_max in (65, 10**6):
+                with pytest.raises(ResourceLimitError, match=f"capped at s <= 64, got {s_max}"):
+                    clique_counts(path_graph(4), s_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("mask, shown", [(1 << 10, "0x400"), (-1, "-0x1"), (1 << 4, "0x10")])
+    def test_mask_outside_the_graph_is_a_value_error(self, mask, shown):
+        with pytest.raises(ValueError, match=f"^vertex mask {shown} has bits outside the 4 vertices"):
+            clique_counts(path_graph(4), 2, mask)
+        assert clique_counts(path_graph(4), 2, 0b1011) == [1, 3, 1]
 
     def test_profile_has_every_order_up_to_the_top(self):
         assert clique_counts(cycle_graph(4), 0) == [1]

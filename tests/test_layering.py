@@ -1,5 +1,6 @@
-"""The package's module layering: every import sits at module level, and
-the graph of ``from .module import`` edges between its modules is acyclic."""
+"""The package's module layering: every import sits at module level, every
+name a module imports is read in it, and the graph of ``from .module
+import`` edges between its modules is acyclic."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,28 @@ def test_module_imports_are_acyclic():
 
     for module in graph:
         visit(module, ())
+
+
+def module_level_imports(tree: ast.Module) -> set[str]:
+    """The names bound by a module's top-level import statements, past
+    ``from __future__``."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update((a.asname or a.name).partition(".")[0] for a in node.names)
+    return out
+
+
+@pytest.mark.parametrize(
+    "path", [m for m in MODULES if m.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_imported_name_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(module_level_imports(tree) - read) == []

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -467,6 +468,27 @@ class TestPeel:
         with pytest.raises(ValueError, match="clique order"):
             verify_peel_decomposition(g, trace, (3, -1))
 
+    def test_orders_past_n_expand_only_to_n(self, count_calls):
+        # g has no clique of more than n vertices, so a higher order reads 0
+        # without a profile of that many slots
+        g = path_graph(4)
+        trace = peel(g)
+        calls = count_calls("clique_counts")
+        tracemalloc.start()
+        try:
+            reports = verify_peel_decomposition(g, trace, (2, 5, 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert calls and all(call[1] == 4 for call in calls)
+        assert reports[2] == verify_peel_decomposition(g, trace, (2,))[2]
+        for s in (5, 10**6):
+            assert reports[s] == {"s": s, "clique_count": 0, "stage_sum": 0, "failures": [], "ok": True}
+        # the other checks' failures still reach every order
+        bad = verify_peel_decomposition(g, dataclasses.replace(trace, stages=()), (10**6,))
+        assert bad[10**6]["failures"] == [{"check": "stage0_is_input"}]
+
     def test_trace_deterministic(self):
         rng = random.Random(92)
         for _ in range(15):
@@ -491,13 +513,16 @@ class TestPeel:
 
     def test_chains_past_the_default_limit(self):
         # chains of clique blocks, where the number of (vertex set, end)
-        # path states from a vertex grows about 4^k over k K4 blocks
-        chains = [(BlockSpec((4,) * 12), 4), (BlockSpec((3,) * 30), 3)]  # n = 37, 61
+        # path states from a vertex grows about 4^k over k K4 blocks, and
+        # P19 and P64; n = 31, 37, 64, 61, 61, 19, 64
+        chains = [(BlockSpec((4,) * k), 4) for k in (10, 12, 21)]
+        chains += [(BlockSpec((5,) * 15), 5), (BlockSpec((3,) * 30), 3)]
+        chains += [(BlockSpec((2,) * k), 2) for k in (18, 63)]
         # 8 K4 blocks in a chain, with a pendant vertex on each block: n = 33
         pendants = BlockSpec((4,) * 8 + (2,) * 8, tuple(range(7)) + tuple(range(8)))
         for spec, order in chains + [(pendants, None)]:
             g = generate_pdbg(spec)
-            trace = peel(g, dp_limit=64)
+            trace = peel(g)
             reports = verify_peel_decomposition(g, trace, (2, 3, 4))
             assert all(rep["ok"] for rep in reports.values()), g.n
             if order is not None:

@@ -422,7 +422,8 @@ class TestPathPassOnDemand:
         def refuse(*args):
             raise AssertionError("a guard ran while p was read")
 
-        monkeypatch.setattr(weights, "_guard", refuse)
+        # the dp_limit guard is in compute_weights' own body
+        monkeypatch.setattr(weights, "compute_weights", refuse)
         monkeypatch.setattr(weights, "_memory_guard", refuse)
         for g, w in zip(self.GRAPHS, pending):
             assert w.p == subset_dp_weights(g).p, g
@@ -499,15 +500,14 @@ class TestLongestPathFrom:
     @pytest.mark.slow("the breadth-first oracle takes ~8 s on these graphs")
     def test_length_on_random_pdbgs(self):
         for g in random_pdbgs():
-            path = longest_path_from(g, 0, dp_limit=64)
+            path = longest_path_from(g, 0)
             assert len(path) - 1 == per_bit_max_len_from(g.adj, 0, g.full_mask), g
 
     def test_resource_guard_names_the_search(self):
-        # the guard is on n, and this search runs no subset DP
-        guarded = r"^longest-path search guarded at n <= 18 \(got 19\)"
-        with pytest.raises(ResourceLimitError, match=guarded):
-            longest_path_from(path_graph(19), 0)
-        assert longest_path_from(path_graph(19), 0, dp_limit=19) == tuple(range(19))
+        # the search has no guard on n: its one limit is the try budget,
+        # which a path from its end vertex stays far below at any n
+        for n in (19, 64):
+            assert longest_path_from(path_graph(n), 0) == tuple(range(n))
 
     def test_bad_start(self):
         with pytest.raises(ValueError):
@@ -517,7 +517,7 @@ class TestLongestPathFrom:
         g = random_graph(30, 0.2, 2)
         monkeypatch.setattr(weights, "PATH_SEARCH_BUDGET", 1000)
         with pytest.raises(ResourceLimitError, match=r"gave up after 1000 candidate tries"):
-            longest_path_from(g, 0, dp_limit=64)
+            longest_path_from(g, 0)
         # a search within the budget is unchanged
         assert longest_path_from(complete_graph(6), 0) == tuple(range(6))
 
@@ -538,11 +538,11 @@ class TestLongestPathFrom:
         # path as long as the best, counts too (11-19 of them per search here)
         g = build()
         monkeypatch.setattr(weights, "PATH_SEARCH_BUDGET", tries)
-        path = longest_path_from(g, v0, dp_limit=64)
+        path = longest_path_from(g, v0)
         assert path == greedy_longest_path_from(g, v0)
         monkeypatch.setattr(weights, "PATH_SEARCH_BUDGET", tries - 1)
         with pytest.raises(ResourceLimitError, match=f"gave up after {tries - 1} candidate tries"):
-            longest_path_from(g, v0, dp_limit=64)
+            longest_path_from(g, v0)
 
 
 class TestBlockGraphShortcut:
