@@ -180,22 +180,12 @@ def contribution_table(g: Graph, s: int, marked) -> ContributionTable:
 
 def contribution_upper_bound(d: int, s_size: int, s: int) -> Fraction:
     """Cap on one vertex's share given degree d, with s_size neighbors outside
-    the marked set: sum over t of (1/(s-t)) C(s_size, t) C(d-s_size, s-t-1).
-
-    The sum telescopes to (1/(d-s_size+1)) (C(d+1, s) - C(s_size, s)); both
-    forms are evaluated and must agree exactly.
+    the marked set: sum over t of (1/(s-t)) C(s_size, t) C(d-s_size, s-t-1),
+    returned in its closed form (1/(d-s_size+1)) (C(d+1, s) - C(s_size, s)).
+    ``oracle.identity_grid`` checks that the two forms agree.
     """
     if s < 1:
         raise ValueError(f"clique order must be >= 1, got {s}")
     if not 0 <= s_size <= d:
         raise ValueError(f"need 0 <= s_size <= d, got s_size={s_size}, d={d}")
-    total = Fraction(0)
-    for t in range(s):
-        total += Fraction(binom(s_size, t) * binom(d - s_size, s - t - 1), s - t)
-    closed = Fraction(binom(d + 1, s) - binom(s_size, s), d - s_size + 1)
-    if total != closed:
-        raise AssertionError(
-            f"contribution bound forms disagree at d={d}, s_size={s_size}, s={s}: "
-            f"{total} vs {closed}"
-        )
-    return total
+    return Fraction(binom(d + 1, s) - binom(s_size, s), d - s_size + 1)

@@ -2,12 +2,19 @@
 a labeled cross-check that guards the enumerator, the reduction to the heavy
 set, the rotation-closure and peeling lemmas, exact identity grids, and the
 longest-path endpoint/ratio claims. Every check is integer or rational with
-zero tolerance."""
+zero tolerance.
+
+Every battery but ``exhaustive_verify`` (the ``sweep`` summary) returns
+``{"checked", "failures", "ok"}`` plus its own counts. A failure is one dict:
+``check`` names it, ``graph6`` is the witness wherever a graph is involved,
+and its other fields (``s``, ``theorem``, ``stage``, ...) locate it. A
+battery over graphs is one ``failures_of(g)`` generator run by ``_battery``.
+"""
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
 from .bounds import BoundReport, RightSides, check_theorem, luo_dominance
@@ -52,6 +59,25 @@ def _reports(g: Graph, s_max: int) -> Iterator[BoundReport]:
         cycle_extremal, path_extremal = cycle_form.extremal, path_form.extremal
         yield cycle_form
         yield path_form
+
+
+def _classes(n_max: int) -> Iterator[Graph]:
+    """Every isomorphism class with 1..n_max vertices, in enumeration order."""
+    for n in range(1, n_max + 1):
+        yield from enumerate_graphs(n)
+
+
+def _battery(graphs: Iterable[Graph], failures_of: Callable[[Graph], Iterable[dict]]) -> dict:
+    """Run ``failures_of`` on each graph. Every failure record it yields
+    gains the graph's graph6 witness, after its ``check`` and before its
+    own location fields."""
+    failures: list[dict] = []
+    checked = 0
+    for g in graphs:
+        checked += 1
+        for rec in failures_of(g):
+            failures.append({"check": rec["check"], "graph6": write_graph6(g)} | rec)
+    return {"checked": checked, "failures": failures, "ok": not failures}
 
 
 def exhaustive_verify(n_max: int, s_max: int) -> dict:
@@ -113,57 +139,48 @@ def labeled_crosscheck(n: int) -> dict:
     Guards the enumerator two ways: the canonical forms of all labeled graphs
     must be exactly the representative set, and each labeled graph's
     verdicts (clique count, right side and predicate per report) must equal
-    its representative's.
+    its representative's. Failures: ``missing_representative``,
+    ``verdict_disagreement``, ``violation`` and ``class_set_mismatch``.
     """
     if n > 6:
         raise ResourceLimitError(f"labeled sweep capped at n <= 6, got {n}")
-    rep_masks = set()
-    rep_verdicts: dict[int, tuple] = {}
-    for g in enumerate_graphs(n):
-        mask = to_pair_mask(g)
-        rep_masks.add(mask)
-        rep_verdicts[mask] = tuple((r.lhs, r.rhs, r.extremal) for r in _reports(g, 5))
-    violations: list[dict] = []
-    mismatches: list[dict] = []
+    rep_verdicts = {
+        to_pair_mask(g): tuple((r.lhs, r.rhs, r.extremal) for r in _reports(g, 5))
+        for g in enumerate_graphs(n)
+    }
     seen_canon = set()
-    total = 1 << (n * (n - 1) // 2)
-    for mask in range(total):
-        g = from_pair_mask(n, mask)
+
+    def failures_of(g: Graph) -> Iterator[dict]:
         canon = canonical_mask(g)
         seen_canon.add(canon)
         if canon not in rep_verdicts:
-            mismatches.append({"kind": "missing_representative", "mask": mask, "canon": canon})
-            continue
+            yield {"check": "missing_representative", "canon": canon}
+            return
         reports = list(_reports(g, 5))
         if tuple((r.lhs, r.rhs, r.extremal) for r in reports) != rep_verdicts[canon]:
-            mismatches.append({"kind": "verdict_disagreement", "graph6": write_graph6(g)})
+            yield {"check": "verdict_disagreement"}
         if not all(r.ok for r in reports):
-            violations.append({"kind": "violation", "graph6": write_graph6(g)})
-    if seen_canon != rep_masks:
-        mismatches.append(
-            {"kind": "class_set_mismatch",
-             "only_labeled": sorted(seen_canon - rep_masks),
-             "only_reps": sorted(rep_masks - seen_canon)}
+            yield {"check": "violation"}
+
+    labeled = (from_pair_mask(n, mask) for mask in range(1 << (n * (n - 1) // 2)))
+    summary = _battery(labeled, failures_of)
+    if seen_canon != rep_verdicts.keys():
+        summary["failures"].append(
+            {"check": "class_set_mismatch",
+             "only_labeled": sorted(seen_canon - rep_verdicts.keys()),
+             "only_reps": sorted(rep_verdicts.keys() - seen_canon)}
         )
-    return {
-        "n": n,
-        "labeled_total": total,
-        "classes": len(rep_masks),
-        "violations": violations,
-        "canonicalizer_mismatches": mismatches,
-        "ok": not violations and not mismatches,
-    }
+        summary["ok"] = False
+    return {"n": n, "classes": len(rep_verdicts), **summary}
 
 
-def _heavy_set_failures(g: Graph) -> list[tuple[str, str, int, int]]:
-    """``heavy_set_reduction`` on one graph: (check, graph6, s, theorem) for
-    each check that fails, at s = 2..5 and both theorems. Each distinct heavy
-    set is weighed once."""
+def _heavy_set_failures(g: Graph) -> Iterator[dict]:
+    """``heavy_set_reduction`` on one graph: each check that fails, at
+    s = 2..5 and both theorems. Each distinct heavy set is weighed once."""
     w = compute_weights(g)
     counts = clique_counts(g, 5)
     sides = RightSides(g, w)
     reduced: dict[int, tuple] = {}
-    failures = []
     for s in range(2, 6):
         for theorem, form in ((1, RightSides.cycle_form), (2, RightSides.path_form)):
             heavy = heavy_mask(w, s, theorem)
@@ -181,8 +198,7 @@ def _heavy_set_failures(g: Graph) -> list[tuple[str, str, int, int]]:
                  == extremal_predicate(sub, s, theorem, w_sub)),
             ):
                 if not holds:
-                    failures.append((check, write_graph6(g), s, theorem))
-    return failures
+                    yield {"check": check, "s": s, "theorem": theorem}
 
 
 def heavy_set_reduction() -> dict:
@@ -192,14 +208,36 @@ def heavy_set_reduction() -> dict:
     same right side, since a light vertex's term is 0 and a heavy weight's
     witness path or cycle stays in the heavy set; and the same predicate
     verdict. Runs in integers over every isomorphism class with 1..7
-    vertices. Failures are (check, graph6, s, theorem) witnesses."""
-    failures: list[tuple[str, str, int, int]] = []
-    checked = 0
-    for n in range(1, 8):
-        for g in enumerate_graphs(n):
-            checked += 1
-            failures.extend(_heavy_set_failures(g))
-    return {"graphs_checked": checked, "failures": failures, "ok": not failures}
+    vertices. Failures name ``clique_count``, ``rhs`` or ``predicate``."""
+    return _battery(_classes(7), _heavy_set_failures)
+
+
+def _lemma_failures(g: Graph) -> Iterator[dict]:
+    """``closure_and_peel_lemmas`` on one graph: the closure lemmas' failures
+    at stage 0, then the peel verifier's, each stage check once and each
+    ``clique_split`` with its s."""
+    trace = peel(g)
+    stage0 = trace.stages[0]
+    for rec in verify_closure_lemmas(g, stage0.closure, stage0.weights)["failures"]:
+        yield rec | {"stage": 0}
+    for s, rep in verify_peel_decomposition(g, trace, (2, 3, 4)).items():
+        # every order's report repeats the stage checks; only the split is its own
+        for rec in rep["failures"]:
+            if rec["check"] == "clique_split":
+                yield rec | {"s": s}
+            elif s == 2:
+                yield rec
+
+
+def _lemma_inputs() -> Iterator[Graph]:
+    yield from _classes(7)
+    rng = random.Random(424242)
+    done = 0
+    while done < 500:
+        g = random_graph(rng.randint(4, 10), rng.uniform(0.2, 0.55), rng.randrange(1 << 30))
+        if is_connected(g):
+            done += 1
+            yield g
 
 
 def closure_and_peel_lemmas() -> dict:
@@ -207,51 +245,26 @@ def closure_and_peel_lemmas() -> dict:
     from its lowest-id heaviest vertex) and the exact peeling split of the
     s-clique count for s = 2, 3, 4. Runs over every isomorphism class with
     1..7 vertices, then 500 connected G(n, p) graphs from seed 424242 with
-    n in [4, 10], p in [0.2, 0.55]. Failures are graph6 witnesses."""
+    n in [4, 10], p in [0.2, 0.55]."""
+    return _battery(_lemma_inputs(), _lemma_failures)
 
-    def inputs():
-        for n in range(1, 8):
-            yield from enumerate_graphs(n)
-        rng = random.Random(424242)
-        done = 0
-        while done < 500:
-            g = random_graph(rng.randint(4, 10), rng.uniform(0.2, 0.55), rng.randrange(1 << 30))
-            if is_connected(g):
-                done += 1
-                yield g
 
-    failures: list[str] = []
-    checked = 0
-    for g in inputs():
-        checked += 1
-        trace = peel(g)
-        stage0 = trace.stages[0]
-        if not (
-            verify_closure_lemmas(g, stage0.closure, stage0.weights)["ok"]
-            and all(rep["ok"] for rep in verify_peel_decomposition(g, trace, (2, 3, 4)).values())
-        ):
-            failures.append(write_graph6(g))
-    return {"graphs_checked": checked, "failures": failures, "ok": not failures}
+def _dominance_failures(g: Graph) -> Iterator[dict]:
+    w = compute_weights(g)
+    for s in (2, 3, 4):
+        rep = luo_dominance(g, s, w)
+        if w.circumference >= 3 and not rep["cycle"]["ok"]:
+            yield {"check": "cycle_dominance", "s": s}
+        if not rep["path"]["ok"]:
+            yield {"check": "path_dominance", "s": s}
 
 
 def classical_bound_dominance() -> dict:
     """Both localized right sides at most the classical global bounds
     (``luo_dominance``) for s = 2, 3, 4 over every isomorphism class with
     1..7 vertices, exactly. The cycle side counts only when the graph has
-    a cycle. Failures are (side, graph6, s) witnesses."""
-    failures: list[tuple[str, str, int]] = []
-    checked = 0
-    for n in range(1, 8):
-        for g in enumerate_graphs(n):
-            checked += 1
-            w = compute_weights(g)
-            for s in (2, 3, 4):
-                rep = luo_dominance(g, s, w)
-                if w.circumference >= 3 and not rep["cycle"]["ok"]:
-                    failures.append(("cycle", write_graph6(g), s))
-                if not rep["path"]["ok"]:
-                    failures.append(("path", write_graph6(g), s))
-    return {"checked": checked, "failures": failures, "ok": not failures}
+    a cycle."""
+    return _battery(_classes(7), _dominance_failures)
 
 
 def identity_grid() -> dict:
@@ -275,11 +288,9 @@ def identity_grid() -> dict:
         for a in range(d + 1):
             for s in range(1, 9):
                 cells += 1
-                try:
-                    contribution_upper_bound(d, a, s)
-                except AssertionError as exc:
-                    failures.append({"check": "convolution", "d": d, "s_size": a,
-                                     "s": s, "detail": str(exc)})
+                terms = (Fraction(binom(a, t) * binom(d - a, s - t - 1), s - t) for t in range(s))
+                if sum(terms) != contribution_upper_bound(d, a, s):
+                    failures.append({"check": "convolution", "d": d, "s_size": a, "s": s})
 
     for x in range(4, 41):
         for y in range(2, 13):
@@ -320,7 +331,7 @@ def identity_grid() -> dict:
             if lhs2 != rhs2:
                 failures.append({"check": "merge_bound_s2", "d": d, "a": a})
 
-    return {"cells": cells, "failures": failures, "ok": not failures}
+    return {"checked": cells, "failures": failures, "ok": not failures}
 
 
 def _all_paths_of_length(g: Graph, k: int) -> list[tuple[int, ...]]:
@@ -355,27 +366,24 @@ def path_proof_claims(n_max: int) -> dict:
     failures: list[dict] = []
     graphs_checked = 0
     paths_checked = 0
-    for n in range(1, n_max + 1):
-        for g in filter(is_connected, enumerate_graphs(n)):
-            w = compute_weights(g)
-            k = max(w.p)
-            if k == 0:
+    for g in filter(is_connected, _classes(n_max)):
+        w = compute_weights(g)
+        k = max(w.p)
+        # skip a graph with a (k+1)-cycle, a real one of at least 3 vertices
+        if k == 0 or w.circumference == k + 1 >= 3:
+            continue
+        graphs_checked += 1
+        for path in _all_paths_of_length(g, k):
+            a, b = path[0], path[-1]
+            if g.has_edge(a, b):
                 continue
-            has_long_cycle = w.circumference >= 3 and w.circumference == k + 1
-            if has_long_cycle:
-                continue
-            graphs_checked += 1
-            for path in _all_paths_of_length(g, k):
-                a, b = path[0], path[-1]
-                if g.has_edge(a, b):
-                    continue
-                paths_checked += 1
-                if min(g.degree(a), g.degree(b)) > k // 2:
-                    failures.append(
-                        {"check": "endpoint_degree", "graph6": write_graph6(g),
-                         "path": path, "k": k,
-                         "degrees": (g.degree(a), g.degree(b))}
-                    )
+            paths_checked += 1
+            if min(g.degree(a), g.degree(b)) > k // 2:
+                failures.append(
+                    {"check": "endpoint_degree", "graph6": write_graph6(g),
+                     "path": path, "k": k,
+                     "degrees": (g.degree(a), g.degree(b))}
+                )
     chain_cells = 0
     for s in range(3, 9):
         for k in range(2 * s, 41):
@@ -387,7 +395,7 @@ def path_proof_claims(n_max: int) -> dict:
             if not s < 2 ** (s - 1) < prod:
                 failures.append({"check": "ratio_chain", "s": s, "k": k, "prod": str(prod)})
     return {
-        "graphs_checked": graphs_checked,
+        "checked": graphs_checked,
         "longest_paths_checked": paths_checked,
         "chain_cells": chain_cells,
         "failures": failures,

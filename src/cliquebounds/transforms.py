@@ -136,7 +136,6 @@ def verify_closure_lemmas(g: Graph, tc: TransformClosure, weights: VertexWeights
     every path in the closure.
     """
     failures: list[dict] = []
-    checked = 0
     terms = tc.terminal_set
     if terms:
         cmin = min(weights.c[v] for v in terms)
@@ -144,7 +143,6 @@ def verify_closure_lemmas(g: Graph, tc: TransformClosure, weights: VertexWeights
         fixed = max(0, nverts - cmin + 1)
         prefix = tc.base[:fixed]
         for p in tc.paths:
-            checked += 1
             if p[:fixed] != prefix:
                 failures.append(
                     {"check": "position_invariance", "path": p, "expected_prefix": prefix}
@@ -154,11 +152,9 @@ def verify_closure_lemmas(g: Graph, tc: TransformClosure, weights: VertexWeights
             k = len(rep) - 1
             pos = {u: i for i, u in enumerate(rep)}
             cv = weights.c[v]
-            checked += 1
             if k < cv - 1:
                 failures.append({"check": "pivot_defined", "terminal": v, "c": cv, "k": k})
             for u in g.neighbors(v):
-                checked += 1
                 if u not in pos:
                     failures.append({"check": "back_window", "terminal": v, "neighbor": u})
                     continue
@@ -172,7 +168,6 @@ def verify_closure_lemmas(g: Graph, tc: TransformClosure, weights: VertexWeights
                         {"check": "back_window", "terminal": v, "neighbor": u, "dist": dist}
                     )
             for u in terms:
-                checked += 1
                 if u not in pos:
                     failures.append({"check": "terminals_in_back", "terminal": v, "other": u})
                     continue
@@ -181,7 +176,6 @@ def verify_closure_lemmas(g: Graph, tc: TransformClosure, weights: VertexWeights
                     failures.append(
                         {"check": "terminals_in_back", "terminal": v, "other": u, "dist": dist}
                     )
-            checked += 2
             if len(tc.s_sets[v]) > cv - len(terms):
                 failures.append(
                     {"check": "outside_bound", "terminal": v,
@@ -192,7 +186,7 @@ def verify_closure_lemmas(g: Graph, tc: TransformClosure, weights: VertexWeights
                     {"check": "degree_bound", "terminal": v,
                      "degree": g.degree(v), "l_size": len(terms)}
                 )
-    return {"checked": checked, "failures": failures, "ok": not failures}
+    return {"failures": failures, "ok": not failures}
 
 
 @dataclass(frozen=True)
@@ -271,16 +265,19 @@ def peel(g: Graph, u: int | None = None, dp_limit: int = DEFAULT_DP_LIMIT) -> Pe
 def verify_peel_decomposition(g: Graph, trace: PeelTrace, orders: tuple[int, ...]) -> dict:
     """Exact split of the s-clique count across stages, plus stage-weight
     monotonicity against the input graph and the trace bookkeeping rules,
-    for every order s in ``orders``, in one pass. The input graph's weights
-    are read from stage 0, which must be g. Each stage's cliques are counted
-    in g on the stage's vertex mask, with one pair of expansions at the top
-    order, or at n when that is less, since g has no larger clique; a stage
-    vertex that is not a vertex of g is a failure, not part of the mask. The
-    result maps each order to the report that order alone gives."""
+    for every order s >= 2 in ``orders``, in one pass. A smaller order is a
+    ValueError, since no split holds there: the start vertex, a 1-clique,
+    is never a terminal, and the empty clique meets no terminal set. The
+    input graph's weights are read from stage 0, which must be g. Each
+    stage's cliques are counted in g on the stage's vertex mask, with one
+    pair of expansions at the top order, or at n when that is less, since g
+    has no larger clique; a stage vertex that is not a vertex of g is a
+    failure, not part of the mask. The result maps each order to the report
+    that order alone gives."""
     if not orders:
         raise ValueError("need at least one clique order")
-    if min(orders) < 0:
-        raise ValueError(f"clique order must be >= 0, got {min(orders)}")
+    if min(orders) < 2:
+        raise ValueError(f"clique order must be >= 2, got {min(orders)}")
     top = min(max(orders), g.n)
     failures: list[dict] = []
     stage0 = trace.stages[0] if trace.stages else None

@@ -346,9 +346,9 @@ def _has_hamiltonian_cycle(adj, n: int) -> bool:
             continue
         free = full ^ grown
         if not free:
-            if w & home:
-                return True
-            continue
+            # w was the one free vertex, and the prune below keeps a state
+            # only while a free vertex is next to vertex 0
+            return True
         if (
             not home & free
             or 2 * (free & indep).bit_count() > slack - len(path) - (1 if w & indep else 0)

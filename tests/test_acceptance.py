@@ -70,15 +70,15 @@ def test_criterion_2_labeled_crosscheck():
     summary = labeled_crosscheck(5)
     ok = (
         summary["ok"]
-        and summary["labeled_total"] == 1024
+        and summary["checked"] == 1024
         and summary["classes"] == 34
     )
     report(
         "2 labeled n=5 crosscheck",
         ok,
         t0,
-        f"labeled={summary['labeled_total']} classes={summary['classes']} "
-        f"mismatches={len(summary['canonicalizer_mismatches'])}",
+        f"labeled={summary['checked']} classes={summary['classes']} "
+        f"failures={summary['failures'][:3]}",
     )
 
 
@@ -164,9 +164,9 @@ def test_criterion_5_transform_and_peeling_lemmas():
     summary = closure_and_peel_lemmas()
     report(
         "5 transform/peeling lemmas",
-        summary["ok"] and summary["graphs_checked"] == 1252 + 500,
+        summary["ok"] and summary["checked"] == 1252 + 500,
         t0,
-        f"exhaustive n<=7 plus 500 random; checked={summary['graphs_checked']} "
+        f"exhaustive n<=7 plus 500 random; checked={summary['checked']} "
         f"failures={summary['failures'][:3]}",
     )
 
@@ -178,7 +178,7 @@ def test_criterion_6_identity_grids():
         "6 identity grids",
         summary["ok"],
         t0,
-        f"cells={summary['cells']} failures={summary['failures'][:3]}",
+        f"cells={summary['checked']} failures={summary['failures'][:3]}",
     )
 
 
@@ -200,6 +200,6 @@ def test_criterion_8_path_proof_claims():
         "8 longest-path endpoint and ratio-chain claims",
         summary["ok"],
         t0,
-        f"graphs={summary['graphs_checked']} paths={summary['longest_paths_checked']} "
+        f"graphs={summary['checked']} paths={summary['longest_paths_checked']} "
         f"chain_cells={summary['chain_cells']} failures={summary['failures'][:3]}",
     )

@@ -11,6 +11,7 @@ from cliquebounds import (
     BoundReport,
     binom,
     check_theorem,
+    classical_bound_dominance,
     complete_graph,
     compute_weights,
     count_cliques,
@@ -60,6 +61,10 @@ class TestThm1Rhs:
     def test_empty_graph_is_zero(self):
         g = from_edges(0, [])
         assert thm1_rhs(g, 1, compute_weights(g)) == 0
+
+    def test_order_zero_is_refused(self):
+        with pytest.raises(ValueError, match=r"^clique order must be >= 1, got 0$"):
+            thm1_rhs(bowtie(), 0, compute_weights(bowtie()))
 
     def test_single_vertex_s1_out_of_scope(self):
         g = from_edges(1, [])
@@ -274,26 +279,33 @@ class TestReductionInvariance:
     def test_k4_with_pendant(self):
         g = from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
         assert heavy_mask(compute_weights(g), 3, 1) == 0b01111
-        assert oracle._heavy_set_failures(g) == []
+        assert list(oracle._heavy_set_failures(g)) == []
 
     def test_forest_with_isolate(self):
         g = disjoint_union(complete_graph(3), from_edges(1, []))
         assert heavy_mask(compute_weights(g), 2, 2) == 0b0111
-        assert oracle._heavy_set_failures(g) == []
+        assert list(oracle._heavy_set_failures(g)) == []
 
     def test_exhaustive_small(self):
         summary = heavy_set_reduction()
-        assert summary == {"graphs_checked": 1252, "failures": [], "ok": True}
+        assert summary == {"checked": 1252, "failures": [], "ok": True}
 
     def test_a_wrong_heavy_set_is_named(self, monkeypatch):
         # dropping vertex 0 from every heavy set loses the bowtie's edges
         # at vertex 0, at s = 2 under both theorems
         monkeypatch.setattr(oracle, "heavy_mask", lambda w, s, theorem: heavy_mask(w, s, theorem) & ~1)
-        failures = oracle._heavy_set_failures(bowtie())
-        g6 = write_graph6(bowtie())
-        assert ("clique_count", g6, 2, 1) in failures
-        assert ("rhs", g6, 2, 2) in failures
+        failures = list(oracle._heavy_set_failures(bowtie()))
+        assert {"check": "clique_count", "s": 2, "theorem": 1} in failures
+        assert {"check": "rhs", "s": 2, "theorem": 2} in failures
 
+    def test_every_battery_failure_names_its_check_and_witness(self, monkeypatch):
+        monkeypatch.setattr(oracle, "heavy_mask", lambda w, s, theorem: heavy_mask(w, s, theorem) & ~1)
+        summary = heavy_set_reduction()
+        assert not summary["ok"] and summary["checked"] == 1252
+        assert all(list(f)[:2] == ["check", "graph6"] for f in summary["failures"])
+        # K2 loses its one edge with vertex 0
+        k2 = {"check": "clique_count", "graph6": "A_", "s": 2, "theorem": 1}
+        assert k2 in summary["failures"]
 
 class TestLuoDominance:
     def test_bowtie_tight(self):
@@ -330,6 +342,21 @@ class TestLuoDominance:
     def test_rejects_s1(self):
         with pytest.raises(ValueError):
             luo_dominance(bowtie(), 1, compute_weights(bowtie()))
+
+    def test_every_battery_failure_names_its_side_and_witness(self, monkeypatch):
+        # the cycle side fails at s = 3 alone; it counts only on graphs with a cycle
+        monkeypatch.setattr(
+            oracle, "luo_dominance",
+            lambda g, s, w: {"cycle": {"ok": s != 3}, "path": {"ok": True}},
+        )
+        summary = classical_bound_dominance()
+        assert not summary["ok"] and summary["checked"] == 1252
+        assert all(list(f)[:2] == ["check", "graph6"] for f in summary["failures"])
+        assert {f["check"] for f in summary["failures"]} == {"cycle_dominance"}
+        assert {f["s"] for f in summary["failures"]} == {3}
+        witnesses = [f["graph6"] for f in summary["failures"]]
+        assert "Bw" in witnesses and "Bg" not in witnesses  # K3 and P3
+        assert len(witnesses) == len(set(witnesses))
 
     @staticmethod
     def fraction_dominance(g, s, w):

@@ -347,6 +347,18 @@ class TestPeelCommand:
         assert sorted(lines[0]["terminals"]) == [1, 2, 3]
         assert lines[-1]["ok"] and lines[-1]["stages"] == 1
 
+    def test_a_failed_split_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "verify_peel_decomposition",
+            lambda g, trace, orders: {s: {"ok": s != 3} for s in orders},
+        )
+        code, out, _ = run_cli(capsys, ["peel"], stdin="Bw\nBg\n", monkeypatch=monkeypatch)
+        assert code == 1
+        for line in out.splitlines():
+            summary = json.loads(line)
+            assert summary["identity"] == {"2": True, "3": False, "4": True}
+            assert not summary["ok"]
+
     def test_empty_graph(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, ["peel"], stdin="?", monkeypatch=monkeypatch)
         assert code == 0

@@ -117,6 +117,11 @@ class TestCountCliques:
         with pytest.raises(ResourceLimitError):
             contribution_table(complete_graph(8), 5, {0})
 
+    def test_negative_order_is_refused_when_listing_starts(self):
+        listing = enumerate_cliques(complete_graph(3), -1)
+        with pytest.raises(ValueError, match=r"^clique order must be >= 0, got -1$"):
+            next(listing)
+
     def test_listing_k40_is_refused(self):
         # 76,904,685 8-cliques: refused before 2 * 10^6 of them are listed
         listed = 0
@@ -160,6 +165,10 @@ class TestCountCliquesTouching:
         for touch in ([], [0]):
             with pytest.raises(ValueError, match="clique order must be >= 0, got -1"):
                 count_cliques_touching(cycle_graph(5), -1, touch)
+
+    def test_touch_vertex_outside_the_graph(self):
+        with pytest.raises(ValueError, match="^touch set contains vertices outside the graph$"):
+            count_cliques_touching(cycle_graph(5), 2, [7])
 
     def test_k5_edges_touching_pair(self):
         assert count_cliques_touching(complete_graph(5), 2, {0, 1}) == 7
@@ -216,6 +225,12 @@ class TestContributionTable:
         tab = contribution_table(complete_graph(3), 2, {0, 1})
         assert tab.shares == {0: Fraction(3, 2), 1: Fraction(3, 2)}
         assert tab.total() == 3
+
+    def test_refusals_are_named(self):
+        with pytest.raises(ValueError, match=r"^clique order must be >= 1, got 0$"):
+            contribution_table(complete_graph(3), 0, {0})
+        with pytest.raises(ValueError, match="^marked set contains vertices outside the graph$"):
+            contribution_table(complete_graph(3), 2, {0, 3})
 
     def test_empty_marked(self):
         tab = contribution_table(complete_graph(3), 2, set())

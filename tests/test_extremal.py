@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from cliquebounds import (
     BlockDecomposition,
     BlockSpec,
@@ -201,6 +203,14 @@ class TestRecognizers:
 
 
 class TestExtremalPredicate:
+    def test_refusals_are_named(self):
+        g = bowtie()
+        w = compute_weights(g)
+        with pytest.raises(ValueError, match=r"^clique order must be >= 1, got 0$"):
+            extremal_predicate(g, 0, 1, w)
+        with pytest.raises(ValueError, match=r"^theorem must be 1 or 2, got 3$"):
+            extremal_predicate(g, 2, 3, w)
+
     def test_bowtie_cycle_form(self):
         g = bowtie()
         assert extremal_predicate(g, 2, 1, compute_weights(g))

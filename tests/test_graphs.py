@@ -67,6 +67,10 @@ class TestGraphType:
         with pytest.raises(ValueError, match="self-loop"):
             Graph(1, (0b1,))
 
+    def test_rejects_a_missing_row(self):
+        with pytest.raises(ValueError, match="^adjacency length does not match vertex count$"):
+            Graph(3, (0, 0))
+
     def test_rejects_out_of_range_bits(self):
         with pytest.raises(ValueError):
             Graph(2, (0b100, 0b000))
@@ -324,6 +328,15 @@ class TestEdgeList:
         g = parse_edge_list("n 3\n0 1\n1 2\n")
         assert g == path_graph(3)
 
+    def test_blank_input_is_refused(self):
+        for text in ("", "\n \t\n\n"):
+            with pytest.raises(GraphParseError, match="^empty edge-list input$"):
+                parse_edge_list(text)
+
+    def test_vertex_count_past_64_is_refused(self):
+        with pytest.raises(GraphParseError, match=r"^vertex count 65 outside \[0, 64\]$"):
+            parse_edge_list("n 65\n")
+
     def test_bad_header(self):
         with pytest.raises(GraphParseError):
             parse_edge_list("3\n0 1\n")
@@ -402,6 +415,10 @@ class TestConstructors:
         for n in (-1, 65, 10**7):
             with pytest.raises(ValueError, match=rf"^vertex count {n} outside \[0, 64\]$"):
                 from_edges(n, Unreadable())
+
+    def test_from_edges_refuses_a_self_loop(self):
+        with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
+            from_edges(3, [(1, 1)])
 
     def test_constructors_pass_their_edges_lazily(self, monkeypatch):
         monkeypatch.setattr("cliquebounds.graphs.from_edges", lambda n, edges: edges)
@@ -623,6 +640,21 @@ class TestBlockSpecGenerator:
         with pytest.raises(ValueError):
             generate_pdbg(BlockSpec((1, 1)))
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (BlockSpec(()), "block spec needs at least one block"),
+            (BlockSpec((3, 2), parents=(0, 0)), "need 1 parent entries, got 2"),
+            (BlockSpec((3, 2, 2), parents=(0, 2)), "parent of block 2 must be an earlier block, got 2"),
+            (BlockSpec((3, 2), attachments=(0, 1)), "need 1 attachment entries, got 2"),
+            (BlockSpec((3, 2), attachments=(3,)), "attachment index 3 out of range for block 0"),
+            (BlockSpec((33, 33)), "spec realizes 65 vertices, limit is 64"),
+        ],
+    )
+    def test_refusals_are_named(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_pdbg(spec)
+
     def test_explicit_tree_and_attachments(self):
         spec = BlockSpec((4, 3, 3), parents=(0, 0), attachments=(0, 1))
         g = generate_pdbg(spec)
@@ -657,6 +689,10 @@ class TestCliqueForest:
     def test_min_order_guard(self):
         with pytest.raises(ValueError):
             random_clique_forest(2, 0, 3, 1)
+
+    def test_max_order_below_min_order(self):
+        with pytest.raises(ValueError, match="^max_order 2 below min_order 3$"):
+            random_clique_forest(2, 3, 2, 0)
 
     def test_negative_count_guard(self):
         with pytest.raises(ValueError, match="clique count must be >= 0, got -1"):

@@ -3,6 +3,7 @@ import pytest
 from cliquebounds import (
     ResourceLimitError,
     bounds,
+    closure_and_peel_lemmas,
     compute_weights,
     exhaustive_verify,
     extremal_predicate,
@@ -10,6 +11,7 @@ from cliquebounds import (
     labeled_crosscheck,
     oracle,
     path_proof_claims,
+    to_pair_mask,
 )
 from cliquebounds.graphs import MAX_VERTICES
 
@@ -70,7 +72,7 @@ class TestExhaustiveVerify:
             "equality": True, "extremal": False,
         }
         assert all(v["equality"] and not v["extremal"] for v in summary["violations"])
-        assert labeled_crosscheck(3)["violations"]
+        assert {"check": "violation", "graph6": "Bw"} in labeled_crosscheck(3)["failures"]
 
     def test_cycle_form_predicate_once_per_heavy_set(self, count_calls):
         decompositions = count_calls("block_decomposition")
@@ -105,13 +107,34 @@ class TestExhaustiveVerify:
 class TestLabeledCrosscheck:
     def test_n4(self):
         summary = labeled_crosscheck(4)
-        assert summary["labeled_total"] == 64
+        assert summary["checked"] == 64
         assert summary["classes"] == 11
-        assert summary["ok"]
+        assert summary["ok"] and summary["failures"] == []
 
     def test_n2(self):
         summary = labeled_crosscheck(2)
-        assert summary["labeled_total"] == 2 and summary["ok"]
+        assert summary["checked"] == 2 and summary["ok"]
+
+    def test_every_failure_names_its_check_and_witness(self, monkeypatch):
+        # with the predicate always false, every labeled graph's s = 1 path
+        # form is an equality without its predicate
+        monkeypatch.setattr(bounds, "extremal_predicate", lambda g, s, theorem, w: False)
+        summary = labeled_crosscheck(3)
+        assert not summary["ok"] and summary["checked"] == 8
+        assert len(summary["failures"]) == 8
+        assert all(list(f) == ["check", "graph6"] for f in summary["failures"])
+        assert {f["check"] for f in summary["failures"]} == {"violation"}
+
+    def test_a_canonicalizer_fault_is_named(self, monkeypatch):
+        # a canonical form that is the labeled graph itself misses the
+        # representatives of the labeled graphs that are not their own
+        monkeypatch.setattr(oracle, "canonical_mask", to_pair_mask)
+        summary = labeled_crosscheck(3)
+        assert not summary["ok"]
+        *missing, mismatch = summary["failures"]
+        assert missing and all(list(f)[:2] == ["check", "graph6"] for f in missing)
+        assert {f["check"] for f in missing} == {"missing_representative"}
+        assert mismatch["check"] == "class_set_mismatch" and "graph6" not in mismatch
 
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
@@ -120,7 +143,7 @@ class TestLabeledCrosscheck:
     @pytest.mark.slow("32,768 labeled graphs take ~37 s")
     def test_n6(self):
         summary = labeled_crosscheck(6)
-        assert summary["labeled_total"] == 32768
+        assert summary["checked"] == 32768
         assert summary["classes"] == 156
         assert summary["ok"]
 
@@ -133,7 +156,15 @@ class TestIdentityGrid:
     def test_default_grid_clean(self):
         summary = identity_grid()
         assert summary["ok"], summary["failures"][:5]
-        assert summary["cells"] > 2000
+        assert summary["checked"] > 2000
+
+    def test_convolution_cells_compare_the_sum_with_the_closed_form(self, monkeypatch):
+        closed = oracle.contribution_upper_bound
+        monkeypatch.setattr(
+            oracle, "contribution_upper_bound",
+            lambda d, a, s: closed(d, a, s) + ((d, a, s) == (5, 2, 3)),
+        )
+        assert identity_grid()["failures"] == [{"check": "convolution", "d": 5, "s_size": 2, "s": 3}]
 
     def test_known_cells(self):
         from fractions import Fraction
@@ -147,11 +178,41 @@ class TestIdentityGrid:
         assert Fraction(binom(3, 2), 2) == Fraction(binom(4, 2), 4)
 
 
+class TestClosureAndPeelLemmas:
+    def test_every_failure_names_its_check_witness_and_location(self, monkeypatch):
+        monkeypatch.setattr(
+            oracle, "verify_closure_lemmas",
+            lambda g, tc, w: {"failures": [{"check": "good_path", "terminal": 1}], "ok": False},
+        )
+        real = oracle.verify_peel_decomposition
+
+        def peel_check(g, trace, orders):
+            reports = real(g, trace, orders)
+            shared = [{"check": "weight_monotone", "stage": 0}]
+            for s, rep in reports.items():
+                split = [{"check": "clique_split"}] if s == 3 else []
+                rep["failures"] = shared + split
+            return reports
+
+        monkeypatch.setattr(oracle, "verify_peel_decomposition", peel_check)
+        summary = closure_and_peel_lemmas()
+        assert not summary["ok"] and summary["checked"] == 1252 + 500
+        # per graph: the closure lemma at stage 0, the shared stage check
+        # once, not once per order, and the split at its order
+        assert len(summary["failures"]) == 3 * summary["checked"]
+        assert summary["failures"][:3] == [
+            {"check": "good_path", "graph6": "@", "terminal": 1, "stage": 0},
+            {"check": "weight_monotone", "graph6": "@", "stage": 0},
+            {"check": "clique_split", "graph6": "@", "s": 3},
+        ]
+        assert all(list(f)[:2] == ["check", "graph6"] for f in summary["failures"])
+
+
 class TestPathProofClaims:
     def test_n6_clean(self):
         summary = path_proof_claims(6)
         assert summary["ok"], summary["failures"][:5]
-        assert summary["graphs_checked"] > 0
+        assert summary["checked"] > 0
         assert summary["longest_paths_checked"] > 0
 
     def test_ratio_chain_hand_value(self):

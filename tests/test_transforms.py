@@ -97,6 +97,13 @@ class TestTransformClosure:
         with pytest.raises(ValueError, match="repeated vertex"):
             transform_closure(g, (0, 1, 0))
 
+    def test_empty_or_outside_base_is_refused(self):
+        g = complete_graph(4)
+        with pytest.raises(ValueError, match="^empty vertex sequence is not a path$"):
+            transform_closure(g, ())
+        with pytest.raises(ValueError, match="^path vertex 9 not in graph$"):
+            transform_closure(g, (0, 9))
+
     def test_rotated_terminal_with_off_path_neighbor_raises(self):
         # 0-1-2-3 with chord 1-3 and pendant 2-4: the base's terminal 3 has
         # every neighbor on the path, but the rotation (0, 1, 3, 2) ends at
@@ -440,6 +447,14 @@ class TestPeel:
         g = bowtie()
         with pytest.raises(ValueError, match="need at least one clique order"):
             verify_peel_decomposition(g, peel(g), ())
+
+    def test_orders_below_two_are_refused(self):
+        # no split holds there: the start vertex is never a terminal, and
+        # the empty clique meets no terminal set
+        g = path_graph(4)
+        for orders, low in (((0, 1), 0), ((2, 1), 1)):
+            with pytest.raises(ValueError, match=f"^clique order must be >= 2, got {low}$"):
+                verify_peel_decomposition(g, peel(g), orders)
 
     def test_orders_in_one_pass_match_each_order_alone(self):
         rng = random.Random(2468)
