@@ -1,12 +1,21 @@
 """The equality classes of the localized bounds: the heavy set of each bound,
 and the recognizers of its equality class, parent-dominated block graphs and
-clique components. They read the block decomposition from ``graphs``; the
-theorem-1 predicate reads the one on ``VertexWeights`` when the heavy set is
-every vertex, and decomposes the heavy vertex mask of g otherwise."""
+clique components. The parent-dominance rule reads blocks as vertex masks:
+the theorem-1 predicate reads the masks that ``compute_weights`` kept when
+the heavy set is every vertex, and runs the DFS of ``graphs`` on the heavy
+vertex mask of g otherwise; ``is_parent_dominated`` reads the public
+``block_decomposition``."""
 
 from __future__ import annotations
 
-from .graphs import BlockDecomposition, Graph, block_decomposition, iter_bits
+from .graphs import (
+    BlockDecomposition,
+    Graph,
+    _block_masks,
+    _is_clique,
+    block_decomposition,
+    iter_bits,
+)
 from .weights import VertexWeights
 
 
@@ -15,21 +24,30 @@ def is_parent_dominated(g: Graph) -> bool:
     rooted at some maximum-order block, has every block's order at most its
     parent block's order. Any rooting at a maximum-order block may witness
     it; the empty graph and single vertices pass vacuously."""
-    return g.n <= 1 or _parent_dominated(block_decomposition(g))
+    return g.n <= 1 or _parent_dominated(*_as_masks(block_decomposition(g)))
 
 
-def _parent_dominated(d: BlockDecomposition) -> bool:
-    """``is_parent_dominated`` read from a decomposition; no blocks pass."""
-    if d.components > 1 or not all(d.clique):
+def _as_masks(d: BlockDecomposition) -> tuple[list[int], int, tuple[bool, ...]]:
+    """A decomposition's blocks and cut vertices as vertex masks, and its
+    clique flags."""
+    masks = [sum(1 << v for v in b) for b in d.blocks]
+    return masks, sum(1 << v for v in d.cut_vertices), d.clique
+
+
+def _parent_dominated(masks: list[int], cuts: int, clique) -> bool:
+    """``is_parent_dominated`` read from block vertex ``masks``, the
+    cut-vertex mask and the blocks' clique flags; no blocks pass."""
+    edges = sum((m & cuts).bit_count() for m in masks)
+    if len(masks) + cuts.bit_count() - edges > 1 or not all(clique):
         return False
-    orders = [len(b) for b in d.blocks]
+    orders = [m.bit_count() for m in masks]
     top = max(orders, default=0)
     for root in [i for i, o in enumerate(orders) if o == top]:
         seen = {root}
         todo = [root]
         while todo:
             bi = todo.pop()
-            children = {child for v in d.blocks[bi] for child in d.blocks_at[v]} - seen
+            children = {child for child, m in enumerate(masks) if m & masks[bi]} - seen
             if any(orders[child] > orders[bi] for child in children):
                 break
             seen |= children
@@ -89,5 +107,10 @@ def extremal_predicate(g: Graph, s: int, theorem: int, w: VertexWeights) -> bool
     if theorem == 2:
         return _components_are_cliques(g, heavy)
     if heavy == g.full_mask:
-        return _parent_dominated(w.decomposition)
-    return heavy & (heavy - 1) == 0 or _parent_dominated(block_decomposition(g, heavy))
+        # weights built by compute_weights keep their block masks
+        blocks = getattr(w, "_blocks", None)
+        return _parent_dominated(*(blocks or _as_masks(w.decomposition)))
+    if heavy & (heavy - 1) == 0:
+        return True
+    masks, cuts, nbr = _block_masks(g, heavy)
+    return _parent_dominated(masks, cuts, (_is_clique(nbr, m) for m in masks))

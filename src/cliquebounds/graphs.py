@@ -235,29 +235,50 @@ def block_decomposition(g: Graph, mask: int | None = None) -> BlockDecomposition
     induced on the vertex bitmask ``mask`` (all of g by default) in g's own
     vertex ids; a vertex outside the mask is in no block.
 
+    The DFS is ``_block_masks``, which gives the blocks as vertex masks;
+    this builder turns them into the frozensets, clique flags, tree
+    incidences and ``blocks_at`` tuples of a ``BlockDecomposition``. The
+    package's own readers (the weights and the theorem-1 recognizer) read
+    the masks and build none of these.
+    """
+    masks, cuts, nbr = _block_masks(g, mask)
+    return _decomposition(g.n, masks, cuts, [_is_clique(nbr, m) for m in masks])
+
+
+def _block_masks(g: Graph, mask: int | None = None) -> tuple[list[int], int, dict[int, int]]:
+    """The blocks of the subgraph induced on ``mask`` (all of g by default)
+    as vertex masks in the order the DFS closes them, the mask of its cut
+    vertices, and its rows, keyed by vertex bit and cut to the mask.
+
     One iterative DFS descends to the least unvisited neighbour. A frame
-    holds its vertex bit, its untried neighbours as a row, its low point,
-    and the vertices of its subtree in no block yet (its part of the vertex
-    stack). A vertex's visited neighbours at discovery are its ancestors,
-    so its low point starts as their least discovery time (the parent's
-    never fails the block test). A finished child whose low point does not
-    reach above its parent closes a block: its pending vertices and the
-    parent. Blocks stay masks until the pass ends.
+    holds its vertex bit, its untried neighbours as a row, the union of
+    the rows of its subtree's vertices, and the vertices of its subtree in
+    no block yet (its part of the vertex stack). A neighbour of a vertex is
+    visited before it only if it is an ancestor, so every neighbour of a
+    subtree is in it or on the DFS path above it. A finished child whose
+    rows meet no vertex of the path above its parent (no back edge reaches
+    above the parent) closes a block, its pending vertices and the parent;
+    otherwise the parent takes over its rows and pending vertices. A vertex
+    with no neighbour is a block of its own.
+
+    Every block closes after the blocks that hang below it in the block-cut
+    tree, so the last block of each component is its root, and any other
+    block's parent cut vertex is its one vertex that lies in a later block.
     """
     mask = g.full_mask if mask is None else mask & g.full_mask
     nbr = {1 << v: row & mask for v, row in enumerate(g.adj) if mask >> v & 1}
-    disc: dict[int, int] = {}
     masks: list[int] = []
     seen = 0
     rest = mask
     while rest:
         root = rest & -rest
         seen |= root
-        low = disc[root] = len(disc)
-        if not nbr[root]:
+        row = nbr[root]
+        if not row:
             masks.append(root)
-        # frames: [vertex bit, untried neighbours, low point, pending vertices]
-        work = [[root, nbr[root], low, root]]
+        path = root  # the vertices of the open frames
+        # frames: [vertex bit, untried neighbours, rows of the subtree, pending vertices]
+        work = [[root, row, row, root]]
         while work:
             top = work[-1]
             untried = top[1] & ~seen
@@ -265,37 +286,48 @@ def block_decomposition(g: Graph, mask: int | None = None) -> BlockDecomposition
                 w = untried & -untried
                 top[1] = untried ^ w
                 seen |= w
-                low = disc[w] = len(disc)
-                back = nbr[w] & seen
-                while back:
-                    b = back & -back
-                    back ^= b
-                    if disc[b] < low:
-                        low = disc[b]
-                work.append([w, nbr[w] & ~seen, low, w])
+                path |= w
+                row = nbr[w]
+                work.append([w, row & ~seen, row, w])
                 continue
             work.pop()
+            path ^= top[0]
             if work:
                 parent = work[-1]
-                if top[2] >= disc[parent[0]]:
-                    masks.append(top[3] | parent[0])
-                else:
+                if top[2] & (path ^ parent[0]):
+                    parent[2] |= top[2]
                     parent[3] |= top[3]
-                    if top[2] < parent[2]:
-                        parent[2] = top[2]
+                else:
+                    masks.append(top[3] | parent[0])
         rest &= ~seen
 
     once = cuts = 0
     for bmask in masks:
         cuts |= once & bmask
         once |= bmask
+    return masks, cuts, nbr
+
+
+def _is_clique(nbr: dict[int, int], bmask: int) -> bool:
+    """Whether the vertex mask ``bmask`` induces a complete graph, with
+    ``nbr`` the rows keyed by vertex bit."""
+    m = bmask
+    while m:
+        b = m & -m
+        m ^= b
+        if (nbr[b] | b) & bmask != bmask:
+            return False
+    return True
+
+
+def _decomposition(n: int, masks: list[int], cuts: int, clique) -> BlockDecomposition:
+    """The ``BlockDecomposition`` of an n-vertex graph from its block
+    ``masks``, cut-vertex mask ``cuts`` and per-block clique flags."""
     blocks: list[frozenset[int]] = []
-    blocks_at: list[list[int]] = [[] for _ in range(g.n)]
-    clique = []
+    blocks_at: list[list[int]] = [[] for _ in range(n)]
     tree = []
     for bi, bmask in enumerate(masks):
         verts = []
-        is_clique = True
         m = bmask
         while m:
             b = m & -m
@@ -305,10 +337,7 @@ def block_decomposition(g: Graph, mask: int | None = None) -> BlockDecomposition
             blocks_at[v].append(bi)
             if b & cuts:
                 tree.append((bi, v))
-            if is_clique and (nbr[b] | b) & bmask != bmask:
-                is_clique = False
         blocks.append(frozenset(verts))
-        clique.append(is_clique)
     return BlockDecomposition(
         tuple(blocks), frozenset(v for _, v in tree), tuple(tree), tuple(clique),
         tuple(map(tuple, blocks_at)),

@@ -16,11 +16,16 @@ vertices, which gives p in the block and, since a path that ends at a cut
 vertex is read backwards as a path from it, the paths from each cut
 vertex. The paths between two cut vertices run one DP from each cut
 vertex but the last, and the per-block tables are composed over the
-block-cut tree (Hopcroft & Tarjan 1973). A non-clique block B without a
-Hamiltonian cycle costs about (max(cut vertices in B, 1) + 1) * 2^|B|
-over both passes. The block decomposition comes from ``graphs`` and is
-returned on ``VertexWeights``, so its readers (the extremal predicate) need
-not build it again.
+block-cut tree (Hopcroft & Tarjan 1973) in two passes over the blocks,
+one in the order the DFS closed them and one in reverse. A non-clique
+block B without a Hamiltonian cycle costs about (max(cut vertices in B,
+1) + 1) * 2^|B| over both passes.
+
+The blocks come from one DFS of ``graphs`` as vertex masks, which both
+passes read. ``VertexWeights`` keeps them, so the theorem-1 recognizer
+reads them without a second DFS, and builds the public
+``BlockDecomposition`` from them only when its ``decomposition`` is first
+read, as it runs the p pass only when p is first read.
 
 ``longest_path_from`` gives the lexicographically least longest path from
 a start vertex, which the rotation closure of ``transforms`` starts from:
@@ -43,7 +48,16 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
-from .graphs import BlockDecomposition, Graph, ResourceLimitError, block_decomposition, reachable
+from .graphs import (
+    BlockDecomposition,
+    Graph,
+    ResourceLimitError,
+    _block_masks,
+    _decomposition,
+    _is_clique,
+    iter_bits,
+    reachable,
+)
 
 DEFAULT_DP_LIMIT = 18
 # Candidate extensions one longest-path search may try before it gives up.
@@ -59,9 +73,12 @@ class VertexWeights:
     """p and c arrays plus the circumference (max c; 0 on the empty graph),
     and the block decomposition of the graph they were composed over.
 
-    ``compute_weights`` fills c, the circumference and the decomposition,
-    and leaves p to a pending pass that runs the first time p is read and
-    is then dropped. Constructed directly, all four fields are given."""
+    ``compute_weights`` fills c and the circumference. It leaves p to a
+    pending pass that runs the first time p is read, and the decomposition
+    to a pending build from the block masks of its DFS, run the first time
+    the decomposition is read; each pending pass is then dropped. Both are
+    fields, so equality, hash and repr read them. Constructed directly, all
+    four fields are given."""
 
     p: tuple[int, ...]
     c: tuple[int, ...]
@@ -69,20 +86,27 @@ class VertexWeights:
     decomposition: BlockDecomposition
 
     def __getattr__(self, name: str):
-        # reached only when ordinary lookup fails, so p is still pending
-        pending = self.__dict__.get("_p_pass")
-        if name != "p" or pending is None:
+        # reached only when ordinary lookup fails, so the field is pending
+        key = f"_{name}_pass"
+        pending = self.__dict__.get(key)
+        if pending is None:
             raise AttributeError(name)
-        p = pending()
-        object.__setattr__(self, "p", p)
-        del self.__dict__["_p_pass"]
-        return p
+        value = pending()
+        object.__setattr__(self, name, value)
+        del self.__dict__[key]
+        return value
 
     @classmethod
-    def _with_pending_p(cls, p_pass, c, circumference, decomposition) -> VertexWeights:
+    def _with_pending(cls, c, circumference, p_pass, n: int, blocks) -> VertexWeights:
+        """c and the circumference given, p from ``p_pass``, and the
+        decomposition of the n-vertex graph from its ``blocks``: the block
+        masks, the cut-vertex mask and the clique flags, which the theorem-1
+        recognizer also reads."""
         w = cls.__new__(cls)
-        vars(w).update(c=c, circumference=circumference, decomposition=decomposition,
-                       _p_pass=p_pass)
+        vars(w).update(
+            c=c, circumference=circumference, _blocks=blocks, _p_pass=p_pass,
+            _decomposition_pass=partial(_decomposition, n, *blocks),
+        )
         return w
 
 
@@ -146,40 +170,53 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
     between two cut vertices run a DP. Any other non-clique block runs one
     path DP from all of its vertices, whose rows at the cut vertices are
     the paths from them, and the pair DPs. The arms are composed over the
-    block-cut tree.
+    block-cut tree in two passes.
     A block without a Hamiltonian cycle costs about (max(cut vertices in B,
     1) + 1) * 2^|B| steps over both passes, so the guard is on the largest
     non-clique block, and on the memory its tables need; both run here,
-    before either pass, and reading p never raises.
+    before either pass, and reading p never raises. One DFS gives the
+    blocks as vertex masks (``graphs._block_masks``); the decomposition is
+    built from them when it is first read.
     """
-    decomp = block_decomposition(g)
-    largest = max((len(b) for b, cl in zip(decomp.blocks, decomp.clique) if not cl), default=0)
+    masks, cuts, nbr = _block_masks(g)
+    c = [2] * g.n
+    clique = []
+    largest = 0
+    for bmask in masks:
+        size = bmask.bit_count()
+        is_clique = size < 3 or _is_clique(nbr, bmask)
+        clique.append(is_clique)
+        if not is_clique:
+            largest = max(largest, size)
+        elif size > 2:
+            # every vertex of a clique block of 3 or more vertices lies on a
+            # cycle through all of it; a bridge leaves c at 2
+            rest = bmask
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                v = b.bit_length() - 1
+                if c[v] < size:
+                    c[v] = size
     if largest > dp_limit:
         raise ResourceLimitError(
             f"subset DP guarded at non-clique block order <= {dp_limit} (got {largest}); "
             "raise dp_limit explicitly"
         )
-    _memory_guard(largest)
-    c = [2] * g.n
+    if largest:
+        _memory_guard(largest)
     blocks: list[_Block | None] = []  # None for a clique block
-    for bi, blk in enumerate(decomp.blocks):
-        size = len(blk)
-        if decomp.clique[bi]:
-            # every vertex of a clique block of 3 or more vertices lies on a
-            # cycle through all of it; a bridge leaves c at 2
+    for bmask, is_clique in zip(masks, clique):
+        if is_clique:
             blocks.append(None)
-            if size > 2:
-                for v in blk:
-                    if c[v] < size:
-                        c[v] = size
             continue
-        order = sorted(blk)
+        size = bmask.bit_count()
+        order = list(iter_bits(bmask))
         local_bit = {1 << v: 1 << i for i, v in enumerate(order)}
-        mask = sum(local_bit)
         adj = []
         for v in order:
             row = 0
-            rest = g.adj[v] & mask
+            rest = nbr[1 << v] & bmask
             while rest:
                 b = rest & -rest
                 rest ^= b
@@ -192,98 +229,104 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
         for v, cv in zip(order, c_in):
             if c[v] < cv:
                 c[v] = cv
-    return VertexWeights._with_pending_p(
-        partial(_path_weights, g.n, decomp, blocks), tuple(c), max(c, default=0), decomp
+    return VertexWeights._with_pending(
+        tuple(c), max(c, default=0), partial(_path_weights, g.n, masks, cuts, blocks),
+        g.n, (masks, cuts, clique),
     )
 
 
 def _path_weights(
-    n: int, decomp: BlockDecomposition, blocks: list[_Block | None]
+    n: int, masks: list[int], cuts: int, blocks: list[_Block | None]
 ) -> tuple[int, ...]:
-    """p of the n-vertex graph decomposed as ``decomp``, from the relabeled
-    non-clique ``blocks`` of the c pass."""
-    cuts_of: list[list[int]] = [[] for _ in decomp.blocks]
-    for bi, a in decomp.tree_edges:
-        cuts_of[bi].append(a)
+    """p of the n-vertex graph with block ``masks`` in DFS closing order
+    and cut-vertex mask ``cuts``, from the relabeled non-clique ``blocks``
+    of the c pass.
+
+    The arm of block B at its cut vertex a is the longest path that starts
+    at a and leaves B through a. B's parent cut vertex is its one vertex in
+    a later block; each other cut vertex of B is a child cut, whose other
+    blocks all closed before B. So one pass in closing order gives the arms
+    at child cuts (the longest path down into a child block), and one pass
+    in reverse order the arm at the parent cut (through the parent block or
+    a sibling block), after which p in B is known.
+    """
+    cuts_of = [list(iter_bits(bmask & cuts)) for bmask in masks]
+    # the parent cut vertex of each block; -1 for the last block of a component
+    parent = []
+    later = 0
+    for bmask in reversed(masks):
+        parent.append((bmask & later).bit_length() - 1)
+        later |= bmask
+    parent.reverse()
 
     # a clique block keeps only its order
     tables: list[_BlockTables | int] = []
-    for bi, blk in enumerate(blocks):
+    for bmask, blk, cuts_in in zip(masks, blocks, cuts_of):
         if blk is None:
-            tables.append(len(decomp.blocks[bi]))
+            tables.append(bmask.bit_count())
             continue
         order, adj, hamiltonian = blk
         size = len(order)
         local = {v: i for i, v in enumerate(order)}
-        cuts = cuts_of[bi]
         if hamiltonian:
             # a Hamiltonian path leaves from any vertex along the spanning cycle
             p_in = [size - 1] * size
-            rows = [p_in] * len(cuts)
+            rows = [p_in] * len(cuts_in)
         else:
             # a path that ends at a cut vertex, read backwards, starts there
-            p_in, rows = _paths_from(adj, size, (1 << size) - 1, [local[a] for a in cuts])
-        start = dict(zip(cuts, rows))
+            p_in, rows = _paths_from(adj, size, (1 << size) - 1, [local[a] for a in cuts_in])
+        start = dict(zip(cuts_in, rows))
         pair: dict[tuple[int, int], list[int]] = {}
-        for k, a in enumerate(cuts[:-1]):
-            later = cuts[k + 1:]
-            _, rows = _paths_from(adj, size, 1 << local[a], [local[b] for b in later])
-            for b, row in zip(later, rows):
+        for k, a in enumerate(cuts_in[:-1]):
+            rest = cuts_in[k + 1:]
+            _, rows = _paths_from(adj, size, 1 << local[a], [local[b] for b in rest])
+            for b, row in zip(rest, rows):
                 pair[(a, b)] = pair[(b, a)] = row
         tables.append(_BlockTables(local, p_in, start, pair))
 
-    def down(a: int, bi: int) -> int:
-        """Longest path from cut vertex a into block bi, continuing through
-        bi's other cut vertices away from a."""
-        t = tables[bi]
+    def down(t: _BlockTables | int, a: int, arm: dict[int, int]) -> int:
+        """Longest path from cut vertex a into the block of ``t``,
+        continuing out through its other cut vertices b along arm[b]."""
         if type(t) is int:
-            return t - 1 + max([arm[(b, bi)] for b in cuts_of[bi] if b != a], default=0)
+            return t - 1 + max([x for b, x in arm.items() if b != a], default=0)
         i = t.local[a]
-        through = [t.pair[(a, b)][i] + arm[(b, bi)] for b in cuts_of[bi] if b != a]
-        return max([t.start[a][i]] + through)
+        return max([t.start[a][i]] + [t.pair[(a, b)][i] + x for b, x in arm.items() if b != a])
 
-    # arm[(a, bi)]: the longest path that starts at cut vertex a and leaves
-    # block bi through a. It needs only arms farther from bi in the
-    # block-cut tree, so an explicit stack memoizes it without recursion.
-    arm: dict[tuple[int, int], int] = {}
-    for bi, a in decomp.tree_edges:
-        stack = [(a, bi)]
-        while stack:
-            key = stack[-1]
-            if key in arm:
-                stack.pop()
-                continue
-            at, away = key
-            others = [bj for bj in decomp.blocks_at[at] if bj != away]
-            missing = [
-                (b, bj) for bj in others for b in cuts_of[bj] if b != at and (b, bj) not in arm
-            ]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
-            arm[key] = max(down(at, bj) for bj in others)
+    # arms[bi][a]: the arm of block bi at its cut vertex a
+    arms: list[dict[int, int]] = [{} for _ in masks]
+    # below[a]: (longest path from a down into bj, bj) per child block bj of a
+    below: dict[int, list[tuple[int, int]]] = {}
+    for bi, t in enumerate(tables):
+        arm, up = arms[bi], parent[bi]
+        for a in cuts_of[bi]:
+            if a != up:
+                arm[a] = max(x for x, _ in below[a])
+        if up >= 0:
+            below.setdefault(up, []).append((down(t, up, arm), bi))
 
     p = [0] * n
-    for bi, t in enumerate(tables):
+    # above[a]: the longest path from cut vertex a into its parent block and on
+    above: dict[int, int] = {}
+    for bi in range(len(tables) - 1, -1, -1):
+        t, arm, up = tables[bi], arms[bi], parent[bi]
+        if up >= 0:
+            arm[up] = max([above[up]] + [x for x, bj in below[up] if bj != bi])
+        for a in cuts_of[bi]:
+            if a != up:
+                above[a] = down(t, a, arm)
         if type(t) is int:
             # every vertex of a clique block lies on a path through it that
-            # joins the two longest arms at distinct cut vertices (arms >= 0)
-            first = second = 0
-            for a in cuts_of[bi]:
-                x = arm[(a, bi)]
-                if x > second:
-                    first, second = max(first, x), min(first, x)
-            best = t - 1 + first + second
-            for v in decomp.blocks[bi]:
+            # joins its two longest arms
+            best = t - 1 + sum(sorted(arm.values())[-2:])
+            for v in iter_bits(masks[bi]):
                 if p[v] < best:
                     p[v] = best
             continue
         for v, i in t.local.items():
             best = max(
                 [t.p[i]]
-                + [arm[(a, bi)] + row[i] for a, row in t.start.items()]
-                + [arm[(a, bi)] + row[i] + arm[(b, bi)] for (a, b), row in t.pair.items()]
+                + [arm[a] + row[i] for a, row in t.start.items()]
+                + [arm[a] + row[i] + arm[b] for (a, b), row in t.pair.items()]
             )
             if p[v] < best:
                 p[v] = best

@@ -35,12 +35,13 @@ def reps7():
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """``count_calls(name)`` counts the calls of the package function
-    ``name`` from then on, in every cliquebounds module that holds it, and
-    returns the list that records their arguments."""
+    """``count_calls(name, home)`` counts the calls of the function ``name``
+    of the module ``home`` (the package by default) from then on, in every
+    cliquebounds module that holds it, and returns the list that records
+    their arguments."""
 
-    def install(name: str) -> list:
-        orig = getattr(cliquebounds, name)
+    def install(name: str, home=cliquebounds) -> list:
+        orig = getattr(home, name)
         calls = []
 
         def counted(*args, **kwargs):

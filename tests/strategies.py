@@ -4,7 +4,15 @@ import random
 
 from hypothesis import strategies as st
 
-from cliquebounds import BlockSpec, Graph, from_edges, from_pair_mask, generate_pdbg
+from cliquebounds import (
+    BlockSpec,
+    Graph,
+    disjoint_union,
+    from_edges,
+    from_pair_mask,
+    generate_pdbg,
+    random_clique_forest,
+)
 
 
 @st.composite
@@ -13,6 +21,12 @@ def graphs(draw, min_n=0, max_n=7):
     nbits = n * (n - 1) // 2
     mask = draw(st.integers(min_value=0, max_value=(1 << nbits) - 1))
     return from_pair_mask(n, mask)
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def block_glued_graph(rng: random.Random, n_max: int) -> Graph:
@@ -66,3 +80,21 @@ def random_pdbgs():
             orders.append(o)
             total += o - 1
         yield generate_pdbg(BlockSpec(tuple(orders), tuple(parents)))
+
+
+def blocky_families(rng: random.Random):
+    """Graphs of 15 to 18 vertices shaped like the block-glued benchmark
+    inputs, one of each family per n: a parent-dominated block graph of
+    blocks of order 2 to 5, a block-glued graph with non-clique blocks, a
+    clique forest, and a disjoint union of two block-glued graphs; each
+    randomly relabeled."""
+    for n in (15, 16, 17, 18):
+        orders = [rng.randint(3, 5)]
+        while sum(orders) - len(orders) + 1 < n:
+            orders.append(min(rng.randint(2, 5), n - sum(orders) + len(orders)))
+        orders.sort(reverse=True)
+        parents = tuple(rng.randrange(i) for i in range(1, len(orders)))
+        yield relabeled(generate_pdbg(BlockSpec(tuple(orders), parents)), rng)
+        yield block_glued_graph(rng, n)
+        yield relabeled(random_clique_forest(n // 4, 3, 5, rng.randrange(1 << 30)), rng)
+        yield disjoint_union(block_glued_graph(rng, n // 2), block_glued_graph(rng, n - n // 2))

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from cliquebounds import (
     BlockSpec,
     complete_graph,
+    compute_weights,
     cycle_graph,
     generate_pdbg,
     parse_graph6,
@@ -18,9 +20,11 @@ from cliquebounds import (
     random_graph,
     write_graph6,
 )
-from cliquebounds import bounds, cli, transforms, weights
+from cliquebounds import bounds, cli, graphs, transforms, weights
 from cliquebounds.cli import main
+from cliquebounds.extremal import heavy_mask
 from oracles import bowtie
+from strategies import blocky_families
 
 
 def run_cli(capsys, args, stdin=None, monkeypatch=None):
@@ -182,6 +186,26 @@ class TestCheckCommand:
         assert len(out.strip().splitlines()) == 1
         assert json.loads(out)["graph6"] == write_graph6(bowtie())
         assert "line 2" in err
+
+    @pytest.mark.parametrize("theorem", [1, 2])
+    def test_blocky_families_build_no_decomposition(self, capsys, tmp_path, count_calls, theorem):
+        # one DFS per graph for its weights; the cycle form adds one on each
+        # heavy set of two or more vertices that is not every vertex
+        inputs = list(blocky_families(random.Random(26)))
+        expected = len(inputs)
+        if theorem == 1:
+            for g in inputs:
+                heavy = heavy_mask(compute_weights(g), 3, 1)
+                expected += heavy != g.full_mask and heavy & (heavy - 1) != 0
+            assert expected > len(inputs)
+        f = tmp_path / "in.g6"
+        f.write_text("".join(write_graph6(g) + "\n" for g in inputs))
+        dfs = count_calls("_block_masks", graphs)
+        built = count_calls("_decomposition", graphs)
+        public = count_calls("block_decomposition")
+        code, out, err = run_cli(capsys, ["check", "--theorem", str(theorem), "--s", "3", str(f)])
+        assert code == 0 and err == "" and len(out.splitlines()) == len(inputs)
+        assert len(dfs) == expected and built == [] and public == []
 
     def test_bad_s_exits_2(self, capsys, monkeypatch):
         code, _, _ = run_cli(

@@ -20,6 +20,7 @@ from cliquebounds import (
     path_graph,
     random_graph,
 )
+from cliquebounds import graphs as graph_module
 from oracles import (
     bowtie,
     dfs_weights,
@@ -253,10 +254,11 @@ class TestExtremalPredicate:
     ):
         graphs = [g for g in reps7 if is_connected(g)] + [bowtie(), petersen()]
         weights = [compute_weights(g) for g in graphs]
-        calls = count_calls("block_decomposition")
+        calls = count_calls("_block_masks", graph_module)
+        built = count_calls("_decomposition", graph_module)
         for g, w in zip(graphs, weights):
             extremal_predicate(g, 2, 1, w)
-        assert calls == []
+        assert calls == [] and built == []
 
     def test_path_form_never_builds_a_subgraph(self, reps7, monkeypatch):
         weights = [compute_weights(g) for g in reps7]
@@ -274,7 +276,7 @@ class TestExtremalPredicate:
         # K4 with a pendant vertex: at s = 3 the heavy set is the K4
         g = from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
         w = compute_weights(g)
-        calls = count_calls("block_decomposition")
+        calls = count_calls("_block_masks", graph_module)
         assert extremal_predicate(g, 3, 1, w)
         assert calls == [(g, 0b01111)]
 

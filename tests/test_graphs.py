@@ -42,7 +42,7 @@ from oracles import (
     subset_dp_weights,
     tied_labeling_search,
 )
-from strategies import graphs
+from strategies import graphs, relabeled
 
 GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156]
 CONNECTED_COUNTS = [1, 1, 1, 2, 6, 21, 112]
@@ -516,12 +516,6 @@ class TestEnumeration:
     def test_canonical_mask_guard(self):
         with pytest.raises(ResourceLimitError, match="canonical labeling"):
             canonical_mask(cycle_graph(9))
-
-
-def relabeled(g: Graph, rng: random.Random) -> Graph:
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def group_order(n: int, gens) -> int:

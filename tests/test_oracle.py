@@ -7,6 +7,7 @@ from cliquebounds import (
     compute_weights,
     exhaustive_verify,
     extremal_predicate,
+    graphs,
     identity_grid,
     labeled_crosscheck,
     oracle,
@@ -75,9 +76,9 @@ class TestExhaustiveVerify:
         assert {"check": "violation", "graph6": "Bw"} in labeled_crosscheck(3)["failures"]
 
     def test_cycle_form_predicate_once_per_heavy_set(self, count_calls):
-        decompositions = count_calls("block_decomposition")
+        dfs = count_calls("_block_masks", graphs)
         exhaustive_verify(6, 6)
-        masked = [call for call in decompositions if len(call) == 2]
+        masked = [call for call in dfs if len(call) == 2]
         assert masked and len(masked) == len(set(masked))
 
     def test_path_form_predicate_once_per_heavy_set(self, count_calls):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import random
 import tracemalloc
@@ -17,14 +18,17 @@ from cliquebounds import (
     compute_weights_block_graph,
     cycle_graph,
     disjoint_union,
+    extremal_predicate,
     from_edges,
     generate_pdbg,
     longest_path_from,
+    parse_graph6,
     path_graph,
     random_clique_forest,
     random_graph,
     write_graph6,
 )
+from cliquebounds import graphs as graph_module
 from cliquebounds import weights
 from cliquebounds.cli import main
 from cliquebounds.graphs import reachable
@@ -46,7 +50,7 @@ from oracles import (
     subset_dp_weights,
     tree_dp_block_graph_weights,
 )
-from strategies import block_glued_graph, graphs, random_pdbgs
+from strategies import block_glued_graph, graphs, random_pdbgs, relabeled
 
 
 class TestComputeWeights:
@@ -244,6 +248,82 @@ class TestAgainstWholeGraphSubsetDP:
         assert compute_weights(g) == tree_dp_block_graph_weights(g)
 
 
+# K4 on 0-3, a 5-cycle on 3-7 (Hamiltonian, not a clique), K(2,3) with parts
+# {7, 8} and {9, 10, 11} (no spanning cycle), a triangle at 1 and a bridge
+# at 10: every kind of block, and two blocks with two cut vertices each
+MIXED_BLOCKS = (
+    (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7),
+    (7, 9), (7, 10), (7, 11), (8, 9), (8, 10), (8, 11), (1, 12), (1, 13), (12, 13), (10, 14),
+)
+
+
+class TestArmComposition:
+    """The two passes over the block-cut tree on shapes that stress them: a
+    DFS root that is a cut vertex, one cut vertex under many blocks, a deep
+    chain, every kind of block, and several components. The weights match
+    the whole-graph subset DP (n <= 16) or the block-graph tree DP, and the
+    decomposition built when read matches ``block_decomposition``."""
+
+    @staticmethod
+    def assert_matches(g: Graph, oracle):
+        w = compute_weights(g)
+        assert w.decomposition == block_decomposition(g), g
+        assert w == oracle(g), g
+
+    def test_dfs_root_is_a_cut_vertex(self):
+        # vertex 0, where the DFS starts, joins a K4, a triangle and a path
+        # of 4 edges
+        g = parse_graph6("I~_GGE?_G")
+        assert 0 in block_decomposition(g).cut_vertices
+        w = compute_weights(g)
+        assert w.p == (7,) * 8 + (6, 6)
+        assert w.c == (4,) * 4 + (2,) * 4 + (3, 3)
+        rng = random.Random(61)
+        for h in [g] + [relabeled(g, rng) for _ in range(20)]:
+            self.assert_matches(h, subset_dp_weights)
+            self.assert_matches(h, tree_dp_block_graph_weights)
+
+    def test_star_of_20_blocks(self):
+        # ten triangles and ten bridges, all at vertex 0 (n = 31)
+        spec = BlockSpec((3,) * 10 + (2,) * 10, (0,) * 19, (0,) * 19)
+        g = generate_pdbg(spec)
+        assert block_decomposition(g).cut_vertices == {0}
+        rng = random.Random(62)
+        for h in [g] + [relabeled(g, rng) for _ in range(10)]:
+            self.assert_matches(h, tree_dp_block_graph_weights)
+
+    def test_chain_of_20_blocks_at_n_64(self):
+        g = generate_pdbg(BlockSpec((5, 5, 5) + (4,) * 17))
+        assert g.n == 64 and len(block_decomposition(g).blocks) == 20
+        rng = random.Random(63)
+        for h in [g] + [relabeled(g, rng) for _ in range(10)]:
+            self.assert_matches(h, tree_dp_block_graph_weights)
+
+    def test_mixed_blocks_relabeled(self):
+        g = from_edges(15, MIXED_BLOCKS)
+        d = block_decomposition(g)
+        assert d.cut_vertices == {1, 3, 7, 10} and d.clique.count(False) == 2
+        # the same blocks all at one cut vertex: 7 in g, 0 here
+        star = from_edges(14, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+                          + [(0, 4), (4, 5), (5, 6), (6, 7), (7, 0)]
+                          + [(0, 9), (0, 10), (8, 9), (8, 10), (0, 11), (8, 11)]
+                          + [(0, 12), (12, 13), (13, 0)])
+        rng = random.Random(64)
+        for base in (g, star):
+            for h in [base] + [relabeled(base, rng) for _ in range(20)]:
+                self.assert_matches(h, subset_dp_weights)
+
+    def test_components_with_isolated_vertices(self):
+        rng = random.Random(65)
+        for _ in range(20):
+            parts = [Graph(1, (0,)), block_glued_graph(rng, 8), Graph(1, (0,)),
+                     with_pendants(cycle_graph(4), [0]), Graph(1, (0,))]
+            rng.shuffle(parts)
+            g = relabeled(disjoint_union(*parts), rng)
+            assert g.n <= 16
+            self.assert_matches(g, subset_dp_weights)
+
+
 def cone(g: Graph) -> Graph:
     """G + x: G with a new vertex x = g.n joined to every vertex of G."""
     return Graph(g.n + 1, tuple(row | 1 << g.n for row in g.adj) + (g.full_mask,))
@@ -428,6 +508,36 @@ class TestPathPassOnDemand:
         for g, w in zip(self.GRAPHS, pending):
             assert w.p == subset_dp_weights(g).p, g
 
+    def test_decomposition_is_built_once_when_read(self, count_calls):
+        built = count_calls("_decomposition", graph_module)
+        dfs = count_calls("_block_masks", graph_module)
+        for g in self.GRAPHS:
+            w = compute_weights(g)
+            assert built == [] and len(dfs) == 1
+            first = w.decomposition
+            # the second read returns the same object, and no read runs a DFS
+            assert w.decomposition is first and len(built) == 1 and len(dfs) == 1
+            assert first == block_decomposition(g)
+            built.clear()
+            dfs.clear()
+
+    def test_a_copy_fills_its_own_pending_fields(self):
+        for g in self.GRAPHS:
+            w = compute_weights(g)
+            twin = copy.copy(w)
+            assert twin.p == subset_dp_weights(g).p and twin.decomposition == block_decomposition(g)
+            assert w.p == twin.p and w.decomposition == twin.decomposition
+
+    def test_given_weights_keep_their_fields(self, count_calls):
+        g = from_edges(15, MIXED_BLOCKS)
+        o = subset_dp_weights(g)
+        given = VertexWeights(o.p, o.c, o.circumference, o.decomposition)
+        dfs = count_calls("_block_masks", graph_module)
+        assert given.decomposition is o.decomposition and given.p is o.p
+        # at s = 2 the heavy set is every vertex: the given decomposition is read
+        assert extremal_predicate(g, 2, 1, given) is False and dfs == []
+        assert given == compute_weights(g) and len(dfs) == 1
+
     def test_pending_weights_behave_as_given_ones(self):
         for g in self.GRAPHS:
             o = subset_dp_weights(g)
@@ -570,9 +680,11 @@ class TestBlockGraphShortcut:
 
     def test_decomposes_once(self, count_calls):
         g = generate_pdbg(BlockSpec((5, 4, 4, 3)))
-        calls = count_calls("block_decomposition")
+        calls = count_calls("_block_masks", graph_module)
         w = compute_weights_block_graph(g)
         assert calls == [(g,)]
+        # the decomposition is built from the same masks, with no second DFS
+        assert w.decomposition is w.decomposition and calls == [(g,)]
         assert w.decomposition == block_decomposition(g)
 
     def test_matches_dp_on_random_block_graphs(self):
