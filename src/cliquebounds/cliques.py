@@ -4,7 +4,12 @@ Cliques are expanded on bitmasks in vertex-id order: each one is reached
 exactly once, from its lowest vertex, by repeatedly intersecting with the
 higher-id neighbours of the vertex just added. One iterative expansion
 counts the cliques of every order up to a top order at once, so a caller
-that needs several orders of one graph expands its cliques once.
+that needs several orders of one graph expands its cliques once. A clique
+of two or more vertices lies in exactly one biconnected block, so a caller
+that holds the graph's weights reads the profile from their blocks
+(``block_clique_counts``): a clique block of order m has C(m, s) s-cliques,
+and only a non-clique block is expanded, on its own vertex mask, so the
+expansion budget binds only inside non-clique blocks.
 
 All bound arithmetic downstream is exact: the verdicts compare integer
 numerators over common denominators, and the contribution shares below are
@@ -19,6 +24,7 @@ from fractions import Fraction
 from math import comb
 
 from .graphs import MAX_VERTICES, Graph, ResourceLimitError, iter_bits
+from .weights import VertexWeights
 
 # Clique extensions one count may try before it gives up: each is one
 # candidate vertex added to one clique of the expansion. The largest count
@@ -74,21 +80,60 @@ def _rows(g: Graph) -> dict[int, int]:
     return {1 << v: row for v, row in enumerate(g.adj)}
 
 
-def clique_counts(g: Graph, s_max: int, mask: int | None = None) -> list[int]:
-    """The clique profile [N(G, K_0), ..., N(G, K_s_max)] of g, or of the
-    subgraph induced on the vertex mask ``mask``, from one expansion of
-    every clique with fewer than s_max vertices. A mask with a bit outside
-    g is a ValueError."""
+def _require_top(s_max: int):
+    """Refuse a profile's top order before its slots are allocated."""
     if s_max < 0:
         raise ValueError(f"clique order must be >= 0, got {s_max}")
     # no graph the package can hold has a clique of more than MAX_VERTICES vertices
     if s_max > MAX_VERTICES:
         raise ResourceLimitError(f"clique profile capped at s <= {MAX_VERTICES}, got {s_max}")
+
+
+def clique_counts(g: Graph, s_max: int, mask: int | None = None) -> list[int]:
+    """The clique profile [N(G, K_0), ..., N(G, K_s_max)] of g, or of the
+    subgraph induced on the vertex mask ``mask``, from one expansion of
+    every clique with fewer than s_max vertices. A mask with a bit outside
+    g is a ValueError."""
+    _require_top(s_max)
     if mask is None:
         mask = g.full_mask
     elif mask & ~g.full_mask:
         raise ValueError(f"vertex mask {mask:#x} has bits outside the {g.n} vertices of the graph")
     return _clique_counts(_rows(g), mask, s_max)
+
+
+def block_clique_counts(g: Graph, s_max: int, w: VertexWeights) -> list[int]:
+    """``clique_counts(g, s_max)`` summed over the blocks of g that its
+    weights ``w`` were composed over. A clique of two or more vertices lies
+    in exactly one block, so N(K_s) for s >= 2 is a sum over the blocks: a
+    clique block of order m adds C(m, s), and any other block expands its
+    own vertex mask with at most min(s_max, |B|) + 1 slots, under its own
+    ``CLIQUE_EXPANSION_BUDGET``. Weights from ``compute_weights`` keep the
+    block masks; directly built ones give their ``decomposition``."""
+    _require_top(s_max)
+    counts = [1, g.n] + [0] * (s_max - 1)
+    if s_max < 2:
+        return counts[: s_max + 1]
+    kept = getattr(w, "_blocks", None)
+    if kept is None:
+        d = w.decomposition
+        masks = [sum(1 << v for v in b) for b in d.blocks]
+        clique = d.clique
+    else:
+        masks, _, clique = kept
+    nbr = None
+    for bmask, is_clique in zip(masks, clique):
+        m = bmask.bit_count()
+        top = min(s_max, m)
+        if is_clique:
+            for k in range(2, top + 1):
+                counts[k] += comb(m, k)
+            continue
+        if nbr is None:
+            nbr = _rows(g)
+        for k, x in enumerate(_clique_counts(nbr, bmask, top)[2:], 2):
+            counts[k] += x
+    return counts
 
 
 def count_cliques(g: Graph, s: int) -> int:

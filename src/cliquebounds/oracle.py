@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
 from .bounds import BoundReport, RightSides, check_theorem, luo_dominance
-from .cliques import binom, clique_counts, contribution_upper_bound
+from .cliques import binom, block_clique_counts, contribution_upper_bound
 from .extremal import extremal_predicate, heavy_mask
 from .graphs import (
     ENUMERATION_LIMIT,
@@ -45,7 +45,7 @@ def _reports(g: Graph, s_max: int) -> Iterator[BoundReport]:
     s - 1 to s only when some c(v) equals s - 1, and {p(v) >= s - 1} only
     when some p(v) equals s - 2."""
     w = compute_weights(g)
-    counts = clique_counts(g, s_max)
+    counts = block_clique_counts(g, s_max, w)
     sides = RightSides(g, w)
     cycle_weights, path_weights = set(w.c), set(w.p)
     cycle_extremal = path_extremal = None
@@ -178,7 +178,7 @@ def _heavy_set_failures(g: Graph) -> Iterator[dict]:
     """``heavy_set_reduction`` on one graph: each check that fails, at
     s = 2..5 and both theorems. Each distinct heavy set is weighed once."""
     w = compute_weights(g)
-    counts = clique_counts(g, 5)
+    counts = block_clique_counts(g, 5, w)
     sides = RightSides(g, w)
     reduced: dict[int, tuple] = {}
     for s in range(2, 6):
@@ -187,7 +187,9 @@ def _heavy_set_failures(g: Graph) -> Iterator[dict]:
             if heavy not in reduced:
                 sub = g.induced(iter_bits(heavy))
                 w_sub = compute_weights(sub)
-                reduced[heavy] = sub, w_sub, clique_counts(sub, 5), RightSides(sub, w_sub)
+                reduced[heavy] = (
+                    sub, w_sub, block_clique_counts(sub, 5, w_sub), RightSides(sub, w_sub)
+                )
             sub, w_sub, sub_counts, sub_sides = reduced[heavy]
             num, den = form(sides, s)
             sub_num, sub_den = form(sub_sides, s)

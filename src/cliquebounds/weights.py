@@ -15,17 +15,23 @@ its vertices. Any other non-clique block runs one path DP from all of its
 vertices, which gives p in the block and, since a path that ends at a cut
 vertex is read backwards as a path from it, the paths from each cut
 vertex. The paths between two cut vertices run one DP from each cut
-vertex but the last, and the per-block tables are composed over the
-block-cut tree (Hopcroft & Tarjan 1973) in two passes over the blocks,
-one in the order the DFS closed them and one in reverse. A non-clique
-block B without a Hamiltonian cycle costs about (max(cut vertices in B,
-1) + 1) * 2^|B| over both passes.
+vertex but the last. The arms are composed over the block-cut tree
+(Hopcroft & Tarjan 1973) in two passes over the blocks, one in the order
+the DFS closed them and one in reverse. Each cut vertex keeps its longest
+and second-longest arm down into its child blocks, and the block of the
+longest, in flat per-vertex arrays, so a block reads its arm at any of its
+cut vertices in O(1) and the composition is linear in the block-cut
+incidences. A clique block keeps no tables: it is one value for all its
+vertices, |B| - 1 plus its two longest arms. A non-clique block B without
+a Hamiltonian cycle costs about (max(cut vertices in B, 1) + 1) * 2^|B|
+over both passes.
 
 The blocks come from one DFS of ``graphs`` as vertex masks, which both
 passes read. ``VertexWeights`` keeps them, so the theorem-1 recognizer
-reads them without a second DFS, and builds the public
-``BlockDecomposition`` from them only when its ``decomposition`` is first
-read, as it runs the p pass only when p is first read.
+and the clique profile (``cliques.block_clique_counts``) read them
+without a second DFS, and builds the public ``BlockDecomposition`` from
+them only when its ``decomposition`` is first read, as it runs the p pass
+only when p is first read.
 
 ``longest_path_from`` gives the lexicographically least longest path from
 a start vertex, which the rotation closure of ``transforms`` starts from:
@@ -170,7 +176,7 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
     between two cut vertices run a DP. Any other non-clique block runs one
     path DP from all of its vertices, whose rows at the cut vertices are
     the paths from them, and the pair DPs. The arms are composed over the
-    block-cut tree in two passes.
+    block-cut tree in two passes, linear in the block-cut incidences.
     A block without a Hamiltonian cycle costs about (max(cut vertices in B,
     1) + 1) * 2^|B| steps over both passes, so the guard is on the largest
     non-clique block, and on the memory its tables need; both run here,
@@ -245,12 +251,27 @@ def _path_weights(
     The arm of block B at its cut vertex a is the longest path that starts
     at a and leaves B through a. B's parent cut vertex is its one vertex in
     a later block; each other cut vertex of B is a child cut, whose other
-    blocks all closed before B. So one pass in closing order gives the arms
-    at child cuts (the longest path down into a child block), and one pass
-    in reverse order the arm at the parent cut (through the parent block or
-    a sibling block), after which p in B is known.
+    blocks all closed before B. The pass in closing order gives each block's
+    down value at its parent cut a, the longest path from a down through
+    the block and on. Cut vertex a keeps only its longest and second-longest
+    down values and the block of the longest; the longest is the arm at a
+    of a's own parent block. The pass in reverse order gives B's arm at its
+    parent cut a: the longer of the path from a up into a's parent block
+    and on, and the longest down value at a of a block other than B, which
+    is a's second-longest when B gave the longest. Every arm is read in
+    O(1), so the composition is linear in the block-cut incidences; only a
+    non-clique block's paths between two cut vertices are quadratic in its
+    cut vertices.
     """
-    cuts_of = [list(iter_bits(bmask & cuts)) for bmask in masks]
+    cuts_of = []
+    for bmask in masks:
+        row = []
+        rest = bmask & cuts
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            row.append(b.bit_length() - 1)
+        cuts_of.append(row)
     # the parent cut vertex of each block; -1 for the last block of a component
     parent = []
     later = 0
@@ -284,52 +305,86 @@ def _path_weights(
                 pair[(a, b)] = pair[(b, a)] = row
         tables.append(_BlockTables(local, p_in, start, pair))
 
-    def down(t: _BlockTables | int, a: int, arm: dict[int, int]) -> int:
-        """Longest path from cut vertex a into the block of ``t``,
-        continuing out through its other cut vertices b along arm[b]."""
-        if type(t) is int:
-            return t - 1 + max([x for b, x in arm.items() if b != a], default=0)
+    def down(t: _BlockTables, a: int, arm: dict[int, int]) -> int:
+        """Longest path from cut vertex a into the non-clique block of
+        ``t``, continuing out through its other cut vertices b along arm[b]."""
         i = t.local[a]
         return max([t.start[a][i]] + [t.pair[(a, b)][i] + x for b, x in arm.items() if b != a])
 
-    # arms[bi][a]: the arm of block bi at its cut vertex a
-    arms: list[dict[int, int]] = [{} for _ in masks]
-    # below[a]: (longest path from a down into bj, bj) per child block bj of a
-    below: dict[int, list[tuple[int, int]]] = {}
+    # per cut vertex: its longest and second-longest down values, and the
+    # block of the longest
+    first = [0] * n
+    second = [0] * n
+    first_from = [-1] * n
     for bi, t in enumerate(tables):
-        arm, up = arms[bi], parent[bi]
-        for a in cuts_of[bi]:
-            if a != up:
-                arm[a] = max(x for x, _ in below[a])
-        if up >= 0:
-            below.setdefault(up, []).append((down(t, up, arm), bi))
+        up = parent[bi]
+        if up < 0:
+            continue
+        # every cut vertex of the block but up is a child cut, whose arm is final
+        if type(t) is int:
+            x = 0
+            for a in cuts_of[bi]:
+                if a != up and first[a] > x:
+                    x = first[a]
+            x += t - 1
+        else:
+            x = down(t, up, {a: first[a] for a in cuts_of[bi] if a != up})
+        if x > first[up]:
+            first[up], second[up], first_from[up] = x, first[up], bi
+        elif x > second[up]:
+            second[up] = x
 
     p = [0] * n
     # above[a]: the longest path from cut vertex a into its parent block and on
-    above: dict[int, int] = {}
+    above = [0] * n
     for bi in range(len(tables) - 1, -1, -1):
-        t, arm, up = tables[bi], arms[bi], parent[bi]
+        t, up = tables[bi], parent[bi]
+        # the block's arm at its parent cut: up into the cut's parent block,
+        # or down into a sibling
+        arm_up = 0
         if up >= 0:
-            arm[up] = max([above[up]] + [x for x, bj in below[up] if bj != bi])
-        for a in cuts_of[bi]:
-            if a != up:
-                above[a] = down(t, a, arm)
+            arm_up = max(above[up], second[up] if first_from[up] == bi else first[up])
         if type(t) is int:
             # every vertex of a clique block lies on a path through it that
-            # joins its two longest arms
-            best = t - 1 + sum(sorted(arm.values())[-2:])
-            for v in iter_bits(masks[bi]):
+            # joins its two longest arms, and the path down from a child cut
+            # leaves through the longest arm at another cut
+            hi = lo = 0
+            top = -1
+            for a in cuts_of[bi]:
+                x = arm_up if a == up else first[a]
+                if x > hi:
+                    hi, lo, top = x, hi, a
+                elif x > lo:
+                    lo = x
+            for a in cuts_of[bi]:
+                if a != up:
+                    above[a] = t - 1 + (lo if a == top else hi)
+            best = t - 1 + hi + lo
+            rest = masks[bi]
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                v = b.bit_length() - 1
                 if p[v] < best:
                     p[v] = best
             continue
-        for v, i in t.local.items():
-            best = max(
-                [t.p[i]]
-                + [arm[a] + row[i] for a, row in t.start.items()]
-                + [arm[a] + row[i] + arm[b] for (a, b), row in t.pair.items()]
-            )
-            if p[v] < best:
-                p[v] = best
+        arm = {a: arm_up if a == up else first[a] for a in cuts_of[bi]}
+        for a in arm:
+            if a != up:
+                above[a] = down(t, a, arm)
+        # per local label, the longest path in the block, or from a cut
+        # vertex, or between two, with their arms
+        best = t.p
+        for a, row in t.start.items():
+            x = arm[a]
+            best = [y if y >= x + r else x + r for y, r in zip(best, row)]
+        for (a, b), row in t.pair.items():
+            if a < b:
+                x = arm[a] + arm[b]
+                best = [y if y >= x + r else x + r for y, r in zip(best, row)]
+        for v, y in zip(t.local, best):
+            if p[v] < y:
+                p[v] = y
     return tuple(p)
 
 

@@ -5,22 +5,25 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from cliquebounds import (
     BlockSpec,
+    binom,
     complete_graph,
     compute_weights,
     cycle_graph,
+    from_edges,
     generate_pdbg,
     parse_graph6,
     path_graph,
     random_graph,
     write_graph6,
 )
-from cliquebounds import bounds, cli, graphs, transforms, weights
+from cliquebounds import bounds, cli, cliques, graphs, transforms, weights
 from cliquebounds.cli import main
 from cliquebounds.extremal import heavy_mask
 from oracles import bowtie
@@ -214,14 +217,54 @@ class TestCheckCommand:
         assert code == 2
 
     def test_clique_count_past_its_budget_exits_2(self, capsys, monkeypatch):
-        # K40 has about 4.8e11 cliques below order 20; the count stops at
-        # its budget, after about a second
+        # K8 less one edge is one non-clique block, which the count expands:
+        # its 1- to 4-cliques try 8 + 27 + 50 + 55 extensions below order 5
+        stdin = write_graph6(from_edges(8, [(u, v) for u in range(8) for v in range(u + 1, 8)][1:]))
+        argv = ["check", "--theorem", "2", "--s", "5"]
+        monkeypatch.setattr(cliques, "CLIQUE_EXPANSION_BUDGET", 140)
+        code, out, _ = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out)["lhs"] == binom(8, 5) - binom(6, 3)
+        monkeypatch.setattr(cliques, "CLIQUE_EXPANSION_BUDGET", 139)
+        code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert err == "resource guard: clique counting gave up after 139 extensions\n"
+
+    def test_clique_blocks_are_counted_past_the_expansion_budget(self, capsys, monkeypatch):
+        # K40 has about 4.8e11 cliques below order 20, far past the budget,
+        # but as one clique block it is counted in closed form
         code, out, err = run_cli(
             capsys, ["check", "--theorem", "2", "--s", "20"],
             stdin=write_graph6(complete_graph(40)), monkeypatch=monkeypatch,
         )
-        assert code == 2 and out == ""
-        assert err == "resource guard: clique counting gave up after 2000000 extensions\n"
+        rep = json.loads(out)
+        assert code == 0 and err == ""
+        assert rep["lhs"] == binom(40, 20) and rep["equality"]
+
+    @pytest.mark.parametrize("theorem", [1, 2])
+    def test_two_clique_blocks_at_s_8(self, capsys, monkeypatch, theorem):
+        # K40 and K20 sharing a vertex hold about 7.7e7 8-cliques
+        code, out, err = run_cli(
+            capsys, ["check", "--theorem", str(theorem), "--s", "8"],
+            stdin=write_graph6(generate_pdbg(BlockSpec((40, 20)))), monkeypatch=monkeypatch,
+        )
+        rep = json.loads(out)
+        assert code == 0 and err == ""
+        assert rep["lhs"] == binom(40, 8) + binom(20, 8)
+        # only the cycle form is tight on a parent-dominated block graph
+        assert rep["equality"] == (theorem == 1) and rep["consistent"]
+
+    def test_order_past_the_graph_counts_nothing_and_allocates_nothing(self, capsys, monkeypatch):
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(
+                capsys, ["check", "--theorem", "2", "--s", str(10**9)],
+                stdin=write_graph6(bowtie()), monkeypatch=monkeypatch,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["lhs"] == 0
+        assert peak < 1 << 20
 
     def test_tight_bound_without_its_predicate_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(bounds, "extremal_predicate", lambda g, s, theorem, w: False)

@@ -7,23 +7,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquebounds import (
+    BlockSpec,
     Graph,
     ResourceLimitError,
+    VertexWeights,
     binom,
     clique_counts,
     complete_graph,
+    compute_weights,
     contribution_table,
     contribution_upper_bound,
     count_cliques,
     count_cliques_touching,
     cycle_graph,
+    disjoint_union,
     enumerate_cliques,
+    enumerate_graphs,
+    from_edges,
+    generate_pdbg,
     path_graph,
     random_graph,
 )
 from cliquebounds import cliques
-from oracles import nx_cliques_by_order, per_clique_shares, petersen, subset_clique_count
-from strategies import block_glued_graph, graphs, random_pdbgs
+from cliquebounds import graphs as graph_module
+from cliquebounds.cliques import block_clique_counts
+from oracles import (
+    nx_cliques_by_order,
+    per_clique_shares,
+    petersen,
+    subset_clique_count,
+    subset_dp_weights,
+)
+from strategies import block_glued_graph, blocky_families, graphs, random_pdbgs, relabeled
 
 
 class TestBinom:
@@ -218,6 +233,80 @@ class TestAgainstNetworkx:
 
         monkeypatch.setattr(Graph, "induced", refuse)
         assert count_cliques_touching(complete_graph(6), 3, {0, 1}) == 16
+
+
+class TestBlockSummedProfile:
+    """``block_clique_counts`` sums the profile over the blocks that the
+    weights were composed over, in closed form on clique blocks. At every
+    top order up to 8 it equals the whole-graph expansion and networkx."""
+
+    @staticmethod
+    def assert_matches(g: Graph, w=None, tops=range(9)):
+        w = compute_weights(g) if w is None else w
+        expected = [len(group) for group in nx_cliques_by_order(g, 8)]
+        assert clique_counts(g, 8) == expected, g
+        for top in tops:
+            assert block_clique_counts(g, top, w) == expected[: top + 1], (g, top)
+
+    def test_every_class_up_to_8_vertices(self):
+        for n in range(9):
+            for g in enumerate_graphs(n):
+                self.assert_matches(g, tops=(8,))
+
+    def test_blocky_families(self):
+        for seed in range(5):
+            for g in blocky_families(random.Random(seed)):
+                self.assert_matches(g)
+
+    def test_clique_trees_and_forests_at_64_vertices(self):
+        rng = random.Random(64)
+
+        def clique_tree(n: int) -> Graph:
+            """A random tree of clique blocks of order 2 to 16 on n vertices."""
+            orders = [16]
+            while sum(orders) - len(orders) + 1 < n:
+                orders.append(min(rng.randint(2, 16), n + 1 - (sum(orders) - len(orders) + 1)))
+            orders.sort(reverse=True)
+            parents = tuple(rng.randrange(i) for i in range(1, len(orders)))
+            return generate_pdbg(BlockSpec(tuple(orders), parents))
+
+        for _ in range(2):
+            forest = disjoint_union(clique_tree(30), complete_graph(16), clique_tree(17), Graph(1, (0,)))
+            for g in (clique_tree(64), forest):
+                assert g.n == 64
+                self.assert_matches(relabeled(g, rng), tops=(2, 5, 8))
+
+    def test_weights_built_directly_read_their_decomposition(self, count_calls):
+        rng = random.Random(27)
+        graphs = [block_glued_graph(rng, 12) for _ in range(40)]
+        dfs = count_calls("_block_masks", graph_module)
+        for g in graphs:
+            # the oracle's weights hold a given decomposition and no masks
+            self.assert_matches(g, subset_dp_weights(g))
+        assert len(dfs) == len(graphs)
+
+    def test_orders_below_two_read_no_block(self):
+        w = VertexWeights((), (), 0, None)
+        assert block_clique_counts(complete_graph(5), 0, w) == [1]
+        assert block_clique_counts(complete_graph(5), 1, w) == [1, 5]
+        with pytest.raises(ValueError, match=r"^clique order must be >= 0, got -1$"):
+            block_clique_counts(complete_graph(5), -1, w)
+        with pytest.raises(ResourceLimitError, match="capped at s <= "):
+            block_clique_counts(complete_graph(5), 10**9, w)
+
+    def test_budget_binds_only_inside_non_clique_blocks(self, monkeypatch):
+        # K8 less one edge glued to a K40 at vertex 0: only the K8 less one
+        # edge expands, trying 8 + 27 + 50 + 55 extensions below order 5
+        edges = [(u, v) for u in range(8) for v in range(u + 1, 8)][1:]
+        edges += [(u, v) for u in [0, *range(8, 47)] for v in range(max(u + 1, 8), 47)]
+        g = from_edges(47, edges)
+        w = compute_weights(g)
+        assert sorted(w.decomposition.clique) == [False, True]
+        monkeypatch.setattr(cliques, "CLIQUE_EXPANSION_BUDGET", 140)
+        assert block_clique_counts(g, 5, w)[5] == binom(8, 5) - binom(6, 3) + binom(40, 5)
+        monkeypatch.setattr(cliques, "CLIQUE_EXPANSION_BUDGET", 139)
+        with pytest.raises(ResourceLimitError, match="^clique counting gave up after 139 extensions$"):
+            block_clique_counts(g, 5, w)
 
 
 class TestContributionTable:

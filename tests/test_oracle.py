@@ -3,6 +3,7 @@ import pytest
 from cliquebounds import (
     ResourceLimitError,
     bounds,
+    cliques,
     closure_and_peel_lemmas,
     compute_weights,
     exhaustive_verify,
@@ -96,13 +97,14 @@ class TestExhaustiveVerify:
             for rep in oracle._reports(g, 6):
                 assert rep.extremal == extremal_predicate(g, rep.s, rep.theorem, w), (g, rep.s)
 
-    def test_one_clique_expansion_per_class(self, count_calls):
-        expansions = count_calls("clique_counts")
+    def test_one_block_summed_profile_per_class(self, count_calls):
+        profiles = count_calls("block_clique_counts", cliques)
+        whole = count_calls("clique_counts")
         single = count_calls("count_cliques")
         summary = exhaustive_verify(5, 4)
-        assert len(expansions) == summary["graphs_total"] == 52
-        assert all(s_max == 4 for _, s_max in expansions)
-        assert single == []
+        assert len(profiles) == summary["graphs_total"] == 52
+        assert all(s_max == 4 for _, s_max, _ in profiles)
+        assert whole == [] and single == []
 
 
 class TestLabeledCrosscheck:

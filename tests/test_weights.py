@@ -260,9 +260,10 @@ MIXED_BLOCKS = (
 class TestArmComposition:
     """The two passes over the block-cut tree on shapes that stress them: a
     DFS root that is a cut vertex, one cut vertex under many blocks, a deep
-    chain, every kind of block, and several components. The weights match
-    the whole-graph subset DP (n <= 16) or the block-graph tree DP, and the
-    decomposition built when read matches ``block_decomposition``."""
+    chain, every kind of block, several components, tied child arms and a
+    longest arm from the parent side. The weights match the whole-graph
+    subset DP (n <= 18) or the block-graph tree DP, and the decomposition
+    built when read matches ``block_decomposition``."""
 
     @staticmethod
     def assert_matches(g: Graph, oracle):
@@ -322,6 +323,66 @@ class TestArmComposition:
             g = relabeled(disjoint_union(*parts), rng)
             assert g.n <= 16
             self.assert_matches(g, subset_dp_weights)
+
+    # high fan-out: each cut vertex keeps its two longest child arms and the
+    # block of the longest, and every block reads its arm at each cut in O(1)
+
+    def assert_relabeled(self, g: Graph, seed: int, times: int = 10):
+        """g and ``times`` seeded relabelings of it against the tree DP when
+        every block is a clique, and against the subset DP at n <= 18."""
+        oracles = [subset_dp_weights] if g.n <= 18 else []
+        if all(block_decomposition(g).clique):
+            oracles.append(tree_dp_block_graph_weights)
+        assert oracles
+        rng = random.Random(seed)
+        for h in [g] + [relabeled(g, rng) for _ in range(times)]:
+            for oracle in oracles:
+                self.assert_matches(h, oracle)
+
+    def test_star_k_1_63(self):
+        g = from_edges(64, [(0, v) for v in range(1, 64)])
+        assert compute_weights(g).p == (2,) * 64
+        self.assert_relabeled(g, 66, 5)
+
+    def test_k8_with_a_pendant_triangle_at_every_vertex(self):
+        triangles = [(v, 8 + 2 * v) for v in range(8)] + [(v, 9 + 2 * v) for v in range(8)]
+        triangles += [(8 + 2 * v, 9 + 2 * v) for v in range(8)]
+        g = from_edges(24, complete_graph(8).edges() + triangles)
+        # in through one triangle, across the K8, out through another
+        assert compute_weights(g).p == (11,) * 24
+        self.assert_relabeled(g, 67)
+
+    def test_tied_child_arms(self):
+        # the DFS starts at the pendant vertex 0, so cut vertex 1 hangs two
+        # paths of 3 edges and a triangle below a parent arm of 1 edge: the
+        # path that gave 1 its longest arm continues along the tied one
+        g = from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (6, 7),
+                            (1, 8), (1, 9), (8, 9)])
+        assert compute_weights(g).p == (4, 6, 6, 6, 6, 6, 6, 6, 5, 5)
+        self.assert_relabeled(g, 68, 20)
+
+    def test_best_arm_from_the_parent_side(self):
+        # the DFS starts at the far end of a path of 5 edges, which is the
+        # longest arm of cut vertex 5 for the triangle and bridge below it
+        g = from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7),
+                            (6, 7), (5, 8), (6, 9)])
+        assert compute_weights(g).p == (8,) * 8 + (6, 8)
+        self.assert_relabeled(g, 69, 20)
+
+    def test_hamiltonian_block_with_a_chain_at_each_cut(self):
+        # a chorded 6-cycle with chains of 3, 3, 2 and 2 edges at vertices
+        # 0, 1, 3 and 4
+        ring = cycle_graph(6).edges() + [(0, 3)]
+        chains = [(0, 6), (6, 7), (7, 8), (1, 9), (9, 10), (10, 11), (3, 12), (12, 13),
+                  (4, 14), (14, 15)]
+        g = from_edges(16, ring + chains)
+        d = block_decomposition(g)
+        assert d.cut_vertices >= {0, 1, 3, 4} and d.clique.count(False) == 1
+        w = compute_weights(g)
+        # the ring is Hamiltonian; the longest path runs the chain at 0, the
+        # ring the long way round from 0 to 1, and the chain at 1
+        assert w.c[:6] == (6,) * 6 and max(w.p) == 3 + 5 + 3
+        self.assert_relabeled(g, 70)
 
 
 def cone(g: Graph) -> Graph:
