@@ -6,7 +6,7 @@ higher-id neighbours of the vertex just added. One iterative expansion
 counts the cliques of every order up to a top order at once, so a caller
 that needs several orders of one graph expands its cliques once. A clique
 of two or more vertices lies in exactly one biconnected block, so a caller
-that holds the graph's weights reads the profile from their blocks
+that holds the graph's weights reads the profile from their ``blocks``
 (``block_clique_counts``): a clique block of order m has C(m, s) s-cliques,
 and only a non-clique block is expanded, on its own vertex mask, so the
 expansion budget binds only inside non-clique blocks.
@@ -108,19 +108,12 @@ def block_clique_counts(g: Graph, s_max: int, w: VertexWeights) -> list[int]:
     in exactly one block, so N(K_s) for s >= 2 is a sum over the blocks: a
     clique block of order m adds C(m, s), and any other block expands its
     own vertex mask with at most min(s_max, |B|) + 1 slots, under its own
-    ``CLIQUE_EXPANSION_BUDGET``. Weights from ``compute_weights`` keep the
-    block masks; directly built ones give their ``decomposition``."""
+    ``CLIQUE_EXPANSION_BUDGET``. The blocks are the weights' ``blocks``."""
     _require_top(s_max)
     counts = [1, g.n] + [0] * (s_max - 1)
     if s_max < 2:
         return counts[: s_max + 1]
-    kept = getattr(w, "_blocks", None)
-    if kept is None:
-        d = w.decomposition
-        masks = [sum(1 << v for v in b) for b in d.blocks]
-        clique = d.clique
-    else:
-        masks, _, clique = kept
+    masks, _, clique = w.blocks
     nbr = None
     for bmask, is_clique in zip(masks, clique):
         m = bmask.bit_count()

@@ -1,18 +1,18 @@
 """The equality classes of the localized bounds: the heavy set of each bound,
 and the recognizers of its equality class, parent-dominated block graphs and
-clique components. The parent-dominance rule reads blocks as vertex masks:
-the theorem-1 predicate reads the masks that ``compute_weights`` kept when
-the heavy set is every vertex, and runs the DFS of ``graphs`` on the heavy
-vertex mask of g otherwise; ``is_parent_dominated`` reads the public
+clique components. The parent-dominance rule reads a graph's ``Blocks``:
+the theorem-1 predicate reads the weights' ``blocks`` when the heavy set is
+every vertex, and runs the DFS of ``graphs`` on the heavy vertex mask of g
+otherwise; ``is_parent_dominated`` reads the public
 ``block_decomposition``."""
 
 from __future__ import annotations
 
 from .graphs import (
     BlockDecomposition,
+    Blocks,
     Graph,
     _block_masks,
-    _is_clique,
     block_decomposition,
     iter_bits,
 )
@@ -27,14 +27,13 @@ def is_parent_dominated(g: Graph) -> bool:
     return g.n <= 1 or _parent_dominated(*_as_masks(block_decomposition(g)))
 
 
-def _as_masks(d: BlockDecomposition) -> tuple[list[int], int, tuple[bool, ...]]:
-    """A decomposition's blocks and cut vertices as vertex masks, and its
-    clique flags."""
-    masks = [sum(1 << v for v in b) for b in d.blocks]
-    return masks, sum(1 << v for v in d.cut_vertices), d.clique
+def _as_masks(d: BlockDecomposition) -> Blocks:
+    """A decomposition as ``Blocks``."""
+    masks = tuple(sum(1 << v for v in b) for b in d.blocks)
+    return Blocks(masks, sum(1 << v for v in d.cut_vertices), d.clique)
 
 
-def _parent_dominated(masks: list[int], cuts: int, clique) -> bool:
+def _parent_dominated(masks: tuple[int, ...], cuts: int, clique: tuple[bool, ...]) -> bool:
     """``is_parent_dominated`` read from block vertex ``masks``, the
     cut-vertex mask and the blocks' clique flags; no blocks pass."""
     edges = sum((m & cuts).bit_count() for m in masks)
@@ -107,10 +106,7 @@ def extremal_predicate(g: Graph, s: int, theorem: int, w: VertexWeights) -> bool
     if theorem == 2:
         return _components_are_cliques(g, heavy)
     if heavy == g.full_mask:
-        # weights built by compute_weights keep their block masks
-        blocks = getattr(w, "_blocks", None)
-        return _parent_dominated(*(blocks or _as_masks(w.decomposition)))
+        return _parent_dominated(*w.blocks)
     if heavy & (heavy - 1) == 0:
         return True
-    masks, cuts, nbr = _block_masks(g, heavy)
-    return _parent_dominated(masks, cuts, (_is_clique(nbr, m) for m in masks))
+    return _parent_dominated(*_block_masks(g, heavy))

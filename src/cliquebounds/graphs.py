@@ -230,25 +230,53 @@ class BlockDecomposition(NamedTuple):
         return len(self.blocks) + len(self.cut_vertices) - len(self.tree_edges)
 
 
+class Blocks(NamedTuple):
+    """The blocks of a graph as the package reads them: the block vertex
+    masks in the order the DFS closes them, the cut-vertex mask, and
+    whether each block induces a complete graph. Tuples throughout, so a
+    ``VertexWeights`` that holds them stays hashable."""
+
+    masks: tuple[int, ...]
+    cuts: int
+    clique: tuple[bool, ...]
+
+
 def block_decomposition(g: Graph, mask: int | None = None) -> BlockDecomposition:
     """Hopcroft-Tarjan decomposition on vertex bitmasks, of the subgraph
     induced on the vertex bitmask ``mask`` (all of g by default) in g's own
     vertex ids; a vertex outside the mask is in no block.
 
-    The DFS is ``_block_masks``, which gives the blocks as vertex masks;
-    this builder turns them into the frozensets, clique flags, tree
-    incidences and ``blocks_at`` tuples of a ``BlockDecomposition``. The
-    package's own readers (the weights and the theorem-1 recognizer) read
-    the masks and build none of these.
+    The DFS is ``_block_masks``; this builder turns its ``Blocks`` into the
+    frozensets, tree incidences and ``blocks_at`` tuples of a
+    ``BlockDecomposition``. The package's own readers (the weights, the
+    theorem-1 recognizer and the clique profile) read the ``Blocks`` and
+    build none of these.
     """
-    masks, cuts, nbr = _block_masks(g, mask)
-    return _decomposition(g.n, masks, cuts, [_is_clique(nbr, m) for m in masks])
+    masks, cuts, clique = _block_masks(g, mask)
+    blocks: list[frozenset[int]] = []
+    blocks_at: list[list[int]] = [[] for _ in range(g.n)]
+    tree = []
+    for bi, bmask in enumerate(masks):
+        verts = []
+        m = bmask
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            verts.append(v)
+            blocks_at[v].append(bi)
+            if b & cuts:
+                tree.append((bi, v))
+        blocks.append(frozenset(verts))
+    return BlockDecomposition(
+        tuple(blocks), frozenset(v for _, v in tree), tuple(tree), clique,
+        tuple(map(tuple, blocks_at)),
+    )
 
 
-def _block_masks(g: Graph, mask: int | None = None) -> tuple[list[int], int, dict[int, int]]:
-    """The blocks of the subgraph induced on ``mask`` (all of g by default)
-    as vertex masks in the order the DFS closes them, the mask of its cut
-    vertices, and its rows, keyed by vertex bit and cut to the mask.
+def _block_masks(g: Graph, mask: int | None = None) -> Blocks:
+    """The ``Blocks`` of the subgraph induced on ``mask`` (all of g by
+    default).
 
     One iterative DFS descends to the least unvisited neighbour. A frame
     holds its vertex bit, its untried neighbours as a row, the union of
@@ -305,7 +333,8 @@ def _block_masks(g: Graph, mask: int | None = None) -> tuple[list[int], int, dic
     for bmask in masks:
         cuts |= once & bmask
         once |= bmask
-    return masks, cuts, nbr
+    clique = tuple(bmask.bit_count() < 3 or _is_clique(nbr, bmask) for bmask in masks)
+    return Blocks(tuple(masks), cuts, clique)
 
 
 def _is_clique(nbr: dict[int, int], bmask: int) -> bool:
@@ -318,30 +347,6 @@ def _is_clique(nbr: dict[int, int], bmask: int) -> bool:
         if (nbr[b] | b) & bmask != bmask:
             return False
     return True
-
-
-def _decomposition(n: int, masks: list[int], cuts: int, clique) -> BlockDecomposition:
-    """The ``BlockDecomposition`` of an n-vertex graph from its block
-    ``masks``, cut-vertex mask ``cuts`` and per-block clique flags."""
-    blocks: list[frozenset[int]] = []
-    blocks_at: list[list[int]] = [[] for _ in range(n)]
-    tree = []
-    for bi, bmask in enumerate(masks):
-        verts = []
-        m = bmask
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            verts.append(v)
-            blocks_at[v].append(bi)
-            if b & cuts:
-                tree.append((bi, v))
-        blocks.append(frozenset(verts))
-    return BlockDecomposition(
-        tuple(blocks), frozenset(v for _, v in tree), tuple(tree), tuple(clique),
-        tuple(map(tuple, blocks_at)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,11 @@ vertices, |B| - 1 plus its two longest arms. A non-clique block B without
 a Hamiltonian cycle costs about (max(cut vertices in B, 1) + 1) * 2^|B|
 over both passes.
 
-The blocks come from one DFS of ``graphs`` as vertex masks, which both
-passes read. ``VertexWeights`` keeps them, so the theorem-1 recognizer
-and the clique profile (``cliques.block_clique_counts``) read them
-without a second DFS, and builds the public ``BlockDecomposition`` from
-them only when its ``decomposition`` is first read, as it runs the p pass
-only when p is first read.
+The blocks come from one DFS of ``graphs`` as a ``Blocks`` tuple: the
+vertex masks, the cut-vertex mask and the clique flags, which both passes
+read. ``VertexWeights`` keeps it as its ``blocks`` field, so the theorem-1
+recognizer and the clique profile (``cliques.block_clique_counts``) read
+it without a second DFS.
 
 ``longest_path_from`` gives the lexicographically least longest path from
 a start vertex, which the rotation closure of ``transforms`` starts from:
@@ -55,12 +54,10 @@ from functools import partial
 from typing import NamedTuple
 
 from .graphs import (
-    BlockDecomposition,
+    Blocks,
     Graph,
     ResourceLimitError,
     _block_masks,
-    _decomposition,
-    _is_clique,
     iter_bits,
     reachable,
 )
@@ -77,19 +74,17 @@ PATH_SEARCH_BUDGET = 2_000_000
 @dataclass(frozen=True)
 class VertexWeights:
     """p and c arrays plus the circumference (max c; 0 on the empty graph),
-    and the block decomposition of the graph they were composed over.
+    and the ``Blocks`` of the graph they were composed over.
 
-    ``compute_weights`` fills c and the circumference. It leaves p to a
-    pending pass that runs the first time p is read, and the decomposition
-    to a pending build from the block masks of its DFS, run the first time
-    the decomposition is read; each pending pass is then dropped. Both are
-    fields, so equality, hash and repr read them. Constructed directly, all
-    four fields are given."""
+    ``compute_weights`` fills c, the circumference and the blocks. It
+    leaves p to a pending pass that runs the first time p is read and is
+    then dropped. p is a field, so equality, hash and repr read it.
+    Constructed directly, all four fields are given."""
 
     p: tuple[int, ...]
     c: tuple[int, ...]
     circumference: int
-    decomposition: BlockDecomposition
+    blocks: Blocks
 
     def __getattr__(self, name: str):
         # reached only when ordinary lookup fails, so the field is pending
@@ -103,16 +98,10 @@ class VertexWeights:
         return value
 
     @classmethod
-    def _with_pending(cls, c, circumference, p_pass, n: int, blocks) -> VertexWeights:
-        """c and the circumference given, p from ``p_pass``, and the
-        decomposition of the n-vertex graph from its ``blocks``: the block
-        masks, the cut-vertex mask and the clique flags, which the theorem-1
-        recognizer also reads."""
+    def _with_pending(cls, c, circumference, p_pass, blocks: Blocks) -> VertexWeights:
+        """c, the circumference and the blocks given, p from ``p_pass``."""
         w = cls.__new__(cls)
-        vars(w).update(
-            c=c, circumference=circumference, _blocks=blocks, _p_pass=p_pass,
-            _decomposition_pass=partial(_decomposition, n, *blocks),
-        )
+        vars(w).update(c=c, circumference=circumference, blocks=blocks, _p_pass=p_pass)
         return w
 
 
@@ -181,17 +170,14 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
     1) + 1) * 2^|B| steps over both passes, so the guard is on the largest
     non-clique block, and on the memory its tables need; both run here,
     before either pass, and reading p never raises. One DFS gives the
-    blocks as vertex masks (``graphs._block_masks``); the decomposition is
-    built from them when it is first read.
+    ``Blocks`` (``graphs._block_masks``), which the weights keep.
     """
-    masks, cuts, nbr = _block_masks(g)
+    blocks = _block_masks(g)
+    masks, cuts, clique = blocks
     c = [2] * g.n
-    clique = []
     largest = 0
-    for bmask in masks:
+    for bmask, is_clique in zip(masks, clique):
         size = bmask.bit_count()
-        is_clique = size < 3 or _is_clique(nbr, bmask)
-        clique.append(is_clique)
         if not is_clique:
             largest = max(largest, size)
         elif size > 2:
@@ -211,10 +197,10 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
         )
     if largest:
         _memory_guard(largest)
-    blocks: list[_Block | None] = []  # None for a clique block
+    relabeled: list[_Block | None] = []  # None for a clique block
     for bmask, is_clique in zip(masks, clique):
         if is_clique:
-            blocks.append(None)
+            relabeled.append(None)
             continue
         size = bmask.bit_count()
         order = list(iter_bits(bmask))
@@ -222,27 +208,26 @@ def compute_weights(g: Graph, dp_limit: int = DEFAULT_DP_LIMIT) -> VertexWeights
         adj = []
         for v in order:
             row = 0
-            rest = nbr[1 << v] & bmask
+            rest = g.adj[v] & bmask
             while rest:
                 b = rest & -rest
                 rest ^= b
                 row |= local_bit[b]
             adj.append(row)
         hamiltonian = _has_hamiltonian_cycle(adj, size)
-        blocks.append(_Block(order, adj, hamiltonian))
+        relabeled.append(_Block(order, adj, hamiltonian))
         # a spanning cycle is a longest cycle through every vertex
         c_in = [size] * size if hamiltonian else _cycle_table(adj, size)
         for v, cv in zip(order, c_in):
             if c[v] < cv:
                 c[v] = cv
     return VertexWeights._with_pending(
-        tuple(c), max(c, default=0), partial(_path_weights, g.n, masks, cuts, blocks),
-        g.n, (masks, cuts, clique),
+        tuple(c), max(c, default=0), partial(_path_weights, g.n, masks, cuts, relabeled), blocks
     )
 
 
 def _path_weights(
-    n: int, masks: list[int], cuts: int, blocks: list[_Block | None]
+    n: int, masks: tuple[int, ...], cuts: int, blocks: list[_Block | None]
 ) -> tuple[int, ...]:
     """p of the n-vertex graph with block ``masks`` in DFS closing order
     and cut-vertex mask ``cuts``, from the relabeled non-clique ``blocks``

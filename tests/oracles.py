@@ -16,9 +16,9 @@ retired longest path, a greedy that runs one breadth-first search
 ``greedy_longest_path_from``. The retired rotation closure, which
 validates every path it reaches and rebuilds each one's vertex set, is
 ``rotation_closure``. The two weights oracles return
-``VertexWeights`` carrying the package's block decomposition of g, so they
-compare equal to ``compute_weights`` field by field; their p and c are
-computed without it. The block decomposition is checked field for field
+``VertexWeights`` carrying the package's ``Blocks`` of g (``_block_masks``),
+so they compare equal to ``compute_weights`` field by field; their p and c
+are computed without them. The block decomposition is checked field for field
 against the retired edge-stack pass (``edge_stack_block_decomposition``);
 it and the block-graph recognizers are also checked against networkx
 (``nx_block_decomposition``), and so are the clique counts past the subset oracle's range
@@ -59,7 +59,7 @@ from cliquebounds import (
     canonical_mask,
     from_pair_mask,
 )
-from cliquebounds.graphs import MAX_VERTICES, iter_bits
+from cliquebounds.graphs import MAX_VERTICES, _block_masks, iter_bits
 from cliquebounds.weights import VertexWeights
 
 
@@ -108,7 +108,7 @@ def subset_dp_weights(g: Graph) -> VertexWeights:
     """
     n = g.n
     if n == 0:
-        return VertexWeights((), (), 0, block_decomposition(g))
+        return VertexWeights((), (), 0, _block_masks(g))
     adj = g.adj
     size = 1 << n
 
@@ -149,7 +149,7 @@ def subset_dp_weights(g: Graph) -> VertexWeights:
             for w in iter_bits(ext):
                 rooted[s_mask | (1 << w)] |= 1 << w
 
-    return VertexWeights(tuple(p), tuple(c), max(c), block_decomposition(g))
+    return VertexWeights(tuple(p), tuple(c), max(c), _block_masks(g))
 
 
 def tree_dp_block_graph_weights(g: Graph) -> VertexWeights:
@@ -163,7 +163,7 @@ def tree_dp_block_graph_weights(g: Graph) -> VertexWeights:
     """
     decomp = block_decomposition(g)
     if g.n == 0:
-        return VertexWeights((), (), 0, decomp)
+        return VertexWeights((), (), 0, _block_masks(g))
     for blk in decomp.blocks:
         for v in blk:
             need = [u for u in blk if u != v]
@@ -229,7 +229,7 @@ def tree_dp_block_graph_weights(g: Graph) -> VertexWeights:
     p = [0] * g.n
     for v in range(g.n):
         p[v] = max(best_through[bi] for bi in blocks_at[v])
-    return VertexWeights(tuple(p), tuple(c), max(c), decomp)
+    return VertexWeights(tuple(p), tuple(c), max(c), _block_masks(g))
 
 
 def edge_stack_block_decomposition(g: Graph, mask: int | None = None) -> BlockDecomposition:

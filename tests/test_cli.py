@@ -204,11 +204,10 @@ class TestCheckCommand:
         f = tmp_path / "in.g6"
         f.write_text("".join(write_graph6(g) + "\n" for g in inputs))
         dfs = count_calls("_block_masks", graphs)
-        built = count_calls("_decomposition", graphs)
         public = count_calls("block_decomposition")
         code, out, err = run_cli(capsys, ["check", "--theorem", str(theorem), "--s", "3", str(f)])
         assert code == 0 and err == "" and len(out.splitlines()) == len(inputs)
-        assert len(dfs) == expected and built == [] and public == []
+        assert len(dfs) == expected and public == []
 
     def test_bad_s_exits_2(self, capsys, monkeypatch):
         code, _, _ = run_cli(

@@ -276,14 +276,15 @@ class TestBlockSummedProfile:
                 assert g.n == 64
                 self.assert_matches(relabeled(g, rng), tops=(2, 5, 8))
 
-    def test_weights_built_directly_read_their_decomposition(self, count_calls):
+    def test_weights_built_directly_read_their_blocks(self, count_calls):
         rng = random.Random(27)
         graphs = [block_glued_graph(rng, 12) for _ in range(40)]
+        weights = [subset_dp_weights(g) for g in graphs]
         dfs = count_calls("_block_masks", graph_module)
-        for g in graphs:
-            # the oracle's weights hold a given decomposition and no masks
-            self.assert_matches(g, subset_dp_weights(g))
-        assert len(dfs) == len(graphs)
+        for g, w in zip(graphs, weights):
+            # the oracle's weights hold the blocks they were given
+            self.assert_matches(g, w)
+        assert dfs == []
 
     def test_orders_below_two_read_no_block(self):
         w = VertexWeights((), (), 0, None)
@@ -301,7 +302,7 @@ class TestBlockSummedProfile:
         edges += [(u, v) for u in [0, *range(8, 47)] for v in range(max(u + 1, 8), 47)]
         g = from_edges(47, edges)
         w = compute_weights(g)
-        assert sorted(w.decomposition.clique) == [False, True]
+        assert sorted(w.blocks.clique) == [False, True]
         monkeypatch.setattr(cliques, "CLIQUE_EXPANSION_BUDGET", 140)
         assert block_clique_counts(g, 5, w)[5] == binom(8, 5) - binom(6, 3) + binom(40, 5)
         monkeypatch.setattr(cliques, "CLIQUE_EXPANSION_BUDGET", 139)

@@ -255,7 +255,7 @@ class TestExtremalPredicate:
         graphs = [g for g in reps7 if is_connected(g)] + [bowtie(), petersen()]
         weights = [compute_weights(g) for g in graphs]
         calls = count_calls("_block_masks", graph_module)
-        built = count_calls("_decomposition", graph_module)
+        built = count_calls("block_decomposition", graph_module)
         for g, w in zip(graphs, weights):
             extremal_predicate(g, 2, 1, w)
         assert calls == [] and built == []

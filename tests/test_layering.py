@@ -1,6 +1,7 @@
 """The package's module layering: every import sits at module level, every
-name a module imports is read in it, and the graph of ``from .module
-import`` edges between its modules is acyclic."""
+name a module imports is read in it, the graph of ``from .module import``
+edges between its modules is acyclic, and no module reads a private
+attribute by name through ``getattr``."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,21 @@ def test_every_imported_name_is_read(path):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(module_level_imports(tree) - read) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_getattr_of_a_private_name(path):
+    # a hidden attribute read by name is a second form of a fact that a
+    # field or a return value should carry
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hidden = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "getattr"
+        and len(node.args) > 1
+        and isinstance(node.args[1], ast.Constant)
+        and str(node.args[1].value).startswith("_")
+    ]
+    assert hidden == []

@@ -31,7 +31,7 @@ from cliquebounds import (
 from cliquebounds import graphs as graph_module
 from cliquebounds import weights
 from cliquebounds.cli import main
-from cliquebounds.graphs import reachable
+from cliquebounds.graphs import _block_masks, iter_bits, reachable
 from cliquebounds.weights import (
     _DP_BYTES_PER_SLOT,
     _cycle_table,
@@ -73,7 +73,12 @@ class TestComputeWeights:
 
     def test_carries_its_block_decomposition(self, reps_by_n):
         for g in [bowtie(), petersen()] + reps_by_n[5]:
-            assert compute_weights(g).decomposition == block_decomposition(g), g
+            blocks = compute_weights(g).blocks
+            d = block_decomposition(g)
+            assert blocks == _block_masks(g), g
+            assert [frozenset(iter_bits(m)) for m in blocks.masks] == list(d.blocks), g
+            assert frozenset(iter_bits(blocks.cuts)) == d.cut_vertices, g
+            assert blocks.clique == d.clique, g
 
     def test_empty_graph(self):
         w = compute_weights(from_edges(0, []))
@@ -262,13 +267,13 @@ class TestArmComposition:
     DFS root that is a cut vertex, one cut vertex under many blocks, a deep
     chain, every kind of block, several components, tied child arms and a
     longest arm from the parent side. The weights match the whole-graph
-    subset DP (n <= 18) or the block-graph tree DP, and the decomposition
-    built when read matches ``block_decomposition``."""
+    subset DP (n <= 18) or the block-graph tree DP, and the weights keep
+    the graph's ``Blocks``."""
 
     @staticmethod
     def assert_matches(g: Graph, oracle):
         w = compute_weights(g)
-        assert w.decomposition == block_decomposition(g), g
+        assert w.blocks == _block_masks(g), g
         assert w == oracle(g), g
 
     def test_dfs_root_is_a_cut_vertex(self):
@@ -569,40 +574,38 @@ class TestPathPassOnDemand:
         for g, w in zip(self.GRAPHS, pending):
             assert w.p == subset_dp_weights(g).p, g
 
-    def test_decomposition_is_built_once_when_read(self, count_calls):
-        built = count_calls("_decomposition", graph_module)
+    def test_blocks_come_from_the_one_dfs(self, count_calls):
         dfs = count_calls("_block_masks", graph_module)
         for g in self.GRAPHS:
             w = compute_weights(g)
-            assert built == [] and len(dfs) == 1
-            first = w.decomposition
-            # the second read returns the same object, and no read runs a DFS
-            assert w.decomposition is first and len(built) == 1 and len(dfs) == 1
-            assert first == block_decomposition(g)
-            built.clear()
+            # reading p, and the blocks at s = 2, where the heavy set is
+            # every vertex, runs no second DFS
+            assert w.p == subset_dp_weights(g).p and extremal_predicate(g, 2, 1, w) is False
+            assert dfs == [(g,)]
             dfs.clear()
 
     def test_a_copy_fills_its_own_pending_fields(self):
         for g in self.GRAPHS:
             w = compute_weights(g)
             twin = copy.copy(w)
-            assert twin.p == subset_dp_weights(g).p and twin.decomposition == block_decomposition(g)
-            assert w.p == twin.p and w.decomposition == twin.decomposition
+            assert twin.p == subset_dp_weights(g).p and twin.blocks is w.blocks
+            assert w.p == twin.p
 
     def test_given_weights_keep_their_fields(self, count_calls):
         g = from_edges(15, MIXED_BLOCKS)
         o = subset_dp_weights(g)
-        given = VertexWeights(o.p, o.c, o.circumference, o.decomposition)
+        given = VertexWeights(o.p, o.c, o.circumference, o.blocks)
         dfs = count_calls("_block_masks", graph_module)
-        assert given.decomposition is o.decomposition and given.p is o.p
-        # at s = 2 the heavy set is every vertex: the given decomposition is read
+        assert given.blocks is o.blocks and given.p is o.p
+        # at s = 2 the heavy set is every vertex: the given blocks are read
         assert extremal_predicate(g, 2, 1, given) is False and dfs == []
         assert given == compute_weights(g) and len(dfs) == 1
 
-    def test_pending_weights_behave_as_given_ones(self):
-        for g in self.GRAPHS:
+    def test_pending_weights_behave_as_given_ones(self, reps_by_n, reps7):
+        # every class with n <= 7, so the hash reads every kind of Blocks
+        for g in [*self.GRAPHS, *(g for reps in reps_by_n.values() for g in reps), *reps7]:
             o = subset_dp_weights(g)
-            given = VertexWeights(o.p, o.c, o.circumference, o.decomposition)
+            given = VertexWeights(o.p, o.c, o.circumference, o.blocks)
             assert compute_weights(g) == given
             assert hash(compute_weights(g)) == hash(given)
             assert repr(compute_weights(g)) == repr(given)
@@ -743,10 +746,9 @@ class TestBlockGraphShortcut:
         g = generate_pdbg(BlockSpec((5, 4, 4, 3)))
         calls = count_calls("_block_masks", graph_module)
         w = compute_weights_block_graph(g)
+        # the weights keep the blocks of that one DFS, every one a clique
         assert calls == [(g,)]
-        # the decomposition is built from the same masks, with no second DFS
-        assert w.decomposition is w.decomposition and calls == [(g,)]
-        assert w.decomposition == block_decomposition(g)
+        assert w.blocks == _block_masks(g) and all(w.blocks.clique)
 
     def test_matches_dp_on_random_block_graphs(self):
         rng = random.Random(31337)
