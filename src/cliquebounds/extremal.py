@@ -2,15 +2,13 @@
 and the recognizers of its equality class, parent-dominated block graphs and
 clique components. The parent-dominance rule reads a graph's ``Blocks``:
 the theorem-1 predicate reads the weights' ``blocks`` when the heavy set is
-every vertex, and runs the DFS of ``graphs`` on the heavy vertex mask of g
-otherwise; ``is_parent_dominated`` reads the public
-``block_decomposition``."""
+every vertex and runs the DFS of ``graphs`` on the heavy vertex mask of g
+otherwise; ``is_parent_dominated`` reads ``block_decomposition(g)``, the
+same ``Blocks``."""
 
 from __future__ import annotations
 
 from .graphs import (
-    BlockDecomposition,
-    Blocks,
     Graph,
     _block_masks,
     block_decomposition,
@@ -24,13 +22,7 @@ def is_parent_dominated(g: Graph) -> bool:
     rooted at some maximum-order block, has every block's order at most its
     parent block's order. Any rooting at a maximum-order block may witness
     it; the empty graph and single vertices pass vacuously."""
-    return g.n <= 1 or _parent_dominated(*_as_masks(block_decomposition(g)))
-
-
-def _as_masks(d: BlockDecomposition) -> Blocks:
-    """A decomposition as ``Blocks``."""
-    masks = tuple(sum(1 << v for v in b) for b in d.blocks)
-    return Blocks(masks, sum(1 << v for v in d.cut_vertices), d.clique)
+    return g.n <= 1 or _parent_dominated(*block_decomposition(g))
 
 
 def _parent_dominated(masks: tuple[int, ...], cuts: int, clique: tuple[bool, ...]) -> bool:

@@ -1,4 +1,5 @@
-"""Immutable bitmask graphs, graph6 and edge-list I/O, constructors and generators.
+"""Immutable bitmask graphs, graph6 and edge-list I/O, constructors and
+generators, and the block decomposition (``Blocks``) of one DFS.
 
 Vertices are dense ids 0..n-1 with n capped at 64 so a single machine word
 holds one adjacency row. Everything downstream (subset DP, clique recursion,
@@ -210,68 +211,35 @@ def is_connected(g: Graph) -> bool:
     return g.n == 0 or reachable({1 << v: row for v, row in enumerate(g.adj)}, 1, rest) == rest
 
 
-class BlockDecomposition(NamedTuple):
-    """Biconnected components (bridges as 2-sets, isolated vertices as
-    singletons), cut vertices, and the bipartite block-cut tree given as
-    (block index, cut vertex) incidences. ``clique[i]`` says whether block i
-    induces a complete graph; ``blocks_at[v]`` lists the blocks holding
-    vertex v, two or more exactly when v is a cut vertex. A tuple of its
-    five fields in this order."""
-
-    blocks: tuple[frozenset[int], ...]
-    cut_vertices: frozenset[int]
-    tree_edges: tuple[tuple[int, int], ...]
-    clique: tuple[bool, ...]
-    blocks_at: tuple[tuple[int, ...], ...]
-
-    @property
-    def components(self) -> int:
-        """Connected components: the block-cut forest has one tree each."""
-        return len(self.blocks) + len(self.cut_vertices) - len(self.tree_edges)
-
-
 class Blocks(NamedTuple):
-    """The blocks of a graph as the package reads them: the block vertex
-    masks in the order the DFS closes them, the cut-vertex mask, and
-    whether each block induces a complete graph. Tuples throughout, so a
+    """The blocks of a graph: the vertex masks of its biconnected
+    components, the cut-vertex mask, and whether each block induces a
+    complete graph. A bridge is a 2-vertex block and an isolated vertex a
+    block of its own, so every vertex lies in a block and every edge in
+    exactly one.
+
+    The masks are in the order the DFS closes them. Each block closes after
+    the blocks that hang below it in the block-cut tree, so the last block
+    of each component is its root, and any other block has exactly one
+    vertex in a later block: its parent cut vertex. Tuples throughout, so a
     ``VertexWeights`` that holds them stays hashable."""
 
     masks: tuple[int, ...]
     cuts: int
     clique: tuple[bool, ...]
 
+    @property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        """The block vertex sets, in the order of ``masks``."""
+        return tuple(frozenset(iter_bits(m)) for m in self.masks)
 
-def block_decomposition(g: Graph, mask: int | None = None) -> BlockDecomposition:
-    """Hopcroft-Tarjan decomposition on vertex bitmasks, of the subgraph
-    induced on the vertex bitmask ``mask`` (all of g by default) in g's own
-    vertex ids; a vertex outside the mask is in no block.
 
-    The DFS is ``_block_masks``; this builder turns its ``Blocks`` into the
-    frozensets, tree incidences and ``blocks_at`` tuples of a
-    ``BlockDecomposition``. The package's own readers (the weights, the
-    theorem-1 recognizer and the clique profile) read the ``Blocks`` and
-    build none of these.
-    """
-    masks, cuts, clique = _block_masks(g, mask)
-    blocks: list[frozenset[int]] = []
-    blocks_at: list[list[int]] = [[] for _ in range(g.n)]
-    tree = []
-    for bi, bmask in enumerate(masks):
-        verts = []
-        m = bmask
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            verts.append(v)
-            blocks_at[v].append(bi)
-            if b & cuts:
-                tree.append((bi, v))
-        blocks.append(frozenset(verts))
-    return BlockDecomposition(
-        tuple(blocks), frozenset(v for _, v in tree), tuple(tree), clique,
-        tuple(map(tuple, blocks_at)),
-    )
+def block_decomposition(g: Graph, mask: int | None = None) -> Blocks:
+    """The ``Blocks`` of the subgraph induced on the vertex bitmask ``mask``
+    (all of g by default), in g's own vertex ids; a vertex outside the mask
+    is in no block. These are the blocks ``compute_weights`` keeps, so
+    ``block_decomposition(g) == compute_weights(g).blocks``."""
+    return _block_masks(g, mask)
 
 
 def _block_masks(g: Graph, mask: int | None = None) -> Blocks:
@@ -287,11 +255,8 @@ def _block_masks(g: Graph, mask: int | None = None) -> Blocks:
     rows meet no vertex of the path above its parent (no back edge reaches
     above the parent) closes a block, its pending vertices and the parent;
     otherwise the parent takes over its rows and pending vertices. A vertex
-    with no neighbour is a block of its own.
-
-    Every block closes after the blocks that hang below it in the block-cut
-    tree, so the last block of each component is its root, and any other
-    block's parent cut vertex is its one vertex that lies in a later block.
+    with no neighbour is a block of its own. A block closes only after the
+    blocks below it, which gives the closing order ``Blocks`` states.
     """
     mask = g.full_mask if mask is None else mask & g.full_mask
     nbr = {1 << v: row & mask for v, row in enumerate(g.adj) if mask >> v & 1}

@@ -18,10 +18,12 @@ validates every path it reaches and rebuilds each one's vertex set, is
 ``rotation_closure``. The two weights oracles return
 ``VertexWeights`` carrying the package's ``Blocks`` of g (``_block_masks``),
 so they compare equal to ``compute_weights`` field by field; their p and c
-are computed without them. The block decomposition is checked field for field
-against the retired edge-stack pass (``edge_stack_block_decomposition``);
-it and the block-graph recognizers are also checked against networkx
-(``nx_block_decomposition``), and so are the clique counts past the subset oracle's range
+are computed without them, and the tree DP reads its blocks and block-cut
+tree from networkx's biconnected components. The block decomposition is
+checked field for field against the retired edge-stack pass
+(``edge_stack_block_decomposition``); it and the block-graph recognizers
+are also checked against networkx (``nx_block_decomposition``), and so
+are the clique counts past the subset oracle's range
 (``nx_cliques_by_order``), the contribution shares, which the package
 tallies as integers per marked vertex and meeting size
 (``per_clique_shares``), and the clique-component test
@@ -50,12 +52,11 @@ from typing import NamedTuple
 import networkx as nx
 
 from cliquebounds import (
-    BlockDecomposition,
+    Blocks,
     Graph,
     GraphParseError,
     TransformClosure,
     binom,
-    block_decomposition,
     canonical_mask,
     from_pair_mask,
 )
@@ -161,40 +162,39 @@ def tree_dp_block_graph_weights(g: Graph) -> VertexWeights:
     blocks B_1..B_m realizes a graph path of sum(|B_i| - 1) edges. Accepts
     disjoint unions of block graphs; each component is handled on its own.
     """
-    decomp = block_decomposition(g)
     if g.n == 0:
         return VertexWeights((), (), 0, _block_masks(g))
-    for blk in decomp.blocks:
-        for v in blk:
-            need = [u for u in blk if u != v]
-            if any(not g.has_edge(u, v) for u in need):
-                raise ValueError("input is not a block graph: some block is not a clique")
+    h = _nx_graph(g)
+    blocks = _nx_blocks(h)
+    if not all(_nx_is_clique(h, blk) for blk in blocks):
+        raise ValueError("input is not a block graph: some block is not a clique")
 
-    order = [len(b) for b in decomp.blocks]
+    order = [len(b) for b in blocks]
     c = [2] * g.n
     blocks_at: list[list[int]] = [[] for _ in range(g.n)]
-    for bi, blk in enumerate(decomp.blocks):
+    for bi, blk in enumerate(blocks):
         for v in blk:
             blocks_at[v].append(bi)
             if order[bi] >= 3 and c[v] < order[bi]:
                 c[v] = order[bi]
 
-    # Bipartite block-cut tree: block nodes ('b', i) and cut nodes ('c', v).
+    # Bipartite block-cut tree: block nodes ('b', i) and cut nodes ('c', v),
+    # a cut vertex being one in two or more blocks.
     tree: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for bi in range(len(decomp.blocks)):
+    for bi in range(len(blocks)):
         tree[("b", bi)] = []
-    for v in decomp.cut_vertices:
-        tree[("c", v)] = []
-    for bi, v in decomp.tree_edges:
-        tree[("b", bi)].append(("c", v))
-        tree[("c", v)].append(("b", bi))
+    for v, at in enumerate(blocks_at):
+        if len(at) > 1:
+            tree[("c", v)] = [("b", bi) for bi in at]
+            for bi in at:
+                tree[("b", bi)].append(("c", v))
 
     def weight(node) -> int:
         return order[node[1]] - 1 if node[0] == "b" else 0
 
-    best_through = [0] * len(decomp.blocks)
+    best_through = [0] * len(blocks)
     seen: set[tuple[str, int]] = set()
-    for root_bi in range(len(decomp.blocks)):
+    for root_bi in range(len(blocks)):
         root = ("b", root_bi)
         if root in seen:
             continue
@@ -232,10 +232,11 @@ def tree_dp_block_graph_weights(g: Graph) -> VertexWeights:
     return VertexWeights(tuple(p), tuple(c), max(c), _block_masks(g))
 
 
-def edge_stack_block_decomposition(g: Graph, mask: int | None = None) -> BlockDecomposition:
+def edge_stack_block_decomposition(g: Graph, mask: int | None = None) -> Blocks:
     """The retired ``block_decomposition``: single-pass depth-first
     decomposition with an edge stack, of the subgraph induced on the vertex
-    bitmask ``mask`` (all of g by default) in g's own vertex ids."""
+    bitmask ``mask`` (all of g by default) in g's own vertex ids, as the
+    ``Blocks`` of its blocks in the order it pops them."""
     n = g.n
     mask = g.full_mask if mask is None else mask & g.full_mask
     adj = [row & mask for row in g.adj]
@@ -294,26 +295,18 @@ def edge_stack_block_decomposition(g: Graph, mask: int | None = None) -> BlockDe
             else:
                 dfs(v)
 
-    blocks_at: list[list[int]] = [[] for _ in range(n)]
-    clique = []
-    for bi, blk in enumerate(blocks):
-        bmask = 0
-        for v in blk:
-            blocks_at[v].append(bi)
-            bmask |= 1 << v
-        clique.append(all((adj[v] | (1 << v)) & bmask == bmask for v in blk))
-    cuts = frozenset(v for v in range(n) if len(blocks_at[v]) > 1)
-    tree = tuple((bi, v) for bi, blk in enumerate(blocks) for v in sorted(blk) if v in cuts)
-    return BlockDecomposition(
-        tuple(blocks), cuts, tree, tuple(clique), tuple(map(tuple, blocks_at))
-    )
+    masks = tuple(sum(1 << v for v in blk) for blk in blocks)
+    cuts = sum(1 << v for v in range(n) if sum(v in blk for blk in blocks) > 1)
+    clique = tuple(all((adj[v] | (1 << v)) & bmask == bmask for v in iter_bits(bmask))
+                   for bmask in masks)
+    return Blocks(masks, cuts, clique)
 
 
 class NxBlocks(NamedTuple):
     blocks: frozenset[frozenset[int]]
     cut_vertices: frozenset[int]
     clique: dict[frozenset[int], bool]
-    components: int
+    components: frozenset[frozenset[int]]
 
 
 def _nx_graph(g: Graph) -> nx.Graph:
@@ -335,15 +328,15 @@ def _nx_is_clique(h: nx.Graph, block) -> bool:
 
 
 def nx_block_decomposition(g: Graph) -> NxBlocks:
-    """Blocks, cut vertices, per-block clique flags and the number of
-    connected components, all from networkx."""
+    """Blocks, cut vertices, per-block clique flags and the vertex sets of
+    the connected components, all from networkx."""
     h = _nx_graph(g)
     blocks = _nx_blocks(h)
     return NxBlocks(
         frozenset(blocks),
         frozenset(nx.articulation_points(h)),
         {b: _nx_is_clique(h, b) for b in blocks},
-        nx.number_connected_components(h),
+        frozenset(map(frozenset, nx.connected_components(h))),
     )
 
 

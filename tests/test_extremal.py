@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cliquebounds import (
-    BlockDecomposition,
+    Blocks,
     BlockSpec,
     Graph,
     block_decomposition,
@@ -21,6 +21,7 @@ from cliquebounds import (
     random_graph,
 )
 from cliquebounds import graphs as graph_module
+from cliquebounds.graphs import _block_masks, iter_bits
 from oracles import (
     bowtie,
     dfs_weights,
@@ -38,31 +39,29 @@ from strategies import block_glued_graph, random_pdbgs
 class TestBlockDecomposition:
     def test_bowtie(self):
         d = block_decomposition(bowtie())
-        assert sorted(len(b) for b in d.blocks) == [3, 3]
-        assert d.cut_vertices == frozenset({2})
+        assert [m.bit_count() for m in d.masks] == [3, 3]
+        assert d.cuts == 1 << 2
 
     def test_path(self):
         d = block_decomposition(path_graph(4))
-        assert sorted(len(b) for b in d.blocks) == [2, 2, 2]
-        assert d.cut_vertices == frozenset({1, 2})
+        assert [m.bit_count() for m in d.masks] == [2, 2, 2]
+        assert d.cuts == 0b0110
 
     def test_cycle(self):
         d = block_decomposition(cycle_graph(5))
-        assert len(d.blocks) == 1
-        assert d.cut_vertices == frozenset()
+        assert d == Blocks((0b11111,), 0, (False,))
 
     def test_isolated_vertices_are_singleton_blocks(self):
         d = block_decomposition(from_edges(3, [(0, 1)]))
-        assert sorted(sorted(b) for b in d.blocks) == [[0, 1], [2]]
+        assert sorted(d.masks) == [0b011, 0b100]
 
     def test_edge_partition_500_random(self):
         rng = random.Random(606)
         for _ in range(500):
             n = rng.randint(1, 12)
             g = random_graph(n, rng.uniform(0.1, 0.7), rng.randrange(1 << 30))
-            d = block_decomposition(g)
             covered = []
-            for blk in d.blocks:
+            for blk in block_decomposition(g).blocks:
                 covered.extend(
                     (u, v) for u in blk for v in blk if u < v and g.has_edge(u, v)
                 )
@@ -70,21 +69,19 @@ class TestBlockDecomposition:
             assert len(covered) == len(set(covered))
 
     def test_tree_edges_form_forest(self):
+        # the block-cut tree's edges are the (block, cut vertex) incidences
         rng = random.Random(607)
         for _ in range(100):
             g = random_graph(rng.randint(2, 10), rng.uniform(0.2, 0.6), rng.randrange(1 << 30))
             d = block_decomposition(g)
-            nodes = len(d.blocks) + len(d.cut_vertices)
+            adj: dict = {("b", bi): [] for bi in range(len(d.masks))}
+            adj.update({("c", v): [] for v in iter_bits(d.cuts)})
+            tree_edges = [(bi, v) for bi, m in enumerate(d.masks) for v in iter_bits(m & d.cuts)]
+            for bi, v in tree_edges:
+                adj[("b", bi)].append(("c", v))
+                adj[("c", v)].append(("b", bi))
             seen = set()
             comps = 0
-            adj: dict = {}
-            for bi, v in d.tree_edges:
-                adj.setdefault(("b", bi), []).append(("c", v))
-                adj.setdefault(("c", v), []).append(("b", bi))
-            for bi in range(len(d.blocks)):
-                adj.setdefault(("b", bi), [])
-            for v in d.cut_vertices:
-                adj.setdefault(("c", v), [])
             for start in adj:
                 if start in seen:
                     continue
@@ -97,34 +94,30 @@ class TestBlockDecomposition:
                             seen.add(nb)
                             stack.append(nb)
             # acyclic iff edges = nodes - components
-            assert len(d.tree_edges) == nodes - comps
+            assert len(tree_edges) == len(adj) - comps
 
 
-def _mapped_back(d: BlockDecomposition, ids: list[int], n: int) -> BlockDecomposition:
-    """A decomposition of g.induced(ids) in the ids of g (n vertices)."""
-    blocks_at: list[tuple[int, ...]] = [()] * n
-    for i, v in enumerate(ids):
-        blocks_at[v] = d.blocks_at[i]
-    return BlockDecomposition(
-        tuple(frozenset(ids[i] for i in b) for b in d.blocks),
-        frozenset(ids[i] for i in d.cut_vertices),
-        tuple((bi, ids[i]) for bi, i in d.tree_edges),
-        d.clique,
-        tuple(blocks_at),
-    )
+def _mapped_back(d: Blocks, ids: list[int]) -> Blocks:
+    """The blocks of g.induced(ids) in the ids of g."""
+
+    def spread(m: int) -> int:
+        return sum(1 << ids[i] for i in iter_bits(m))
+
+    return Blocks(tuple(map(spread, d.masks)), spread(d.cuts), d.clique)
 
 
 class TestAgainstEdgeStackPass:
     """The vertex-mask pass against the retired edge-stack pass, field for
-    field with block order, on the whole graph and on a vertex mask."""
+    field with block order, on the whole graph and on a vertex mask; the
+    public ``block_decomposition`` is the DFS's own ``Blocks``."""
 
     @staticmethod
     def assert_matches(g, mask):
         assert block_decomposition(g) == edge_stack_block_decomposition(g), g
         d = block_decomposition(g, mask)
-        assert d == edge_stack_block_decomposition(g, mask), (g, mask)
+        assert d == _block_masks(g, mask) == edge_stack_block_decomposition(g, mask), (g, mask)
         ids = [v for v in range(g.n) if mask >> v & 1]
-        assert d == _mapped_back(block_decomposition(g.induced(ids)), ids, g.n), (g, mask)
+        assert d == _mapped_back(block_decomposition(g.induced(ids)), ids), (g, mask)
 
     def test_every_class_up_to_7(self, reps_by_n, reps7):
         rng = random.Random(1973)
@@ -282,8 +275,8 @@ class TestExtremalPredicate:
 
 
 class TestAgainstNetworkx:
-    """Blocks, cut vertices, clique flags, component counts, the
-    parent-dominated recognizer, the clique-component test and both
+    """Blocks, cut vertices, clique flags, the closing order of the blocks,
+    the parent-dominated recognizer, the clique-component test and both
     heavy-set predicates against the networkx oracle. The heavy sets are
     written here from the paper's definition."""
 
@@ -291,13 +284,26 @@ class TestAgainstNetworkx:
     def assert_matches(g):
         d = block_decomposition(g)
         nxd = nx_block_decomposition(g)
-        assert len(d.blocks) == len(nxd.blocks) and set(d.blocks) == nxd.blocks, g
-        assert d.cut_vertices == nxd.cut_vertices, g
-        assert dict(zip(d.blocks, d.clique)) == nxd.clique, g
-        assert d.components == nxd.components, g
-        assert [set(bs) for bs in d.blocks_at] == [
-            {i for i, b in enumerate(d.blocks) if v in b} for v in range(g.n)
-        ], g
+        blocks = d.blocks
+        assert len(blocks) == len(nxd.blocks) and set(blocks) == nxd.blocks, g
+        assert set(iter_bits(d.cuts)) == nxd.cut_vertices, g
+        assert dict(zip(blocks, d.clique)) == nxd.clique, g
+        # in closing order each block has at most one vertex in a later
+        # block, a cut vertex (its parent cut), and the blocks with none
+        # are one per component
+        roots = []
+        after = 0
+        for m, blk in zip(reversed(d.masks), reversed(blocks)):
+            later = m & after
+            assert later & (later - 1) == 0 and set(iter_bits(later)) <= nxd.cut_vertices, g
+            if not later:
+                roots.append(blk)
+            after |= m
+        assert len(roots) == len(nxd.components), g
+        assert {c for c in nxd.components for r in roots if r <= c} == nxd.components, g
+        # the block-cut forest has one tree per component
+        incidences = sum((m & d.cuts).bit_count() for m in d.masks)
+        assert len(d.masks) + d.cuts.bit_count() - incidences == len(nxd.components), g
         assert is_parent_dominated(g) == nx_is_parent_dominated(g), g
         assert components_are_cliques(g) == nx_components_are_cliques(g), g
 
@@ -307,6 +313,7 @@ class TestAgainstNetworkx:
             self.assert_matches(g)
             parent_dominated += is_parent_dominated(g)
             w = compute_weights(g)
+            assert block_decomposition(g) == w.blocks, g
             for s in range(2, 6):
                 heavy = g.induced(v for v in range(g.n) if w.c[v] >= s)
                 assert extremal_predicate(g, s, 1, w) == nx_is_parent_dominated(heavy), (g, s)
@@ -330,6 +337,12 @@ class TestAgainstNetworkx:
         for g in random_pdbgs():
             self.assert_matches(g)
             assert nx_is_parent_dominated(g)
+
+    def test_seeded_random_graphs_up_to_30(self):
+        rng = random.Random(1975)
+        for _ in range(2000):
+            n = rng.randint(1, 30)
+            self.assert_matches(random_graph(n, rng.uniform(0.02, 0.5), rng.randrange(1 << 30)))
 
     def test_oracle_rejects_what_it_should(self):
         assert not nx_is_parent_dominated(

@@ -1,9 +1,11 @@
 """The package's module layering: every import sits at module level, every
-name a module imports is read in it, the graph of ``from .module import``
-edges between its modules is acyclic, and no module reads a private
-attribute by name through ``getattr``."""
+name a module imports is read in it, every absolute import is of the
+standard library, the graph of ``from .module import`` edges between its
+modules is acyclic, and no module reads a private attribute by name
+through ``getattr``."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,22 @@ def test_no_import_inside_a_function(path):
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert nested == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_absolute_imports_are_standard_library(path):
+    # the package declares no dependencies, while the test extra installs
+    # networkx and hypothesis beside it
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append((node.lineno, node.module))
+    outside = [f"{path.name}:{line} {name}" for line, name in imported
+               if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 def test_module_imports_are_acyclic():

@@ -13,7 +13,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # the value of each expression line of the block, keyed by its source
 SHOWN = {
     "w.blocks.masks": (31,),
-    "block_decomposition(g).blocks": (frozenset({0, 1, 2, 3, 4}),),
+    "block_decomposition(g) == w.blocks": True,
     "count_cliques(g, 2)": 5,
     "rep.ok": True,
     "rep.rhs_num, rep.rhs_den, rep.rhs": (40, 4, Fraction(10, 1)),

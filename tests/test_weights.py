@@ -74,11 +74,7 @@ class TestComputeWeights:
     def test_carries_its_block_decomposition(self, reps_by_n):
         for g in [bowtie(), petersen()] + reps_by_n[5]:
             blocks = compute_weights(g).blocks
-            d = block_decomposition(g)
-            assert blocks == _block_masks(g), g
-            assert [frozenset(iter_bits(m)) for m in blocks.masks] == list(d.blocks), g
-            assert frozenset(iter_bits(blocks.cuts)) == d.cut_vertices, g
-            assert blocks.clique == d.clique, g
+            assert blocks == _block_masks(g) == block_decomposition(g), g
 
     def test_empty_graph(self):
         w = compute_weights(from_edges(0, []))
@@ -192,7 +188,7 @@ class TestAgainstWholeGraphSubsetDP:
         for _ in range(500):
             g = block_glued_graph(rng, 16)
             assert compute_weights(g) == subset_dp_weights(g), g
-            multi_block += len(block_decomposition(g).blocks) > 1
+            multi_block += len(block_decomposition(g).masks) > 1
         assert multi_block > 400
 
     def test_seeded_random_graphs(self):
@@ -280,7 +276,7 @@ class TestArmComposition:
         # vertex 0, where the DFS starts, joins a K4, a triangle and a path
         # of 4 edges
         g = parse_graph6("I~_GGE?_G")
-        assert 0 in block_decomposition(g).cut_vertices
+        assert block_decomposition(g).cuts & 1
         w = compute_weights(g)
         assert w.p == (7,) * 8 + (6, 6)
         assert w.c == (4,) * 4 + (2,) * 4 + (3, 3)
@@ -293,14 +289,14 @@ class TestArmComposition:
         # ten triangles and ten bridges, all at vertex 0 (n = 31)
         spec = BlockSpec((3,) * 10 + (2,) * 10, (0,) * 19, (0,) * 19)
         g = generate_pdbg(spec)
-        assert block_decomposition(g).cut_vertices == {0}
+        assert block_decomposition(g).cuts == 1
         rng = random.Random(62)
         for h in [g] + [relabeled(g, rng) for _ in range(10)]:
             self.assert_matches(h, tree_dp_block_graph_weights)
 
     def test_chain_of_20_blocks_at_n_64(self):
         g = generate_pdbg(BlockSpec((5, 5, 5) + (4,) * 17))
-        assert g.n == 64 and len(block_decomposition(g).blocks) == 20
+        assert g.n == 64 and len(block_decomposition(g).masks) == 20
         rng = random.Random(63)
         for h in [g] + [relabeled(g, rng) for _ in range(10)]:
             self.assert_matches(h, tree_dp_block_graph_weights)
@@ -308,7 +304,7 @@ class TestArmComposition:
     def test_mixed_blocks_relabeled(self):
         g = from_edges(15, MIXED_BLOCKS)
         d = block_decomposition(g)
-        assert d.cut_vertices == {1, 3, 7, 10} and d.clique.count(False) == 2
+        assert set(iter_bits(d.cuts)) == {1, 3, 7, 10} and d.clique.count(False) == 2
         # the same blocks all at one cut vertex: 7 in g, 0 here
         star = from_edges(14, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
                           + [(0, 4), (4, 5), (5, 6), (6, 7), (7, 0)]
@@ -382,7 +378,7 @@ class TestArmComposition:
                   (4, 14), (14, 15)]
         g = from_edges(16, ring + chains)
         d = block_decomposition(g)
-        assert d.cut_vertices >= {0, 1, 3, 4} and d.clique.count(False) == 1
+        assert set(iter_bits(d.cuts)) >= {0, 1, 3, 4} and d.clique.count(False) == 1
         w = compute_weights(g)
         # the ring is Hamiltonian; the longest path runs the chain at 0, the
         # ring the long way round from 0 to 1, and the chain at 1
@@ -447,8 +443,7 @@ class TestHamiltonianCycleCertificate:
     def test_search_matches_the_permutation_oracle(self, reps_by_n, reps7):
         checked = 0
         for g in [g for n in range(3, 7) for g in reps_by_n[n]] + reps7:
-            decomp = block_decomposition(g)
-            if len(decomp.blocks) != 1 or len(decomp.blocks[0]) != g.n:
+            if block_decomposition(g).masks != (g.full_mask,):
                 continue  # not 2-connected
             checked += 1
             assert _has_hamiltonian_cycle(g.adj, g.n) == permutation_hamiltonian_cycle(g), g
@@ -777,11 +772,7 @@ class TestBlockGraphShortcut:
         checked = 0
         for n in range(7):
             for g in reps_by_n[n]:
-                decomp = block_decomposition(g)
-                if not all(
-                    all(g.has_edge(u, v) for u in blk for v in blk if u < v)
-                    for blk in decomp.blocks
-                ):
+                if not all(block_decomposition(g).clique):
                     continue
                 checked += 1
                 assert tree_dp_block_graph_weights(g) == compute_weights(g)
